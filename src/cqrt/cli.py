@@ -1,6 +1,7 @@
 """Command-line front end: simulate | analyze | fpe | plot | compare.
 
-Exit codes: 0 success, 1 usage error, 2 numerical failure, 3 I/O error.
+Exit codes: 0 success, 1 usage error (a bad flag or value), 2 numerical
+failure, 3 I/O error (a file that cannot be read or written).
 Flags override an optional key=value config file (--config); the manifest
 written next to the outputs records the merged configuration, so any run can
 be reproduced from its manifest alone.
@@ -62,7 +63,10 @@ def parse_model(text: str):
         for item in filter(None, rest.split(",")):
             key, _, val = item.partition("=")
             if key == "p0":
-                p0 = float(val)
+                try:
+                    p0 = float(val)
+                except ValueError as exc:
+                    raise UsageError(f"bad gaussian p0 {val!r}") from exc
             elif key == "form":
                 form = val
             else:
@@ -176,7 +180,7 @@ SIMULATE_DEFAULTS = {
     "snapshots": None,
     "record": None,
     "drift_cap": "10.0",
-    "threads": "0",
+    "threads": "1",
     "out": None,  # required
 }
 
@@ -471,6 +475,11 @@ def _parse_curve(text: str, x: np.ndarray):
     for item in filter(None, rest.split(",")):
         key, _, val = item.partition("=")
         params[key] = float(val)
+    needed = {"quantum_eigenstate": ("n",), "classical": ("n",),
+              "quantum_gaussian": ("p0", "t")}.get(name, ())
+    missing = [key for key in needed if key not in params]
+    if missing:
+        raise UsageError(f"curve {name!r} needs {', '.join(k + '=' for k in missing)}")
     if name == "quantum_eigenstate":
         from .wavefield import quantum_density_eigenstate
 
@@ -606,9 +615,14 @@ def main(argv=None) -> int:
     except CqrtError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (OSError, ValueError, KeyError) as exc:
+    except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
         return EXIT_IO
+    except (ValueError, KeyError) as exc:
+        # the library rejects bad arguments with ValueError; a KeyError is a
+        # field missing from an input such as a manifest
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -5,10 +5,13 @@ taken as (-1+i)/sqrt(2), so one real standard-normal draw per step feeds both
 coordinates with perfectly anticorrelated increments of variance dt/2 each.
 
 Reproducibility contract: an Ensemble is a pure function of its
-SimulationConfig.  Every trajectory owns an independent noise stream seeded by
-derive_seed(master_seed, index) (a SplitMix64 avalanche), and normals are
-produced by inverse CDF over 53-bit uniforms from PCG64, so results are
-bit-identical across runs, platforms, chunk sizes, and thread counts.
+SimulationConfig.  Trajectory i owns an independent noise stream: the outputs
+of numpy's PCG64(SeedSequence(derive_seed(master_seed, i))), where derive_seed
+is a SplitMix64 avalanche.  Each draw is mapped to a normal by inverse CDF over
+the 53-bit uniform ((raw >> 11) + 0.5) * 2**-53.  The integrator generates the
+streams of a whole chunk together, one row per Euler step (NoiseStreams), and
+they equal standard_normals draw for draw, so results are bit-identical across
+runs, platforms, chunk sizes, and thread counts.
 """
 
 from __future__ import annotations
@@ -39,30 +42,134 @@ CHUNK_SIZE = 8192
 RECORD_MODES = ("full_path", "crossings_and_final", "snapshots")
 
 _MASK64 = (1 << 64) - 1
+_MASK32 = np.uint64(0xFFFFFFFF)
 _GOLDEN = 0x9E3779B97F4A7C15
 
+# numpy's SeedSequence hash constants (its pool holds 4 uint32 words)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+# PCG64's 128-bit LCG multiplier and its high and low 64-bit words
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_MULT_HI = np.uint64(_PCG_MULT >> 64)
+_PCG_MULT_LO = np.uint64(_PCG_MULT & _MASK64)
 
-def derive_seed(master_seed: int, index: int) -> int:
-    """Per-trajectory 64-bit seed: SplitMix64 output number (index + 1).
+
+def derive_seeds(master_seed: int, indices) -> np.ndarray:
+    """Per-trajectory 64-bit seeds: SplitMix64 output number (index + 1).
 
     The avalanche stage decorrelates adjacent indices, giving independent
     reproducible streams without any coordination between workers.
     """
-    x = (master_seed + (index + 1) * _GOLDEN) & _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return (x ^ (x >> 31)) & _MASK64
+    x = (np.asarray(indices, dtype=np.uint64) + np.uint64(1)) * np.uint64(_GOLDEN) \
+        + np.uint64(master_seed & _MASK64)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
+def derive_seed(master_seed: int, index: int) -> int:
+    """The seed of one trajectory (see derive_seeds)."""
+    return int(derive_seeds(master_seed, [index])[0])
+
+
+def _uniform_normals(k53) -> np.ndarray:
+    """Inverse-CDF normals of 53-bit integers via the uniform (k + 0.5) * 2**-53,
+    which never reaches 0 or 1."""
+    return ndtri((k53.astype(np.float64) + 0.5) * 2.0**-53)
 
 
 def standard_normals(master_seed: int, traj_index: int, count: int) -> np.ndarray:
-    """The trajectory's noise stream: inverse-CDF normals from PCG64 uniforms.
+    """The trajectory's noise stream: its first `count` normals.
 
-    Uniforms are (k + 0.5) * 2**-53 with k a 53-bit integer, so the inverse CDF
-    never sees 0 or 1.  Fixed once; stable across platforms.
+    The 53-bit integers are PCG64 outputs shifted right by 11, which is what
+    Generator.integers(0, 2**53, dtype=uint64) returns.  Fixed once; stable
+    across platforms.
     """
-    rng = np.random.Generator(np.random.PCG64(derive_seed(master_seed, traj_index)))
-    raw = rng.integers(0, 1 << 53, size=count, dtype=np.uint64)
-    return ndtri((raw.astype(np.float64) + 0.5) * 2.0**-53)
+    bits = np.random.PCG64(derive_seed(master_seed, traj_index)).random_raw(count)
+    return _uniform_normals(bits >> np.uint64(11))
+
+
+def _seed_sequence_state(entropy):
+    """SeedSequence(entropy).generate_state(4, uint64) for uint64 entropies.
+
+    numpy's algorithm with pool size 4, run on uint32 arrays.  An entropy below
+    2**32 is one word and a larger one two; hashing the missing word as 0 is
+    what SeedSequence does for the empty pool slot, so both take one path.
+    """
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * _MULT_A & 0xFFFFFFFF
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+
+    zero = np.zeros(entropy.shape, dtype=np.uint32)
+    pool = [hashmix(w) for w in ((entropy & _MASK32).astype(np.uint32),
+                                 (entropy >> np.uint64(32)).astype(np.uint32), zero, zero)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashmix(pool[src])
+                pool[dst] = mixed ^ (mixed >> np.uint32(16))
+    const = _INIT_B
+    words = []
+    for i in range(8):
+        value = pool[i % 4] ^ np.uint32(const)
+        const = const * _MULT_B & 0xFFFFFFFF
+        value = value * np.uint32(const)
+        words.append((value ^ (value >> np.uint32(16))).astype(np.uint64))
+    return [words[k] | (words[k + 1] << np.uint64(32)) for k in range(0, 8, 2)]
+
+
+def _mulhi64(a, b: int):
+    """High 64 bits of the 128-bit product of a uint64 array and a constant,
+    from 32-bit limbs."""
+    a0, a1 = a & _MASK32, a >> np.uint64(32)
+    b0, b1 = np.uint64(b & 0xFFFFFFFF), np.uint64(b >> 32)
+    p01, p10 = a0 * b1, a1 * b0
+    mid = ((a0 * b0) >> np.uint64(32)) + (p01 & _MASK32) + (p10 & _MASK32)
+    return a1 * b1 + (p01 >> np.uint64(32)) + (p10 >> np.uint64(32)) + (mid >> np.uint64(32))
+
+
+class NoiseStreams:
+    """Many PCG64 streams advanced together, one draw of each per call.
+
+    Stream k is numpy's PCG64(seeds[k]) output for output: the 128-bit states
+    are kept as high and low uint64 words, seeded by SeedSequence and
+    pcg64_set_seed, stepped by the LCG and read out by XSL-RR.  Memory is
+    O(len(seeds)) however many draws are taken.
+    """
+
+    def __init__(self, seeds):
+        s_hi, s_lo, i_hi, i_lo = _seed_sequence_state(np.asarray(seeds, dtype=np.uint64))
+        self._inc_hi = (i_hi << np.uint64(1)) | (i_lo >> np.uint64(63))
+        self._inc_lo = (i_lo << np.uint64(1)) | np.uint64(1)
+        # pcg64_set_seed: state 0, step (state = inc), add the seed, step
+        lo = self._inc_lo + s_lo
+        self._hi = self._inc_hi + s_hi + (lo < s_lo)
+        self._lo = lo
+        self._step()
+
+    def _step(self):
+        hi, lo = self._hi, self._lo
+        prod_lo = lo * _PCG_MULT_LO
+        prod_hi = _mulhi64(lo, _PCG_MULT & _MASK64) + lo * _PCG_MULT_HI + hi * _PCG_MULT_LO
+        self._lo = prod_lo + self._inc_lo
+        self._hi = prod_hi + self._inc_hi + (self._lo < self._inc_lo)
+
+    def raw(self) -> np.ndarray:
+        """The next 64-bit output of every stream."""
+        self._step()
+        value = self._hi ^ self._lo
+        rot = self._hi >> np.uint64(58)
+        return (value >> rot) | (value << ((np.uint64(64) - rot) & np.uint64(63)))
+
+    def normals(self) -> np.ndarray:
+        """The next standard normal of every stream, as standard_normals maps it."""
+        return _uniform_normals(self.raw() >> np.uint64(11))
 
 
 def noise_increment(xi, dt: float):
@@ -271,9 +378,7 @@ def _integrate_chunk(config: SimulationConfig, model: ModelSpec, lo: int, hi: in
     init = np.asarray(config.initial_points, dtype=complex)
     z = init[ids % len(init)]
 
-    xi = np.empty((n_steps, n))
-    for c, i in enumerate(range(lo, hi)):
-        xi[:, c] = standard_normals(config.master_seed, i, n_steps)
+    noise = NoiseStreams(derive_seeds(config.master_seed, ids))
 
     snap_idx = config.snapshot_indices() if config.record_mode == "snapshots" else ()
     full = config.record_mode == "full_path"
@@ -307,7 +412,7 @@ def _integrate_chunk(config: SimulationConfig, model: ModelSpec, lo: int, hi: in
         disp, over, last_dir = _displacement(g, near, dt, sqrt_dt, config.drift_cap, last_dir)
         capped += int(np.count_nonzero(over & alive))
         near_nodes += int(np.count_nonzero(near & alive))
-        z_new = z + disp + NOISE_FACTOR * xi[j] * sqrt_dt
+        z_new = z + disp + NOISE_FACTOR * noise.normals() * sqrt_dt
         z = np.where(alive, z_new, z)
         blown = alive & (np.abs(z) > BLOWUP_THRESHOLD)
         alive &= ~blown
@@ -350,12 +455,13 @@ def _integrate_chunk(config: SimulationConfig, model: ModelSpec, lo: int, hi: in
 
 
 def simulate_ensemble(config: SimulationConfig, model: ModelSpec | None = None,
-                      threads: int = 0) -> Ensemble:
+                      threads: int = 1) -> Ensemble:
     """Run every trajectory of the configuration and merge the results.
 
     Trajectories are integrated in fixed-size chunks that may execute on any
-    number of threads; the merge is by chunk index, so the output is
-    bit-identical for every thread count.  Fails with NumericalBlowup if more
+    number of threads (0: one per core); the merge is by chunk index, so the
+    output is bit-identical for every thread count.  Serial is the default
+    because the chunks hold the interpreter lock for most of their time.  Fails with NumericalBlowup if more
     than MAX_DIVERGED_FRACTION of the paths diverge.
     """
     model = config.model if model is None else model

@@ -12,6 +12,7 @@ import hashlib
 import json
 import os
 import tempfile
+import warnings
 from dataclasses import asdict, is_dataclass
 
 import numpy as np
@@ -52,13 +53,13 @@ def write_table(path: str, header, columns) -> None:
 
 def read_table(path: str):
     """Read a CSV table; returns (header list, list of float column arrays)."""
-    with open(path) as handle:
+    with open(path) as handle, warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # loadtxt warns on no rows
         header = handle.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in handle if line.strip()]
-    if not rows:
+        rows = np.loadtxt(handle, delimiter=",", ndmin=2)
+    if rows.size == 0:
         return header, [np.empty(0) for _ in header]
-    cols = [np.array([float(r[i]) for r in rows]) for i in range(len(header))]
-    return header, cols
+    return header, [np.ascontiguousarray(col) for col in rows.T]
 
 
 def write_crossings(path: str, traj_ids, times, xs) -> None:

@@ -88,9 +88,7 @@ def gaussian_gamma(n_traj, t, ensemble=None, seed=SEED):
             n_trajectories=n_traj, master_seed=seed,
             record_mode="snapshots", snapshot_times=(t,),
         )
-        # output does not depend on threads; serial is ~20% faster for this
-        # noise-bound run, which criterion 1d repeats seven times
-        ensemble = simulate_ensemble(config, threads=1)
+        ensemble = simulate_ensemble(config)
     xs = snapshot_positions(ensemble, t)
     density = build_density(xs, 100, gaussian_bin_range(1.0, t))
     return pearson(density, gaussian_reference(1.0, t)).gamma

@@ -14,7 +14,10 @@ from cqrt.serialize import (
     read_density,
     read_field,
     read_manifest,
+    read_table,
+    write_crossings,
     write_density,
+    write_table,
 )
 from cqrt.wavefield import Eigenstate, GaussianPacket
 
@@ -235,6 +238,22 @@ class TestExitCodes:
                    "--out", str(tmp_path / "p.svg")])
         assert rc == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--model", "eigenstate:1", "--dt", "-1"],
+        ["simulate", "--model", "eigenstate:1", "--n", "0"],
+        ["simulate", "--model", "gaussian:p0=abc"],
+        ["plot", "--curve", "quantum_eigenstate", "--range=-3,3"],
+    ])
+    def test_bad_values_are_usage_errors(self, tmp_path, argv):
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 1
+
+    def test_reversed_range_is_usage_error(self, tmp_path):
+        pool = tmp_path / "pool"
+        assert _run_simulate(pool) == 0
+        rc = main(["analyze", "--pool", str(pool), "--range", "5,1",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+
 
 class TestRoundTrip:
     def test_density_round_trip_bit_exact(self, tmp_path):
@@ -254,3 +273,20 @@ class TestRoundTrip:
         assert ids.dtype.kind == "i"
         assert times.size == xs.size == ids.size
         assert times.size > 0
+
+    @pytest.mark.parametrize("rows", [0, 1, 5])
+    def test_table_round_trip_row_counts(self, tmp_path, rows):
+        rng = np.random.default_rng(rows)
+        ids = np.arange(rows) * 7
+        times, xs = rng.random(rows), rng.normal(size=rows) * 1e-300
+        path = tmp_path / "crossings.csv"
+        write_crossings(str(path), ids, times, xs)
+        header, cols = read_table(str(path))
+        assert header == ["traj_id", "t", "x"]
+        assert [c.shape for c in cols] == [(rows,)] * 3
+        back_ids, back_times, back_xs = read_crossings(path)
+        np.testing.assert_array_equal(back_ids, ids)
+        np.testing.assert_array_equal(back_times, times)
+        np.testing.assert_array_equal(back_xs, xs)
+        write_table(str(path), ["t"], [times])
+        assert read_table(str(path))[1][0].tolist() == times.tolist()

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from cqrt import (
     NOISE_FACTOR,
@@ -21,6 +22,7 @@ from cqrt import (
     split_step,
     standard_normals,
 )
+from cqrt.sde import CHUNK_SIZE, NoiseStreams, derive_seeds
 
 
 class TestNoise:
@@ -139,6 +141,72 @@ class TestSeeding:
         assert abs(xs.mean()) < 3e-3
         assert xs.std() == pytest.approx(1.0, abs=2e-3)
         assert np.all(np.isfinite(xs))
+
+
+def _reference_ints(seed, count):
+    """numpy's own 53-bit draws from PCG64(seed): the noise contract."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return rng.integers(0, 1 << 53, size=count, dtype=np.uint64)
+
+
+def _reference_normals(seed, count):
+    return ndtri((_reference_ints(seed, count).astype(np.float64) + 0.5) * 2.0**-53)
+
+
+class TestNoiseStreams:
+    """The chunk-wide streams must equal numpy's PCG64 streams bit for bit."""
+
+    def test_derive_seed_values(self):
+        # SplitMix64 outputs of the original Python-integer implementation
+        assert [derive_seed(42, i) for i in (0, 1, 99_999)] == [
+            13679457532755275413, 2949826092126892291, 5403102350507990251]
+        assert derive_seed(0, 0) == 16294208416658607535
+        assert derive_seed(-1, 5) == 15212506146343009075
+        assert derive_seed(2**70 + 3, 2) == 11307387092600937729
+        np.testing.assert_array_equal(
+            derive_seeds(7, np.arange(5)), [derive_seed(7, i) for i in range(5)])
+
+    def test_standard_normals_literal(self):
+        assert standard_normals(42, 0, 3).tolist() == [
+            0.35122397532964306, -0.4227869889286977, 1.3663390217836842]
+
+    @pytest.mark.parametrize("master_seed", [0, 42, 123_456_789, 2**64 - 1])
+    def test_trajectory_streams_match_numpy(self, master_seed):
+        indices = np.array([0, 1, 2, 1000, CHUNK_SIZE - 1, CHUNK_SIZE, 99_999])
+        count = 300
+        streams = NoiseStreams(derive_seeds(master_seed, indices))
+        drawn = np.array([streams.normals() for _ in range(count)])
+        for col, index in enumerate(indices):
+            seed = derive_seed(master_seed, int(index))
+            np.testing.assert_array_equal(drawn[:, col], _reference_normals(seed, count))
+            np.testing.assert_array_equal(drawn[:, col],
+                                          standard_normals(master_seed, int(index), count))
+
+    def test_raw_seeds_match_numpy(self):
+        # 0 .. 2**32 - 1 are one SeedSequence entropy word, larger seeds two
+        seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+        count = 64
+        streams = NoiseStreams(np.array(seeds, dtype=np.uint64))
+        bits = np.array([streams.raw() for _ in range(count)])
+        for col, seed in enumerate(seeds):
+            np.testing.assert_array_equal(bits[:, col] >> np.uint64(11),
+                                          _reference_ints(seed, count))
+            np.testing.assert_array_equal(bits[:, col],
+                                          np.random.PCG64(seed).random_raw(count))
+
+    def test_chunk_boundary_keeps_streams(self):
+        n = CHUNK_SIZE + 3
+        cfg = _config(n_trajectories=n, t_final=0.05)
+        ens = simulate_ensemble(cfg)
+        for index in (0, CHUNK_SIZE - 1, CHUNK_SIZE, n - 1):
+            traj = simulate_trajectory(cfg, index)
+            np.testing.assert_array_equal(traj.points, ens.trajectory(index).points)
+            np.testing.assert_array_equal(traj.crossings, ens.trajectory(index).crossings)
+            # the same path stepped by em_step on the per-path reference stream
+            z = cfg.initial_points[index % 2]
+            for j, xi in enumerate(standard_normals(cfg.master_seed, index, cfg.n_steps)):
+                z = em_step(cfg.model, j * cfg.dt, z, cfg.dt, xi)
+                assert z == ens.trajectory(index).points[j + 1]
 
 
 def _config(**kw):
