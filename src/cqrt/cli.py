@@ -2,9 +2,16 @@
 
 Exit codes: 0 success, 1 usage error (a bad flag or value), 2 numerical
 failure, 3 I/O error (a file that cannot be read or written).
-Flags override an optional key=value config file (--config); the manifest
-written next to the outputs records the merged configuration, so any run can
-be reproduced from its manifest alone.
+
+Every option is one typed argparse flag with its default.  An optional
+key=value config file (--config) is read as flags: each key is a flag name
+(written with - or _), its lines go in front of the command line's flags, and
+the later flag wins, so a flag on the command line overrides the file.  An
+unknown key or a bad value is a usage error; a config file that cannot be
+read is an I/O error.  A reversed --range or --window (lo,hi with lo > hi) is
+rejected while parsing, before any file is read.  The manifest written next
+to the outputs records the typed options, so any run can be reproduced from
+its manifest alone.
 """
 
 from __future__ import annotations
@@ -29,12 +36,9 @@ from .stats import (
     classical_reference,
     eigenstate_bin_range,
     eigenstate_reference,
-    extract_point_set_a,
-    extract_point_set_b,
     gaussian_bin_range,
     gaussian_reference,
     pearson,
-    snapshot_positions,
 )
 from .svgplot import SvgPlot
 from .wavefield import Eigenstate, GaussianPacket
@@ -54,30 +58,27 @@ def parse_model(text: str):
     kind, _, rest = text.partition(":")
     if kind == "eigenstate":
         try:
-            return Eigenstate(int(rest))
+            n = int(rest)
         except ValueError as exc:
             raise UsageError(f"bad eigenstate model string {text!r}") from exc
-    if kind == "gaussian":
-        p0 = None
-        form = "exact"
-        for item in filter(None, rest.split(",")):
-            key, _, val = item.partition("=")
-            if key == "p0":
-                try:
-                    p0 = float(val)
-                except ValueError as exc:
-                    raise UsageError(f"bad gaussian p0 {val!r}") from exc
-            elif key == "form":
-                form = val
-            else:
-                raise UsageError(f"unknown gaussian parameter {key!r}")
-        if p0 is None:
-            raise UsageError("gaussian model requires p0=<value>")
-        try:
-            return GaussianPacket(p0, form)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-    raise UsageError(f"unknown model kind {kind!r} (use eigenstate:N or gaussian:p0=X)")
+        return Eigenstate(n)
+    if kind != "gaussian":
+        raise UsageError(f"unknown model kind {kind!r} (use eigenstate:N or gaussian:p0=X)")
+    params = _params(rest)
+    unknown = sorted(set(params) - {"p0", "form"})
+    if unknown:
+        raise UsageError(f"unknown gaussian parameter {unknown[0]!r}")
+    if "p0" not in params:
+        raise UsageError("gaussian model requires p0=<value>")
+    try:
+        return GaussianPacket(float(params["p0"]), params.get("form", "exact"))
+    except ValueError as exc:
+        raise UsageError(f"bad gaussian model {text!r}: {exc}") from exc
+
+
+def _params(text: str) -> dict:
+    """'key=value,key=value' as a dict of strings."""
+    return dict(item.partition("=")[::2] for item in filter(None, text.split(",")))
 
 
 def parse_initial_points(text: str, model, n_trajectories: int, seed: int):
@@ -118,185 +119,151 @@ def parse_initial_points(text: str, model, n_trajectories: int, seed: int):
     return tuple(points)
 
 
-def _parse_pair(text: str, what: str):
+# ------------------------------------------------------- types and plumbing
+
+def _floats(text: str) -> tuple:
+    """argparse type: a comma-separated list of numbers."""
+    return tuple(float(v) for v in text.split(","))
+
+
+def _pair(text: str) -> tuple:
+    """argparse type: lo,hi with lo <= hi."""
     try:
         lo, hi = (float(v) for v in text.split(","))
-    except ValueError as exc:
-        raise UsageError(f"bad {what} {text!r} (expected lo,hi)") from exc
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected lo,hi, got {text!r}") from None
+    if not lo <= hi:
+        raise argparse.ArgumentTypeError(f"reversed pair {text!r} (expected lo <= hi)")
     return lo, hi
 
 
-def _load_config_file(path: str) -> dict:
-    values = {}
+def _config_tokens(path: str) -> list:
+    """The key=value lines of a config file as --key=value flags; '#' starts a
+    comment."""
+    tokens = []
     with open(path) as handle:
         for raw in handle:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if "=" not in line:
+            key, sep, value = line.partition("=")
+            if not sep:
                 raise UsageError(f"{path}: bad config line {raw.strip()!r}")
-            key, _, val = line.partition("=")
-            values[key.strip().replace("-", "_")] = val.strip()
-    return values
+            tokens.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
+    return tokens
 
 
-def _merge_config(args: argparse.Namespace, parser_defaults: dict) -> dict:
-    """flags > config file > defaults; returns the merged option dict."""
-    merged = dict(parser_defaults)
-    if getattr(args, "config", None):
-        file_values = _load_config_file(args.config)
-        unknown = set(file_values) - set(parser_defaults)
-        if unknown:
-            raise UsageError(f"unknown config keys: {sorted(unknown)}")
-        merged.update(file_values)
-    for key in parser_defaults:
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
-    return merged
+def _with_config(argv: list) -> list:
+    """argv with the --config file's flags put right after the command, so the
+    command line's own flags come later and win."""
+    finder = argparse.ArgumentParser(prog="cqrt", add_help=False)
+    finder.add_argument("--config")
+    path = finder.parse_known_args(argv)[0].config
+    return [argv[0], *_config_tokens(path), *argv[1:]] if path else argv
 
 
-def _conv(merged: dict, key: str, converter):
-    value = merged[key]
-    if value is None or not isinstance(value, str):
-        return value
-    try:
-        return converter(value)
-    except UsageError:
-        raise
-    except ValueError as exc:
-        raise UsageError(f"bad value for {key}: {value!r}") from exc
+def _write_run(out_dir: str, outputs: dict, args: argparse.Namespace, duration: float,
+               diagnostics: dict, **extra) -> None:
+    """Make out_dir, write each output with its writer(path), then the manifest:
+    the typed options of args plus extra, and the digest of every output."""
+    os.makedirs(out_dir, exist_ok=True)
+    files = {}
+    for name, write in outputs.items():
+        files[name] = os.path.join(out_dir, name)
+        write(files[name])
+    config = {key: value for key, value in vars(args).items() if key != "func"}
+    serialize.write_manifest(os.path.join(out_dir, "manifest.json"), dict(config, **extra),
+                             __version__, duration, diagnostics, files)
+
+
+#: reference name -> (the parameters it needs, its stats.Reference factory)
+REFERENCES = {
+    "quantum_eigenstate": (("n",), lambda n: eigenstate_reference(int(n))),
+    "classical": (("n",), lambda n: classical_reference(int(n))),
+    "quantum_gaussian": (("p0", "t"), gaussian_reference),
+}
+
+
+def _reference(name: str, params: dict) -> Reference:
+    """The named analytic density, built from the parameters it needs."""
+    if name not in REFERENCES:
+        raise UsageError(f"unknown reference {name!r}")
+    needed, make = REFERENCES[name]
+    missing = [key for key in needed if params.get(key) is None]
+    if missing:
+        raise UsageError(f"{name} needs {', '.join(key + '=' for key in missing)}")
+    return make(*(params[key] for key in needed))
 
 
 # ---------------------------------------------------------------- simulate
 
-SIMULATE_DEFAULTS = {
-    "model": None,  # required
-    "init": "0,0",
-    "n": "1000",
-    "dt": "0.01",
-    "t": "1.0",
-    "seed": "42",
-    "snapshots": None,
-    "record": None,
-    "drift_cap": "10.0",
-    "threads": "1",
-    "out": None,  # required
-}
+#: --record value -> SimulationConfig.record_mode
+RECORD_FLAGS = {"full": "full_path", "crossings": "crossings_and_final",
+                "snapshots": "snapshots"}
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    merged = _merge_config(args, SIMULATE_DEFAULTS)
-    if merged["model"] is None or merged["out"] is None:
-        raise UsageError("simulate requires --model and --out")
-    model = parse_model(merged["model"])
-    n = _conv(merged, "n", int)
-    seed = _conv(merged, "seed", int)
-    dt = _conv(merged, "dt", float)
-    t_final = _conv(merged, "t", float)
-    drift_cap = _conv(merged, "drift_cap", float)
-    threads = _conv(merged, "threads", int)
-    snapshots = ()
-    if merged["snapshots"]:
-        snapshots = tuple(float(v) for v in merged["snapshots"].split(","))
-    record = merged["record"] or ("snapshots" if snapshots else "crossings")
-    record_mode = {"full": "full_path", "crossings": "crossings_and_final",
-                   "snapshots": "snapshots"}.get(record)
-    if record_mode is None:
-        raise UsageError(f"--record must be full, crossings, or snapshots, got {record!r}")
-    if record_mode == "snapshots" and not snapshots:
-        raise UsageError("--record snapshots requires --snapshots")
-    init = parse_initial_points(merged["init"], model, n, seed)
+    model = parse_model(args.model)
+    snapshots = args.snapshots or ()
+    record_mode = RECORD_FLAGS[args.record or ("snapshots" if snapshots else "crossings")]
+    init = parse_initial_points(args.init, model, args.n, args.seed)
 
     config = SimulationConfig(
-        model=model, dt=dt, t_final=t_final, initial_points=init, n_trajectories=n,
-        master_seed=seed, record_mode=record_mode, snapshot_times=snapshots,
-        drift_cap=drift_cap,
+        model=model, dt=args.dt, t_final=args.t, initial_points=init, n_trajectories=args.n,
+        master_seed=args.seed, record_mode=record_mode, snapshot_times=snapshots,
+        drift_cap=args.drift_cap,
     )
     started = time.monotonic()
-    ensemble = simulate_ensemble(config, threads=threads)
+    ensemble = simulate_ensemble(config, threads=args.threads)
     duration = time.monotonic() - started
 
-    out_dir = merged["out"]
-    os.makedirs(out_dir, exist_ok=True)
-    files = {}
+    alive = ensemble.alive
+    ids = np.arange(config.n_trajectories)[alive]
 
-    path = os.path.join(out_dir, "crossings.csv")
-    serialize.write_crossings(path, ensemble.crossing_ids, ensemble.crossing_times,
-                              ensemble.crossing_x)
-    files["crossings.csv"] = path
+    def snapshot(t_rec, xs, ys):
+        return lambda path: serialize.write_snapshot(path, ids, t_rec, xs[alive], ys[alive])
 
-    ids = np.arange(config.n_trajectories)
-    for row, t_rec in enumerate(ensemble.times if ensemble.x is not None else []):
-        name = f"snapshot_{t_rec:.6g}.csv"
+    outputs = {"crossings.csv": lambda path: serialize.write_crossings(
+        path, ensemble.crossing_ids, ensemble.crossing_times, ensemble.crossing_x)}
+    for row, t_rec in enumerate(ensemble.times):
         if record_mode == "full_path" and row not in (0, len(ensemble.times) - 1):
             continue  # full paths go to paths.csv; keep only the endpoints as snapshots
-        path = os.path.join(out_dir, name)
-        serialize.write_snapshot(path, ids[ensemble.alive], float(t_rec),
-                                 ensemble.x[row, ensemble.alive],
-                                 ensemble.y[row, ensemble.alive])
-        files[name] = path
-
-    path = os.path.join(out_dir, "final.csv")
-    serialize.write_snapshot(path, ids[ensemble.alive], config.adjusted_t_final,
-                             ensemble.final_x[ensemble.alive],
-                             ensemble.final_y[ensemble.alive])
-    files["final.csv"] = path
-
+        outputs[f"snapshot_{t_rec:.6g}.csv"] = snapshot(float(t_rec), ensemble.x[row],
+                                                        ensemble.y[row])
+    outputs["final.csv"] = snapshot(config.adjusted_t_final, ensemble.final_x, ensemble.final_y)
     if record_mode == "full_path":
-        path = os.path.join(out_dir, "paths.csv")
-        alive_ids = ids[ensemble.alive]
         n_rec = len(ensemble.times)
-        serialize.write_table(
+        outputs["paths.csv"] = lambda path: serialize.write_table(
             path, ["traj_id", "t", "x", "y"],
-            [np.repeat(alive_ids, n_rec),
-             np.tile(ensemble.times, alive_ids.size),
-             ensemble.x[:, ensemble.alive].T.ravel(),
-             ensemble.y[:, ensemble.alive].T.ravel()])
-        files["paths.csv"] = path
+            [np.repeat(ids, n_rec), np.tile(ensemble.times, ids.size),
+             ensemble.x[:, alive].T.ravel(), ensemble.y[:, alive].T.ravel()])
 
-    config_echo = dict(merged, command="simulate", n_steps=config.n_steps,
-                       t_final_adjusted=config.adjusted_t_final)
     diagnostics = {
         "capped_steps": ensemble.capped_steps,
         "near_node_steps": ensemble.near_node_steps,
         "diverged": ensemble.n_diverged,
     }
-    serialize.write_manifest(os.path.join(out_dir, "manifest.json"), config_echo,
-                             __version__, duration, diagnostics, files)
-    print(f"simulate: {n} trajectories, {config.n_steps} steps, "
+    _write_run(args.out, outputs, args, duration, diagnostics,
+               n_steps=config.n_steps, t_final_adjusted=config.adjusted_t_final)
+    print(f"simulate: {args.n} trajectories, {config.n_steps} steps, "
           f"{len(ensemble.crossing_x)} crossings, {ensemble.n_diverged} diverged, "
-          f"{duration:.2f}s -> {out_dir}")
+          f"{duration:.2f}s -> {args.out}")
     return EXIT_OK
 
 
 # ----------------------------------------------------------------- analyze
 
-ANALYZE_DEFAULTS = {
-    "pool": None,  # required
-    "set": "a",
-    "t": None,
-    "window": None,
-    "bins": "100",
-    "range": None,
-    "reference": None,
-    "out": None,  # required
-}
-
-
-def _model_from_manifest(manifest: dict):
-    return parse_model(manifest["config"]["model"])
+def _in_window(times, window):
+    lo, hi = window
+    return (times >= lo - 1e-12) & (times <= hi + 1e-12)
 
 
 def _pool_samples(pool_dir: str, which: str, window, t):
-    """Assemble the requested sample pool from a simulate output directory."""
+    """Assemble the requested sample pool (set a, b or snapshot) from a
+    simulate output directory."""
     if which == "a":
         _, times, xs = serialize.read_crossings(os.path.join(pool_dir, "crossings.csv"))
-        if window is not None:
-            lo, hi = window
-            keep = (times >= lo - 1e-12) & (times <= hi + 1e-12)
-            xs = xs[keep]
-        return xs
+        return xs if window is None else xs[_in_window(times, window)]
     snapshots = sorted(
         f for f in os.listdir(pool_dir) if f.startswith("snapshot_") and f.endswith(".csv")
     )
@@ -308,146 +275,68 @@ def _pool_samples(pool_dir: str, which: str, window, t):
             if ts.size and abs(ts[0] - t) <= 1e-9 * max(1.0, abs(t)):
                 return xs
         raise UsageError(f"no snapshot at t={t} in {pool_dir}")
-    if which == "b":
-        paths = os.path.join(pool_dir, "paths.csv")
-        pools = []
-        if os.path.exists(paths):
-            _, cols = serialize.read_table(paths)
-            times, xs = cols[1], cols[2]
-            if window is not None:
-                lo, hi = window
-                keep = (times >= lo - 1e-12) & (times <= hi + 1e-12)
-                xs = xs[keep]
-            pools.append(xs)
-        else:
-            for name in snapshots:
-                _, ts, xs, _ = serialize.read_snapshot(os.path.join(pool_dir, name))
-                if window is not None and ts.size:
-                    lo, hi = window
-                    if not (lo - 1e-12 <= ts[0] <= hi + 1e-12):
-                        continue
+    paths = os.path.join(pool_dir, "paths.csv")
+    pools = []
+    if os.path.exists(paths):
+        _, cols = serialize.read_table(paths)
+        times, xs = cols[1], cols[2]
+        pools.append(xs if window is None else xs[_in_window(times, window)])
+    else:
+        for name in snapshots:
+            _, ts, xs, _ = serialize.read_snapshot(os.path.join(pool_dir, name))
+            if window is None or not ts.size or _in_window(ts[0], window):
                 pools.append(xs)
-        if not pools:
-            raise UsageError(f"no path records for set b in {pool_dir}")
-        return np.concatenate(pools)
-    raise UsageError(f"--set must be a, b, or snapshot, got {which!r}")
-
-
-def _reference_for(name: str, model, t):
-    if name in (None, "none"):
-        return None
-    if name == "quantum_eigenstate":
-        if not isinstance(model, Eigenstate):
-            raise UsageError("quantum_eigenstate reference needs an eigenstate pool")
-        return eigenstate_reference(model.n)
-    if name == "quantum_gaussian":
-        if not isinstance(model, GaussianPacket):
-            raise UsageError("quantum_gaussian reference needs a gaussian pool")
-        if t is None:
-            raise UsageError("quantum_gaussian reference requires --t")
-        return gaussian_reference(model.p0, t)
-    if name == "classical":
-        if not isinstance(model, Eigenstate):
-            raise UsageError("classical reference needs an eigenstate pool")
-        return classical_reference(model.n)
-    raise UsageError(f"unknown reference {name!r}")
+    if not pools:
+        raise UsageError(f"no path records for set b in {pool_dir}")
+    return np.concatenate(pools)
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    merged = _merge_config(args, ANALYZE_DEFAULTS)
-    if merged["pool"] is None or merged["out"] is None:
-        raise UsageError("analyze requires --pool and --out")
-    pool_dir = merged["pool"]
-    manifest = serialize.read_manifest(os.path.join(pool_dir, "manifest.json"))
-    model = _model_from_manifest(manifest)
-    which = merged["set"]
-    bins = _conv(merged, "bins", int)
-    t = _conv(merged, "t", float)
-    window = _parse_pair(merged["window"], "window") if merged["window"] else None
+    manifest = serialize.read_manifest(os.path.join(args.pool, "manifest.json"))
+    model = parse_model(manifest["config"]["model"])
+    t = args.t
 
     started = time.monotonic()
-    samples = _pool_samples(pool_dir, which, window, t)
-    if merged["range"]:
-        bin_range = _parse_pair(merged["range"], "range")
+    samples = _pool_samples(args.pool, args.set, args.window, t)
+    if args.range:
+        bin_range = args.range
     elif isinstance(model, Eigenstate):
         bin_range = eigenstate_bin_range(model.n)
     else:
         if t is None:
             raise UsageError("gaussian pools need --t or an explicit --range")
         bin_range = gaussian_bin_range(model.p0, t)
-    density = build_density(samples, bins, bin_range)
-
-    out_dir = merged["out"]
-    os.makedirs(out_dir, exist_ok=True)
-    files = {}
-    density_path = os.path.join(out_dir, "density.csv")
-    serialize.write_density(density_path, density)
-    files["density.csv"] = density_path
+    density = build_density(samples, args.bins, bin_range)
 
     report_dict = {"samples": int(density.sample_count),
                    "out_of_range": int(density.out_of_range)}
-    reference = _reference_for(merged["reference"], model, t)
-    if reference is not None:
-        report = pearson(density, reference)
+    if args.reference in (None, "none"):
+        print(f"analyze: set={args.set} samples={density.sample_count}")
+    else:
+        report = pearson(density, _reference(args.reference, dict(vars(model), t=t)))
         report_dict.update(gamma=report.gamma, bins=report.bins, range=list(report.range),
                            reference_name=report.reference_name)
-        print(f"analyze: set={which} samples={density.sample_count} "
+        print(f"analyze: set={args.set} samples={density.sample_count} "
               f"gamma={report.gamma:.6f} vs {report.reference_name}")
-    else:
-        print(f"analyze: set={which} samples={density.sample_count}")
-    report_path = os.path.join(out_dir, "report.json")
-    serialize.atomic_write_text(report_path, json.dumps(
-        serialize.jsonable(report_dict), indent=2, sort_keys=True) + "\n")
-    files["report.json"] = report_path
-
-    config_echo = dict(merged, command="analyze")
-    serialize.write_manifest(os.path.join(out_dir, "manifest.json"), config_echo,
-                             __version__, time.monotonic() - started, {}, files)
+    report_text = json.dumps(serialize.jsonable(report_dict), indent=2, sort_keys=True) + "\n"
+    outputs = {"density.csv": lambda path: serialize.write_density(path, density),
+               "report.json": lambda path: serialize.atomic_write_text(path, report_text)}
+    _write_run(args.out, outputs, args, time.monotonic() - started, {})
     return EXIT_OK
 
 
 # --------------------------------------------------------------------- fpe
 
-FPE_DEFAULTS = {
-    "n": "1",
-    "L": "5.0",
-    "grid": "201",
-    "dt_pde": None,
-    "t": "1.0",
-    "drift_cap": "10.0",
-    "out": None,  # required
-}
-
-
 def cmd_fpe(args: argparse.Namespace) -> int:
-    merged = _merge_config(args, FPE_DEFAULTS)
-    if merged["out"] is None:
-        raise UsageError("fpe requires --out")
-    n = _conv(merged, "n", int)
-    lines = _conv(merged, "grid", int)
-    if lines < 4:
+    model = Eigenstate(args.n)
+    if args.grid < 4:
         raise UsageError("--grid must be at least 4 grid lines")
-    grid = FpGrid(
-        L=_conv(merged, "L", float),
-        nx=lines - 1,  # --grid counts grid lines per axis; cells are one fewer
-        ny=lines - 1,
-        dt_pde=_conv(merged, "dt_pde", float),
-    )
-    t_final = _conv(merged, "t", float)
+    # --grid counts grid lines per axis; cells are one fewer
+    grid = FpGrid(L=args.L, nx=args.grid - 1, ny=args.grid - 1, dt_pde=args.dt_pde)
     started = time.monotonic()
-    solution = fp_solve(Eigenstate(n), grid, t_final, drift_cap=_conv(merged, "drift_cap", float))
+    solution = fp_solve(model, grid, args.t, drift_cap=args.drift_cap)
     marginal = fp_marginal_x(solution)
     duration = time.monotonic() - started
-
-    out_dir = merged["out"]
-    os.makedirs(out_dir, exist_ok=True)
-    files = {}
-    field_path = os.path.join(out_dir, "field.csv")
-    serialize.write_field(field_path, grid.x_centers, grid.y_centers, solution.rho)
-    files["field.csv"] = field_path
-    marginal_path = os.path.join(out_dir, "marginal.csv")
-    serialize.write_density(marginal_path, marginal)
-    files["marginal.csv"] = marginal_path
 
     diagnostics = {
         "steps": solution.steps,
@@ -455,12 +344,15 @@ def cmd_fpe(args: argparse.Namespace) -> int:
         "mass_change": solution.mass_change,
         "clipped_mass_fraction": solution.clipped_mass / max(solution.initial_mass, 1e-300),
     }
-    config_echo = dict(merged, command="fpe", t_reached=solution.t)
-    serialize.write_manifest(os.path.join(out_dir, "manifest.json"), config_echo,
-                             __version__, duration, diagnostics, files)
-    print(f"fpe: n={n} grid={lines}x{lines} steps={solution.steps} "
+    outputs = {
+        "field.csv": lambda path: serialize.write_field(path, grid.x_centers, grid.y_centers,
+                                                        solution.rho),
+        "marginal.csv": lambda path: serialize.write_density(path, marginal),
+    }
+    _write_run(args.out, outputs, args, duration, diagnostics, t_reached=solution.t)
+    print(f"fpe: n={args.n} grid={args.grid}x{args.grid} steps={solution.steps} "
           f"mass_change={solution.mass_change:+.3%} "
-          f"clipped={diagnostics['clipped_mass_fraction']:.3%} -> {out_dir}")
+          f"clipped={diagnostics['clipped_mass_fraction']:.3%} -> {args.out}")
     if diagnostics["clipped_mass_fraction"] > 0.05:
         print("fpe: warning: clipped mass exceeds 5%; the grid under-resolves "
               "the drift (refine --grid)", file=sys.stderr)
@@ -469,36 +361,7 @@ def cmd_fpe(args: argparse.Namespace) -> int:
 
 # -------------------------------------------------------------------- plot
 
-def _parse_curve(text: str, x: np.ndarray):
-    name, _, rest = text.partition(":")
-    params = {}
-    for item in filter(None, rest.split(",")):
-        key, _, val = item.partition("=")
-        params[key] = float(val)
-    needed = {"quantum_eigenstate": ("n",), "classical": ("n",),
-              "quantum_gaussian": ("p0", "t")}.get(name, ())
-    missing = [key for key in needed if key not in params]
-    if missing:
-        raise UsageError(f"curve {name!r} needs {', '.join(k + '=' for k in missing)}")
-    if name == "quantum_eigenstate":
-        from .wavefield import quantum_density_eigenstate
-
-        return quantum_density_eigenstate(int(params["n"]), x), f"quantum n={int(params['n'])}"
-    if name == "classical":
-        from .wavefield import classical_density
-
-        return classical_density(int(params["n"]), x), f"classical n={int(params['n'])}"
-    if name == "quantum_gaussian":
-        from .wavefield import quantum_density_gaussian
-
-        return (quantum_density_gaussian(params["p0"], params["t"], x),
-                f"quantum p0={params['p0']:g} t={params['t']:g}")
-    raise UsageError(f"unknown curve {name!r}")
-
-
 def cmd_plot(args: argparse.Namespace) -> int:
-    if not args.out:
-        raise UsageError("plot requires --out")
     if not args.density and not args.curve:
         raise UsageError("plot needs at least one --density or --curve")
     plot = SvgPlot(title=args.title or "", xlabel="x", ylabel="density")
@@ -510,13 +373,14 @@ def cmd_plot(args: argparse.Namespace) -> int:
         x_lo = min(x_lo, centers.min())
         x_hi = max(x_hi, centers.max())
     if args.range:
-        x_lo, x_hi = _parse_pair(args.range, "range")
+        x_lo, x_hi = args.range
     if not np.isfinite(x_lo):
         raise UsageError("--curve alone needs --range lo,hi")
     grid = np.linspace(x_lo, x_hi, 512)
     for text in args.curve or []:
-        y, label = _parse_curve(text, grid)
-        plot.add_line(grid, y, label)
+        name, _, rest = text.partition(":")
+        reference = _reference(name, {k: float(v) for k, v in _params(rest).items()})
+        plot.add_line(grid, reference.at(grid), reference.name)
     for label, centers, dens in densities:
         plot.add_points(centers, dens, label)
     if args.report:
@@ -539,12 +403,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     edges = np.concatenate([centers_a - width / 2, [centers_a[-1] + width / 2]])
     total = float(np.sum(dens_a) * width)
     density = EmpiricalDensity(bin_edges=edges, densities=dens_a / total, sample_count=0)
-
-    def other(x):
-        return np.interp(x, centers_b, dens_b)
-
-    other.__name__ = os.path.basename(args.second)
-    report = pearson(density, Reference(other.__name__, other))
+    other = Reference(os.path.basename(args.second), lambda x: np.interp(x, centers_b, dens_b))
+    report = pearson(density, other)
     print(f"compare: gamma={report.gamma:.6f} ({args.first} vs {args.second})")
     if args.out:
         serialize.atomic_write_text(args.out, json.dumps(
@@ -565,20 +425,41 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="run a trajectory ensemble")
-    for flag in ("model", "init", "snapshots", "record", "out", "config"):
-        sim.add_argument(f"--{flag}")
-    for flag in ("n", "dt", "t", "seed", "drift-cap", "threads"):
-        sim.add_argument(f"--{flag.replace('-', '-')}", dest=flag.replace("-", "_"))
+    sim.add_argument("--model", required=True)
+    sim.add_argument("--init", default="0,0")
+    sim.add_argument("--n", type=int, default=1000)
+    sim.add_argument("--dt", type=float, default=0.01)
+    sim.add_argument("--t", type=float, default=1.0)
+    sim.add_argument("--seed", type=int, default=42)
+    sim.add_argument("--snapshots", type=_floats)
+    sim.add_argument("--record", choices=RECORD_FLAGS)
+    sim.add_argument("--drift-cap", type=float, default=10.0)
+    sim.add_argument("--threads", type=int, default=1)
+    sim.add_argument("--out", required=True)
+    sim.add_argument("--config")
     sim.set_defaults(func=cmd_simulate)
 
     ana = sub.add_parser("analyze", help="histogram a pool and compare to a reference")
-    for flag in ("pool", "set", "t", "window", "bins", "range", "reference", "out", "config"):
-        ana.add_argument(f"--{flag}")
+    ana.add_argument("--pool", required=True)
+    ana.add_argument("--set", choices=("a", "b", "snapshot"), default="a")
+    ana.add_argument("--t", type=float)
+    ana.add_argument("--window", type=_pair)
+    ana.add_argument("--bins", type=int, default=100)
+    ana.add_argument("--range", type=_pair)
+    ana.add_argument("--reference", choices=(*REFERENCES, "none"))
+    ana.add_argument("--out", required=True)
+    ana.add_argument("--config")
     ana.set_defaults(func=cmd_analyze)
 
     fpe = sub.add_parser("fpe", help="finite-difference Fokker-Planck solve")
-    for flag in ("n", "L", "grid", "dt-pde", "t", "drift-cap", "out", "config"):
-        fpe.add_argument(f"--{flag}", dest=flag.replace("-", "_"))
+    fpe.add_argument("--n", type=int, default=1)
+    fpe.add_argument("--L", type=float, default=5.0)
+    fpe.add_argument("--grid", type=int, default=201)
+    fpe.add_argument("--dt-pde", type=float)
+    fpe.add_argument("--t", type=float, default=1.0)
+    fpe.add_argument("--drift-cap", type=float, default=10.0)
+    fpe.add_argument("--out", required=True)
+    fpe.add_argument("--config")
     fpe.set_defaults(func=cmd_fpe)
 
     plo = sub.add_parser("plot", help="render densities and analytic curves to SVG")
@@ -587,8 +468,8 @@ def build_parser() -> argparse.ArgumentParser:
     plo.add_argument("--report")
     plo.add_argument("--gamma", type=float)
     plo.add_argument("--title")
-    plo.add_argument("--range")
-    plo.add_argument("--out")
+    plo.add_argument("--range", type=_pair)
+    plo.add_argument("--out", required=True)
     plo.set_defaults(func=cmd_plot)
 
     cmp_ = sub.add_parser("compare", help="Pearson correlation of two density files")
@@ -601,14 +482,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(_with_config(argv))
+        return args.func(args)
     except SystemExit as exc:
         # argparse exits 2 on usage problems; report them under our contract
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    try:
-        return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

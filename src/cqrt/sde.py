@@ -242,6 +242,20 @@ class SimulationConfig:
             idx.append(j)
         return tuple(sorted(set(idx)))
 
+    def record_steps(self) -> np.ndarray:
+        """Step indices whose positions are recorded: every step (full_path),
+        the snapshot steps (snapshots) or none (crossings_and_final)."""
+        if self.record_mode == "full_path":
+            return np.arange(self.n_steps + 1)
+        if self.record_mode == "snapshots":
+            return np.array(self.snapshot_indices())
+        return np.empty(0, dtype=int)
+
+    @property
+    def record_times(self) -> np.ndarray:
+        """Times of the recorded rows: record_steps() * dt."""
+        return self.record_steps() * self.dt
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -304,22 +318,26 @@ class Ensemble:
         return [self.trajectory(i) for i in range(self.config.n_trajectories) if self.alive[i]]
 
 
-def _displacement(g, near_node, dt, sqrt_dt, drift_cap, last_dir):
-    """Capped drift displacement -i*g*dt and the updated last finite direction.
+def _step(model: ModelSpec, t: float, z, dt: float, xi, drift_cap: float, last_dir):
+    """The Euler-Maruyama step kernel; returns (z_new, over, near, new_dir).
 
-    Near a node the gradient is unusable; the step saturates at
-    drift_cap*sqrt(dt) along last_dir (zero until a finite direction exists).
+    The drift displacement -i*g*dt is capped at drift_cap*sqrt(dt) where it is
+    larger (`over`).  Near a node (`near`) the gradient is unusable; the step
+    saturates at drift_cap*sqrt(dt) along last_dir (zero until a finite
+    direction exists).  new_dir is the updated last finite drift direction.
     """
+    sqrt_dt = math.sqrt(dt)
+    g, near = log_derivative_masked(model, t, z)
     disp = -1j * g * dt
     mag = np.abs(disp)
     lim = drift_cap * sqrt_dt
-    over = (mag > lim) & ~near_node
+    over = (mag > lim) & ~near
     disp = np.where(over, disp * (lim / np.where(mag == 0.0, 1.0, mag)), disp)
-    disp = np.where(near_node, lim * last_dir, disp)
-    finite = ~near_node & (mag > 0.0)
+    disp = np.where(near, lim * last_dir, disp)
+    finite = ~near & (mag > 0.0)
     new_mag = np.abs(disp)
     new_dir = np.where(finite, disp / np.where(new_mag == 0.0, 1.0, new_mag), last_dir)
-    return disp, over, new_dir
+    return z + disp + NOISE_FACTOR * xi * sqrt_dt, over, near, new_dir
 
 
 def em_step(model: ModelSpec, t: float, z, dt: float, xi, drift_cap: float = 10.0,
@@ -334,37 +352,25 @@ def em_step(model: ModelSpec, t: float, z, dt: float, xi, drift_cap: float = 10.
     scalar = np.isscalar(z) and np.isscalar(xi)
     z = np.asarray(z, dtype=complex)
     xi = np.asarray(xi, dtype=float)
-    g, near = log_derivative_masked(model, t, z)
     last_dir = np.zeros(np.broadcast(z, xi).shape, dtype=complex)
     if fallback_direction is not None:
         last_dir = last_dir + fallback_direction
-    sqrt_dt = math.sqrt(dt)
-    disp, _, _ = _displacement(g, near, dt, sqrt_dt, drift_cap, last_dir)
-    out = z + disp + NOISE_FACTOR * xi * sqrt_dt
+    out = _step(model, t, z, dt, xi, drift_cap, last_dir)[0]
     return complex(out) if scalar else out
 
 
 def split_step(model: ModelSpec, t: float, x, y, dt: float, xi, drift_cap: float = 10.0,
                fallback_direction=None):
-    """The same step as em_step, written on the real and imaginary parts.
+    """em_step written on the real and imaginary parts: returns (x', y').
 
     x' = x + Im(g) dt - xi sqrt(dt)/sqrt(2) and y' = y - Re(g) dt
-    + xi sqrt(dt)/sqrt(2), with the identical cap applied before splitting;
-    the result equals em_step componentwise to the last bit.
+    + xi sqrt(dt)/sqrt(2), with the identical cap; complex addition is
+    componentwise, so the result equals em_step's parts to the last bit.
     """
     scalar = np.isscalar(x) and np.isscalar(y) and np.isscalar(xi)
     z = np.asarray(x, dtype=float) + 1j * np.asarray(y, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    g, near = log_derivative_masked(model, t, z)
-    last_dir = np.zeros(np.broadcast(z, xi).shape, dtype=complex)
-    if fallback_direction is not None:
-        last_dir = last_dir + fallback_direction
-    sqrt_dt = math.sqrt(dt)
-    disp, _, _ = _displacement(g, near, dt, sqrt_dt, drift_cap, last_dir)
-    w = NOISE_FACTOR * xi * sqrt_dt
-    x_new = (np.asarray(x, dtype=float) + disp.real) + w.real
-    y_new = (np.asarray(y, dtype=float) + disp.imag) + w.imag
-    return (float(x_new), float(y_new)) if scalar else (x_new, y_new)
+    out = em_step(model, t, z, dt, xi, drift_cap, fallback_direction)
+    return (float(out.real), float(out.imag)) if scalar else (out.real, out.imag)
 
 
 def _integrate_chunk(config: SimulationConfig, model: ModelSpec, lo: int, hi: int):
@@ -372,7 +378,6 @@ def _integrate_chunk(config: SimulationConfig, model: ModelSpec, lo: int, hi: in
     n = hi - lo
     n_steps = config.n_steps
     dt = config.dt
-    sqrt_dt = math.sqrt(dt)
     ids = np.arange(lo, hi)
 
     init = np.asarray(config.initial_points, dtype=complex)
@@ -380,13 +385,13 @@ def _integrate_chunk(config: SimulationConfig, model: ModelSpec, lo: int, hi: in
 
     noise = NoiseStreams(derive_seeds(config.master_seed, ids))
 
-    snap_idx = config.snapshot_indices() if config.record_mode == "snapshots" else ()
-    full = config.record_mode == "full_path"
-    n_rec = n_steps + 1 if full else len(snap_idx)
-    xs = np.empty((n_rec, n)) if n_rec else None
-    ys = np.empty((n_rec, n)) if n_rec else None
+    rec_steps = config.record_steps()
+    recorded = np.zeros(n_steps + 1, dtype=bool)
+    recorded[rec_steps] = True
+    xs = np.empty((rec_steps.size, n)) if rec_steps.size else None
+    ys = np.empty((rec_steps.size, n)) if rec_steps.size else None
     rec_row = 0
-    if full or (snap_idx and snap_idx[0] == 0):
+    if recorded[0]:
         xs[rec_row] = z.real
         ys[rec_row] = z.imag
         rec_row += 1
@@ -408,11 +413,10 @@ def _integrate_chunk(config: SimulationConfig, model: ModelSpec, lo: int, hi: in
 
     for j in range(n_steps):
         t = j * dt
-        g, near = log_derivative_masked(model, t, z)
-        disp, over, last_dir = _displacement(g, near, dt, sqrt_dt, config.drift_cap, last_dir)
+        z_new, over, near, last_dir = _step(model, t, z, dt, noise.normals(),
+                                            config.drift_cap, last_dir)
         capped += int(np.count_nonzero(over & alive))
         near_nodes += int(np.count_nonzero(near & alive))
-        z_new = z + disp + NOISE_FACTOR * noise.normals() * sqrt_dt
         z = np.where(alive, z_new, z)
         blown = alive & (np.abs(z) > BLOWUP_THRESHOLD)
         alive &= ~blown
@@ -432,7 +436,7 @@ def _integrate_chunk(config: SimulationConfig, model: ModelSpec, lo: int, hi: in
             cross_x.append(x_new[touch].copy())
             cross_id.append(ids[touch])
 
-        if full or (j + 1) in snap_idx:
+        if recorded[j + 1]:
             xs[rec_row] = x_new
             ys[rec_row] = y_new
             rec_row += 1
@@ -476,18 +480,11 @@ def simulate_ensemble(config: SimulationConfig, model: ModelSpec | None = None,
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(lambda b: _integrate_chunk(config, model, *b), bounds))
 
-    if config.record_mode == "full_path":
-        times = np.arange(config.n_steps + 1) * config.dt
-    elif config.record_mode == "snapshots":
-        times = np.array([j * config.dt for j in config.snapshot_indices()])
-    else:
-        times = np.empty(0)
-
     xs = np.concatenate([p["xs"] for p in parts], axis=1) if parts[0]["xs"] is not None else None
     ys = np.concatenate([p["ys"] for p in parts], axis=1) if parts[0]["ys"] is not None else None
     ens = Ensemble(
         config=config,
-        times=times,
+        times=config.record_times,
         x=xs,
         y=ys,
         crossing_times=np.concatenate([p["ct"] for p in parts]),
@@ -518,13 +515,10 @@ def simulate_trajectory(config: SimulationConfig, traj_index: int,
     part = _integrate_chunk(config, model, traj_index, traj_index + 1)
     if not part["alive"][0]:
         raise NumericalBlowup(f"trajectory {traj_index} diverged")
-    if config.record_mode == "full_path":
-        times = np.arange(config.n_steps + 1) * config.dt
+    times = config.record_times
+    if times.size:
         points = part["xs"][:, 0] + 1j * part["ys"][:, 0]
-    elif config.record_mode == "snapshots":
-        times = np.array([j * config.dt for j in config.snapshot_indices()])
-        points = part["xs"][:, 0] + 1j * part["ys"][:, 0]
-    else:
+    else:  # crossings_and_final keeps only the end point
         times = np.array([config.adjusted_t_final])
         points = np.array([part["fx"][0] + 1j * part["fy"][0]])
     return Trajectory(

@@ -21,7 +21,7 @@ from .hermite import hermite_log_abs, hermite_ratio_masked
 
 SQRT_PI = math.sqrt(math.pi)
 
-#: supported / tested eigenstate range
+#: largest supported and tested quantum number; Eigenstate rejects larger n
 MAX_QUANTUM_NUMBER = 70
 
 DRIFT_FORMS = ("exact", "simplified")
@@ -34,8 +34,9 @@ class Eigenstate:
     n: int
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"quantum number must be >= 0, got {self.n}")
+        if not 0 <= self.n <= MAX_QUANTUM_NUMBER:
+            raise ValueError(f"quantum number must be in [0, {MAX_QUANTUM_NUMBER}], "
+                             f"got {self.n}")
 
 
 @dataclass(frozen=True)

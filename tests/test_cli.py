@@ -3,12 +3,14 @@ exit codes."""
 
 import json
 import os
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cqrt import build_density
-from cqrt.cli import main, parse_initial_points, parse_model
+from cqrt.cli import build_parser, main, parse_initial_points, parse_model
 from cqrt.serialize import (
     read_crossings,
     read_density,
@@ -108,8 +110,80 @@ class TestSimulateCommand:
         rc = main(["simulate", "--config", str(cfg), "--seed", "42", "--out", str(out)])
         assert rc == 0
         manifest = read_manifest(out / "manifest.json")
-        assert manifest["config"]["seed"] == "42"  # flag wins over the file
-        assert manifest["config"]["n"] == "100"
+        assert manifest["config"]["seed"] == 42  # flag wins over the file
+        assert manifest["config"]["n"] == 100
+
+
+class TestConfigFile:
+    """A config file's key=value lines are read as flags placed before the
+    command line's own, so they are typed and checked like flags."""
+
+    def _simulate(self, out, *flags):
+        return main(["simulate", "--model", "eigenstate:1", "--init", "+-0.015,0",
+                     "--n", "50", "--t", "0.2", "--out", str(out), *flags])
+
+    def test_drift_cap_reaches_run_and_manifest_as_float(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# launches close to the node, where the cap bites\ndrift_cap=5\n")
+        assert self._simulate(tmp_path / "file", "--config", str(cfg)) == 0
+        assert self._simulate(tmp_path / "flag", "--drift-cap", "5") == 0
+        assert self._simulate(tmp_path / "default") == 0
+        file_run, flag_run, default_run = (read_manifest(tmp_path / name / "manifest.json")
+                                           for name in ("file", "flag", "default"))
+        assert file_run["config"]["drift_cap"] == 5.0
+        assert isinstance(file_run["config"]["drift_cap"], float)
+        assert file_run["run_id"] == flag_run["run_id"]
+        assert file_run["files"] == flag_run["files"]
+        assert file_run["diagnostics"] == flag_run["diagnostics"]
+        assert file_run["diagnostics"]["capped_steps"] > 0
+        assert default_run["diagnostics"] != file_run["diagnostics"]
+
+    def test_fpe_keys_with_underscores(self, tmp_path):
+        cfg = tmp_path / "fpe.cfg"
+        cfg.write_text("n=1\nL=4\ngrid=41\ndt_pde=0.001\nt=0.01\n")
+        out = tmp_path / "fpe"
+        assert main(["fpe", "--config", str(cfg), "--out", str(out)]) == 0
+        manifest = read_manifest(out / "manifest.json")
+        assert manifest["config"]["L"] == 4.0
+        assert manifest["config"]["dt_pde"] == 0.001
+        assert manifest["diagnostics"]["dt_pde"] == 0.001
+        assert manifest["diagnostics"]["steps"] == 10
+
+    @pytest.mark.parametrize("text", ["frobnicate=1\n", "n=abc\n", "no equals sign\n"])
+    def test_bad_file_is_usage_error(self, tmp_path, text):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("model=eigenstate:1\n" + text)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert not (tmp_path / "o").exists()
+
+    def test_missing_file_is_io_error(self, tmp_path):
+        assert main(["simulate", "--model", "eigenstate:1", "--config",
+                     str(tmp_path / "missing.cfg"), "--out", str(tmp_path / "o")]) == 3
+
+
+class TestReadmeExamples:
+    """Every cqrt command in the README's "Command line" block must parse, so
+    a renamed or removed flag fails here instead of silently breaking the docs."""
+
+    @staticmethod
+    def commands():
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+        lines = block.replace("\\\n", " ").splitlines()
+        return [shlex.split(line, comments=True)[1:] for line in lines
+                if line.strip().startswith("cqrt ")]
+
+    def test_block_has_every_subcommand(self):
+        assert {argv[0] for argv in self.commands()} == {
+            "simulate", "analyze", "fpe", "plot", "compare"}
+
+    def test_every_command_parses(self):
+        for argv in self.commands():
+            try:
+                args = build_parser().parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"README command does not parse: cqrt {shlex.join(argv)}")
+            assert args.command == argv[0]
 
 
 class TestAnalyzeCommand:
@@ -243,9 +317,17 @@ class TestExitCodes:
         ["simulate", "--model", "eigenstate:1", "--n", "0"],
         ["simulate", "--model", "gaussian:p0=abc"],
         ["plot", "--curve", "quantum_eigenstate", "--range=-3,3"],
+        ["simulate", "--model", "eigenstate:71"],  # above MAX_QUANTUM_NUMBER
+        ["fpe", "--n", "71"],
+        # reversed pairs fail before any I/O: the missing pool would exit 3
+        ["analyze", "--pool", "missing-pool", "--range", "5,1"],
+        ["analyze", "--pool", "missing-pool", "--window", "1.0,0.4"],
+        ["plot", "--curve", "classical:n=3", "--range=3,-3"],
     ])
     def test_bad_values_are_usage_errors(self, tmp_path, argv):
+        argv = [str(tmp_path / arg) if arg == "missing-pool" else arg for arg in argv]
         assert main(argv + ["--out", str(tmp_path / "o")]) == 1
+        assert not (tmp_path / "o").exists()
 
     def test_reversed_range_is_usage_error(self, tmp_path):
         pool = tmp_path / "pool"

@@ -66,6 +66,17 @@ class TestEigenstateLogDerivative:
             eigenstate_log_derivative(1, 0j)
 
 
+class TestEigenstateModel:
+    def test_quantum_number_limit(self):
+        from cqrt.wavefield import MAX_QUANTUM_NUMBER
+
+        assert MAX_QUANTUM_NUMBER == 70
+        assert Eigenstate(70).n == 70
+        for n in (71, -1):
+            with pytest.raises(ValueError, match=r"\[0, 70\]"):
+                Eigenstate(n)
+
+
 class TestGaussianLogDerivative:
     def test_exact_at_origin(self):
         assert gaussian_log_derivative(1.0, 0.0, 0j, "exact") == pytest.approx(1j)
