@@ -221,7 +221,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     ids = np.arange(config.n_trajectories)[alive]
 
     def snapshot(t_rec, xs, ys):
-        return lambda path: serialize.write_snapshot(path, ids, t_rec, xs[alive], ys[alive])
+        return lambda path: serialize.write_points(path, ids, t_rec, xs[alive], ys[alive])
 
     outputs = {"crossings.csv": lambda path: serialize.write_crossings(
         path, ensemble.crossing_ids, ensemble.crossing_times, ensemble.crossing_x)}
@@ -233,10 +233,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     outputs["final.csv"] = snapshot(config.adjusted_t_final, ensemble.final_x, ensemble.final_y)
     if record_mode == "full_path":
         n_rec = len(ensemble.times)
-        outputs["paths.csv"] = lambda path: serialize.write_table(
-            path, ["traj_id", "t", "x", "y"],
-            [np.repeat(ids, n_rec), np.tile(ensemble.times, ids.size),
-             ensemble.x[:, alive].T.ravel(), ensemble.y[:, alive].T.ravel()])
+        outputs["paths.csv"] = lambda path: serialize.write_points(
+            path, np.repeat(ids, n_rec), np.tile(ensemble.times, ids.size),
+            ensemble.x[:, alive].T.ravel(), ensemble.y[:, alive].T.ravel())
 
     diagnostics = {
         "capped_steps": ensemble.capped_steps,
@@ -271,19 +270,18 @@ def _pool_samples(pool_dir: str, which: str, window, t):
         if t is None:
             raise UsageError("--set snapshot requires --t")
         for name in snapshots:
-            _, ts, xs, _ = serialize.read_snapshot(os.path.join(pool_dir, name))
+            _, ts, xs, _ = serialize.read_points(os.path.join(pool_dir, name))
             if ts.size and abs(ts[0] - t) <= 1e-9 * max(1.0, abs(t)):
                 return xs
         raise UsageError(f"no snapshot at t={t} in {pool_dir}")
     paths = os.path.join(pool_dir, "paths.csv")
     pools = []
     if os.path.exists(paths):
-        _, cols = serialize.read_table(paths)
-        times, xs = cols[1], cols[2]
+        _, times, xs, _ = serialize.read_points(paths)
         pools.append(xs if window is None else xs[_in_window(times, window)])
     else:
         for name in snapshots:
-            _, ts, xs, _ = serialize.read_snapshot(os.path.join(pool_dir, name))
+            _, ts, xs, _ = serialize.read_points(os.path.join(pool_dir, name))
             if window is None or not ts.size or _in_window(ts[0], window):
                 pools.append(xs)
     if not pools:
@@ -318,7 +316,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                            reference_name=report.reference_name)
         print(f"analyze: set={args.set} samples={density.sample_count} "
               f"gamma={report.gamma:.6f} vs {report.reference_name}")
-    report_text = json.dumps(serialize.jsonable(report_dict), indent=2, sort_keys=True) + "\n"
+    report_text = json.dumps(report_dict, indent=2, sort_keys=True) + "\n"
     outputs = {"density.csv": lambda path: serialize.write_density(path, density),
                "report.json": lambda path: serialize.atomic_write_text(path, report_text)}
     _write_run(args.out, outputs, args, time.monotonic() - started, {})

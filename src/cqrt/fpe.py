@@ -37,6 +37,9 @@ D_YY = 0.25
 #: one-step growth factor that triggers InstabilityDetected
 MAX_STEP_GROWTH = 10.0
 
+#: trajectory time step whose displacement cap drift_field turns into a speed cap
+DT_REF = 0.01
+
 
 @dataclass(frozen=True)
 class FpGrid:
@@ -115,14 +118,14 @@ class FpSolution:
         return self.total_mass / self.initial_mass - 1.0
 
 
-def drift_field(model: ModelSpec, grid: FpGrid, drift_cap: float = 10.0,
-                dt_ref: float = 0.01):
+def drift_field(model: ModelSpec, grid: FpGrid, drift_cap: float = 10.0):
     """Drift components (u_x, u_y) at every cell center, magnitude-capped.
 
-    u_x = Im(d ln psi/dz) and u_y = -Re(d ln psi/dz).  The cap reuses the
-    trajectory integrator's rule: displacement drift_cap*sqrt(dt) at time step
-    dt_ref means speed drift_cap/sqrt(dt_ref), so both solvers treat the same
-    regularized problem.
+    u_x = Im(d ln psi/dz) and u_y = -Re(d ln psi/dz).  The cap is the
+    trajectory integrator's rule at dt = DT_REF: displacement drift_cap*sqrt(dt)
+    per step is speed drift_cap/sqrt(DT_REF), 100 for the default cap.  The two
+    solvers treat the same regularized problem only when the trajectories also
+    step at DT_REF; at dt = 0.0025 the integrator's cap is a speed of 200.
     """
     if not isinstance(model, Eigenstate):
         raise TypeError("drift_field supports eigenstate models only")
@@ -131,7 +134,7 @@ def drift_field(model: ModelSpec, grid: FpGrid, drift_cap: float = 10.0,
     ux = np.where(near, 0.0, np.imag(g))
     uy = np.where(near, 0.0, -np.real(g))
     speed = np.hypot(ux, uy)
-    cap = drift_cap / math.sqrt(dt_ref)
+    cap = drift_cap / math.sqrt(DT_REF)
     scale = np.where(speed > cap, cap / np.where(speed == 0.0, 1.0, speed), 1.0)
     return ux * scale, uy * scale
 
@@ -146,11 +149,14 @@ def fp_initial(n: int, grid: FpGrid) -> np.ndarray:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    x, y = grid.meshgrid()
+    return _initial_density(n, *grid.meshgrid())
+
+
+def _initial_density(n: int, x, y):
+    """fp_initial's density at the points (x, y), through log|H_n|."""
     log_norm = n * math.log(2.0) + math.lgamma(n + 1) + 0.5 * math.log(math.pi)
-    log_h = hermite_log_abs(n, x + 1j * y)
     with np.errstate(over="ignore"):
-        return np.exp(2.0 * log_h - x * x - y * y - log_norm)
+        return np.exp(2.0 * hermite_log_abs(n, x + 1j * y) - x * x - y * y - log_norm)
 
 
 def fp_step(solution: FpSolution, drift) -> FpSolution:
@@ -197,7 +203,7 @@ def fp_step(solution: FpSolution, drift) -> FpSolution:
 
 
 def fp_solve(model: ModelSpec, grid: FpGrid, t_final: float,
-             drift_cap: float = 10.0, dt_ref: float = 0.01) -> FpSolution:
+             drift_cap: float = 10.0) -> FpSolution:
     """March the initial eigenstate density to t_final.
 
     Returns the solution with mass and clipping diagnostics.  Callers should
@@ -214,7 +220,7 @@ def fp_solve(model: ModelSpec, grid: FpGrid, t_final: float,
     n_steps = int(round(t_final / grid.dt_pde))
     if n_steps == 0:
         return solution
-    drift = drift_field(model, grid, drift_cap=drift_cap, dt_ref=dt_ref)
+    drift = drift_field(model, grid, drift_cap=drift_cap)
     for _ in range(n_steps):
         solution = fp_step(solution, drift)
     return solution
@@ -240,16 +246,11 @@ def fp_marginal_x(solution: FpSolution) -> EmpiricalDensity:
 
 
 def marginal_reference(solution: FpSolution):
-    """The x-marginal as a callable reference (linear interpolation)."""
+    """The x-marginal as a function of x (linear interpolation); wrap it in a
+    stats.Reference to compare a density against it."""
     marginal = fp_marginal_x(solution)
-    centers = marginal.bin_centers
-    values = marginal.densities
-
-    def at(x):
-        return np.interp(x, centers, values)
-
-    at.__name__ = f"fp_marginal(t={solution.t:g})"
-    return at
+    centers, values = marginal.bin_centers, marginal.densities
+    return lambda x: np.interp(x, centers, values)
 
 
 def sample_initial_points(n: int, count: int, seed: int,
@@ -264,12 +265,7 @@ def sample_initial_points(n: int, count: int, seed: int,
         half_width = math.sqrt(2.0 * n + 1.0) + 2.5
     probe = np.linspace(-half_width, half_width, 401)
     px, py = np.meshgrid(probe, probe)
-    log_norm = n * math.log(2.0) + math.lgamma(n + 1) + 0.5 * math.log(math.pi)
-
-    def dens(x, y):
-        return np.exp(2.0 * hermite_log_abs(n, x + 1j * y) - x * x - y * y - log_norm)
-
-    fmax = float(dens(px, py).max()) * 1.25
+    fmax = float(_initial_density(n, px, py).max()) * 1.25
     rng = np.random.Generator(np.random.PCG64(seed))
     out = np.empty(count, dtype=complex)
     got = 0
@@ -278,7 +274,7 @@ def sample_initial_points(n: int, count: int, seed: int,
         x = rng.uniform(-half_width, half_width, m)
         y = rng.uniform(-half_width, half_width, m)
         u = rng.uniform(0.0, fmax, m)
-        accept = u < dens(x, y)
+        accept = u < _initial_density(n, x, y)
         take = min(int(accept.sum()), count - got)
         picked = x[accept][:take] + 1j * y[accept][:take]
         out[got:got + take] = picked

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
@@ -312,10 +312,6 @@ class Ensemble:
             points=self.x[:, index] + 1j * self.y[:, index],
             crossings=crossings,
         )
-
-    @property
-    def trajectories(self):
-        return [self.trajectory(i) for i in range(self.config.n_trajectories) if self.alive[i]]
 
 
 def _step(model: ModelSpec, t: float, z, dt: float, xi, drift_cap: float, last_dir):

@@ -171,18 +171,11 @@ def build_density(samples, bins: int, range: tuple) -> EmpiricalDensity:  # noqa
     )
 
 
-def pearson(empirical: EmpiricalDensity, reference) -> ComparisonReport:
-    """Pearson correlation between the density vector and the reference.
-
-    The reference may be a Reference object (which can carry a per-bin rule,
-    used by the classical density) or any callable evaluated at bin centers.
-    """
-    if isinstance(reference, Reference):
-        ref_vals = reference.evaluate(empirical.bin_edges)
-        name = reference.name
-    else:
-        ref_vals = np.asarray(reference(empirical.bin_centers), dtype=float)
-        name = getattr(reference, "__name__", "reference")
+def pearson(empirical: EmpiricalDensity, reference: Reference) -> ComparisonReport:
+    """Pearson correlation between the density vector and the reference's
+    values on the same bins (its per-bin rule where it has one, as the
+    classical density does, else its values at the bin centers)."""
+    ref_vals = reference.evaluate(empirical.bin_edges)
     emp = np.asarray(empirical.densities, dtype=float)
     if emp.size != ref_vals.size:
         raise ValueError("reference and density lengths differ")
@@ -197,7 +190,7 @@ def pearson(empirical: EmpiricalDensity, reference) -> ComparisonReport:
         gamma=gamma,
         bins=emp.size,
         range=(float(empirical.bin_edges[0]), float(empirical.bin_edges[-1])),
-        reference_name=name,
+        reference_name=reference.name,
         sample_count=empirical.sample_count,
     )
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NearNode
-from .hermite import hermite_log_abs, hermite_ratio_masked
+from .hermite import hermite_ratio_masked
 
 SQRT_PI = math.sqrt(math.pi)
 

@@ -9,7 +9,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cqrt import build_density
+from cqrt import (
+    FpGrid,
+    SimulationConfig,
+    build_density,
+    eigenstate_bin_range,
+    extract_point_set_b,
+    fp_solve,
+    gaussian_bin_range,
+    simulate_ensemble,
+    snapshot_positions,
+)
 from cqrt.cli import build_parser, main, parse_initial_points, parse_model
 from cqrt.serialize import (
     read_crossings,
@@ -372,3 +382,78 @@ class TestRoundTrip:
         np.testing.assert_array_equal(back_xs, xs)
         write_table(str(path), ["t"], [times])
         assert read_table(str(path))[1][0].tolist() == times.tolist()
+
+
+class TestPinnedBytes:
+    """The exact bytes and values that every writer and reader must keep."""
+
+    def test_table_literal(self, tmp_path):
+        path = tmp_path / "t.csv"
+        ids = np.array([0, -1, 7, 10**12, np.iinfo(np.int64).min, np.iinfo(np.int64).max, 3])
+        values = np.array([-0.0, np.inf, -np.inf, np.nan, 5e-324, 1e-300, 0.1])
+        write_table(str(path), ["id", "v"], [ids, values])
+        assert path.read_text() == (
+            "id,v\n0,-0\n-1,inf\n7,-inf\n1000000000000,nan\n"
+            "-9223372036854775808,4.9406564584124654e-324\n"
+            "9223372036854775807,1e-300\n3,0.10000000000000001\n")
+        write_table(str(path), ["id", "v"], [ids[:0], values[:0]])
+        assert path.read_text() == "id,v\n"
+
+    @staticmethod
+    def _analyze(pool, out, *flags):
+        assert main(["analyze", "--pool", str(pool), "--out", str(out), *flags]) == 0
+        return read_density(out / "density.csv")
+
+    @staticmethod
+    def _assert_density(got, samples, bin_range):
+        expected = build_density(samples, 100, bin_range)
+        for column, values in zip(got, (expected.bin_centers, expected.densities,
+                                        expected.stderr)):
+            np.testing.assert_array_equal(column, values)
+
+    def test_full_record_paths_and_set_b(self, tmp_path):
+        pool = tmp_path / "pool"
+        assert main(["simulate", "--model", "eigenstate:2", "--init", "+-0.5,0.1",
+                     "--n", "300", "--t", "0.5", "--record", "full", "--seed", "42",
+                     "--out", str(pool)]) == 0
+        ens = simulate_ensemble(SimulationConfig(
+            model=Eigenstate(2), dt=0.01, t_final=0.5,
+            initial_points=parse_initial_points("+-0.5,0.1", Eigenstate(2), 300, 42),
+            n_trajectories=300, master_seed=42, record_mode="full_path"))
+        header, (ids, times, xs, ys) = read_table(str(pool / "paths.csv"))
+        assert header == ["traj_id", "t", "x", "y"]
+        live = np.flatnonzero(ens.alive)
+        np.testing.assert_array_equal(ids, np.repeat(live, ens.times.size))
+        np.testing.assert_array_equal(times, np.tile(ens.times, live.size))
+        np.testing.assert_array_equal(xs, ens.x[:, live].T.ravel())
+        np.testing.assert_array_equal(ys, ens.y[:, live].T.ravel())
+        bin_range = eigenstate_bin_range(2)
+        self._assert_density(self._analyze(pool, tmp_path / "b", "--set", "b"),
+                             extract_point_set_b(ens), bin_range)
+        self._assert_density(
+            self._analyze(pool, tmp_path / "bw", "--set", "b", "--window", "0.2,0.4"),
+            extract_point_set_b(ens, window=(0.2, 0.4)), bin_range)
+
+    def test_snapshot_pool_set_b_and_snapshot(self, tmp_path):
+        pool = tmp_path / "pool"
+        assert main(["simulate", "--model", "gaussian:p0=1", "--init", "0,0", "--n", "400",
+                     "--t", "1", "--snapshots", "0.5,1", "--seed", "7",
+                     "--out", str(pool)]) == 0
+        ens = simulate_ensemble(SimulationConfig(
+            model=GaussianPacket(1.0), dt=0.01, t_final=1.0, initial_points=(0j,),
+            n_trajectories=400, master_seed=7, record_mode="snapshots",
+            snapshot_times=(0.5, 1.0)))
+        self._assert_density(self._analyze(pool, tmp_path / "b", "--set", "b", "--t", "1"),
+                             extract_point_set_b(ens), gaussian_bin_range(1.0, 1.0))
+        self._assert_density(
+            self._analyze(pool, tmp_path / "s", "--set", "snapshot", "--t", "0.5"),
+            snapshot_positions(ens, 0.5), gaussian_bin_range(1.0, 0.5))
+
+    def test_field_round_trip_is_exact(self, tmp_path):
+        out = tmp_path / "fpe"
+        assert main(["fpe", "--n", "3", "--grid", "41", "--t", "0.02", "--out", str(out)]) == 0
+        grid = FpGrid(L=5.0, nx=40, ny=40)
+        xc, yc, rho = read_field(out / "field.csv")
+        np.testing.assert_array_equal(xc, grid.x_centers)
+        np.testing.assert_array_equal(yc, grid.y_centers)
+        np.testing.assert_array_equal(rho, fp_solve(Eigenstate(3), grid, 0.02).rho)

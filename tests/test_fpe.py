@@ -105,7 +105,7 @@ class TestDriftField:
 
     def test_speed_cap(self):
         grid = FpGrid(L=5.0, nx=200, ny=200)
-        ux, uy = drift_field(Eigenstate(3), grid, drift_cap=10.0, dt_ref=0.01)
+        ux, uy = drift_field(Eigenstate(3), grid, drift_cap=10.0)
         assert np.hypot(ux, uy).max() <= 10.0 / math.sqrt(0.01) + 1e-9
 
     def test_gaussian_model_rejected(self):
