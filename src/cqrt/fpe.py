@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import InstabilityDetected, ZeroMass
 from .stats import EmpiricalDensity
-from .wavefield import Eigenstate, ModelSpec, eigenstate_log_derivative_masked
+from .wavefield import Eigenstate, ModelSpec, log_derivative_masked
 from .hermite import hermite_log_abs
 
 #: diffusion coefficients along each axis; the cross coefficient is -1/4
@@ -130,7 +130,7 @@ def drift_field(model: ModelSpec, grid: FpGrid, drift_cap: float = 10.0):
     if not isinstance(model, Eigenstate):
         raise TypeError("drift_field supports eigenstate models only")
     x, y = grid.meshgrid()
-    g, near = eigenstate_log_derivative_masked(model.n, x + 1j * y)
+    g, near = log_derivative_masked(model, 0.0, x + 1j * y)
     ux = np.where(near, 0.0, np.imag(g))
     uy = np.where(near, 0.0, -np.real(g))
     speed = np.hypot(ux, uy)

@@ -63,11 +63,16 @@ def hermite_ratio(n: int, z):
     Raises NearNode if any evaluation point is numerically a zero of H_n.
     Accepts scalars or arrays.
     """
-    scalar = np.isscalar(z) or getattr(z, "ndim", 0) == 0
-    ratio, near = hermite_ratio_masked(n, z)
+    return raise_at_nodes(hermite_ratio_masked(n, z), z, f"H_{n}")
+
+
+def raise_at_nodes(masked, z, name):
+    """The rule of every raising wrapper: the values of a masked result
+    (values, near_node) at z, a complex for a scalar z; NearNode at a node."""
+    values, near = masked
     if np.any(near):
-        raise NearNode(f"H_{n} underflows at {np.count_nonzero(near)} point(s)")
-    return complex(ratio) if scalar else ratio
+        raise NearNode(f"{name} has a node at {np.count_nonzero(near)} point(s)")
+    return complex(values) if np.ndim(z) == 0 else values
 
 
 def hermite_log_abs(n, z):

@@ -299,19 +299,28 @@ class Ensemble:
         return int(np.count_nonzero(~self.alive))
 
     def trajectory(self, index: int) -> Trajectory:
-        """View of one path (full_path mode only)."""
-        if self.x is None:
-            raise ValueError("paths were not recorded in this record mode")
-        if not self.alive[index]:
+        """One path: its recorded rows (full_path, snapshots) or its end point
+        at adjusted_t_final (crossings_and_final), and its crossings.  Raises
+        ValueError outside [0, n_trajectories), NumericalBlowup if it diverged.
+        """
+        n = self.config.n_trajectories
+        if not 0 <= index < n:
+            raise ValueError(f"trajectory index {index} outside [0, {n})")
+        return self._path(index, index)
+
+    def _path(self, index: int, column: int) -> Trajectory:
+        """Trajectory `index`, whose records are column `column` of this result."""
+        if not self.alive[column]:
             raise NumericalBlowup(f"trajectory {index} diverged")
+        if self.x is None:
+            times = np.array([self.config.adjusted_t_final])
+            points = np.array([self.final_x[column] + 1j * self.final_y[column]])
+        else:
+            times = self.times
+            points = self.x[:, column] + 1j * self.y[:, column]
         sel = self.crossing_ids == index
         crossings = np.column_stack([self.crossing_times[sel], self.crossing_x[sel]])
-        return Trajectory(
-            id=index,
-            times=self.times,
-            points=self.x[:, index] + 1j * self.y[:, index],
-            crossings=crossings,
-        )
+        return Trajectory(id=index, times=times, points=points, crossings=crossings)
 
 
 def _step(model: ModelSpec, t: float, z, dt: float, xi, drift_cap: float, last_dir):
@@ -340,9 +349,9 @@ def em_step(model: ModelSpec, t: float, z, dt: float, xi, drift_cap: float = 10.
             fallback_direction=None):
     """One Euler-Maruyama step from z at time t with normal draw xi.
 
-    The drift displacement is capped at drift_cap*sqrt(dt); a NearNode from the
-    wavefield is absorbed by stepping drift_cap*sqrt(dt) along
-    fallback_direction (or taking a pure diffusion step when none is known).
+    The drift displacement is capped at drift_cap*sqrt(dt).  Where the drift's
+    node mask is set, the step moves drift_cap*sqrt(dt) along
+    fallback_direction (or takes a pure diffusion step when none is known).
     Accepts scalars or broadcastable arrays.
     """
     scalar = np.isscalar(z) and np.isscalar(xi)
@@ -369,8 +378,10 @@ def split_step(model: ModelSpec, t: float, x, y, dt: float, xi, drift_cap: float
     return (float(out.real), float(out.imag)) if scalar else (out.real, out.imag)
 
 
-def _integrate_chunk(config: SimulationConfig, model: ModelSpec, lo: int, hi: int):
+def _integrate_chunk(config: SimulationConfig, lo: int, hi: int):
     """Integrate trajectories [lo, hi); returns this chunk's records and pools."""
+    if not 0 <= lo < hi <= config.n_trajectories:
+        raise ValueError(f"trajectories [{lo}, {hi}) outside [0, {config.n_trajectories})")
     n = hi - lo
     n_steps = config.n_steps
     dt = config.dt
@@ -409,7 +420,7 @@ def _integrate_chunk(config: SimulationConfig, model: ModelSpec, lo: int, hi: in
 
     for j in range(n_steps):
         t = j * dt
-        z_new, over, near, last_dir = _step(model, t, z, dt, noise.normals(),
+        z_new, over, near, last_dir = _step(config.model, t, z, dt, noise.normals(),
                                             config.drift_cap, last_dir)
         capped += int(np.count_nonzero(over & alive))
         near_nodes += int(np.count_nonzero(near & alive))
@@ -454,31 +465,11 @@ def _integrate_chunk(config: SimulationConfig, model: ModelSpec, lo: int, hi: in
                 fx=z.real.copy(), fy=z.imag.copy(), capped=capped, near=near_nodes)
 
 
-def simulate_ensemble(config: SimulationConfig, model: ModelSpec | None = None,
-                      threads: int = 1) -> Ensemble:
-    """Run every trajectory of the configuration and merge the results.
-
-    Trajectories are integrated in fixed-size chunks that may execute on any
-    number of threads (0: one per core); the merge is by chunk index, so the
-    output is bit-identical for every thread count.  Serial is the default
-    because the chunks hold the interpreter lock for most of their time.  Fails with NumericalBlowup if more
-    than MAX_DIVERGED_FRACTION of the paths diverge.
-    """
-    model = config.model if model is None else model
-    n = config.n_trajectories
-    bounds = [(lo, min(lo + CHUNK_SIZE, n)) for lo in range(0, n, CHUNK_SIZE)]
-
-    if threads == 0:
-        threads = min(len(bounds), os.cpu_count() or 1)
-    if threads <= 1 or len(bounds) == 1:
-        parts = [_integrate_chunk(config, model, lo, hi) for lo, hi in bounds]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda b: _integrate_chunk(config, model, *b), bounds))
-
+def _merge(config: SimulationConfig, parts) -> Ensemble:
+    """Join chunk results in chunk order."""
     xs = np.concatenate([p["xs"] for p in parts], axis=1) if parts[0]["xs"] is not None else None
     ys = np.concatenate([p["ys"] for p in parts], axis=1) if parts[0]["ys"] is not None else None
-    ens = Ensemble(
+    return Ensemble(
         config=config,
         times=config.record_times,
         x=xs,
@@ -492,6 +483,30 @@ def simulate_ensemble(config: SimulationConfig, model: ModelSpec | None = None,
         capped_steps=sum(p["capped"] for p in parts),
         near_node_steps=sum(p["near"] for p in parts),
     )
+
+
+def simulate_ensemble(config: SimulationConfig, threads: int = 1) -> Ensemble:
+    """Run every trajectory of the configuration and merge the results.
+
+    Trajectories are integrated in fixed-size chunks that may execute on any
+    number of threads (0: one per core); the merge is by chunk index, so the
+    output is bit-identical for every thread count.  Serial is the default
+    because the chunks hold the interpreter lock for most of their time.
+    Fails with NumericalBlowup if more than MAX_DIVERGED_FRACTION of the
+    paths diverge.
+    """
+    n = config.n_trajectories
+    bounds = [(lo, min(lo + CHUNK_SIZE, n)) for lo in range(0, n, CHUNK_SIZE)]
+
+    if threads == 0:
+        threads = min(len(bounds), os.cpu_count() or 1)
+    if threads <= 1 or len(bounds) == 1:
+        parts = [_integrate_chunk(config, lo, hi) for lo, hi in bounds]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(lambda b: _integrate_chunk(config, *b), bounds))
+
+    ens = _merge(config, parts)
     if ens.n_diverged > MAX_DIVERGED_FRACTION * n:
         raise NumericalBlowup(
             f"{ens.n_diverged}/{n} trajectories diverged (>{MAX_DIVERGED_FRACTION:.0%})"
@@ -499,30 +514,13 @@ def simulate_ensemble(config: SimulationConfig, model: ModelSpec | None = None,
     return ens
 
 
-def simulate_trajectory(config: SimulationConfig, traj_index: int,
-                        model: ModelSpec | None = None) -> Trajectory:
-    """Integrate one trajectory (identical to its slice of the full ensemble).
-
-    Raises NumericalBlowup if that path diverges.
+def simulate_trajectory(config: SimulationConfig, traj_index: int) -> Trajectory:
+    """Integrate one trajectory: simulate_ensemble(config).trajectory(traj_index)
+    without the other paths.  Raises ValueError outside [0, n_trajectories)
+    and NumericalBlowup if that path diverges.
     """
-    if traj_index >= config.n_trajectories:
-        raise ValueError(f"traj_index {traj_index} >= n_trajectories {config.n_trajectories}")
-    model = config.model if model is None else model
-    part = _integrate_chunk(config, model, traj_index, traj_index + 1)
-    if not part["alive"][0]:
-        raise NumericalBlowup(f"trajectory {traj_index} diverged")
-    times = config.record_times
-    if times.size:
-        points = part["xs"][:, 0] + 1j * part["ys"][:, 0]
-    else:  # crossings_and_final keeps only the end point
-        times = np.array([config.adjusted_t_final])
-        points = np.array([part["fx"][0] + 1j * part["fy"][0]])
-    return Trajectory(
-        id=traj_index,
-        times=times,
-        points=points,
-        crossings=np.column_stack([part["ct"], part["cx"]]),
-    )
+    part = _integrate_chunk(config, traj_index, traj_index + 1)
+    return _merge(config, [part])._path(traj_index, 0)
 
 
 def snapshot_index(ensemble: Ensemble, t: float) -> int:

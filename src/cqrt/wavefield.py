@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NearNode
-from .hermite import hermite_ratio_masked
+from .hermite import hermite_ratio_masked, raise_at_nodes
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -64,55 +63,39 @@ class GaussianPacket:
 ModelSpec = Eigenstate | GaussianPacket
 
 
-def eigenstate_log_derivative_masked(n, z):
-    """d ln(psi_n)/dz with a mask instead of an exception at nodes."""
-    z = np.asarray(z, dtype=complex)
-    if n == 0:
-        return -z, np.zeros(z.shape, dtype=bool)
-    ratio, near = hermite_ratio_masked(n, z)
-    return -z + (2.0 * n) * ratio, near
-
-
-def eigenstate_log_derivative(n: int, z):
-    """d ln(psi_n)/dz = -z + 2n H_{n-1}(z)/H_n(z).
-
-    The stationary phase factor contributes nothing to the z-derivative, so
-    the result is time-independent.  Raises NearNode at zeros of H_n; the
-    integrator absorbs that case with its drift cap.
-    """
-    scalar = np.isscalar(z) or getattr(z, "ndim", 0) == 0
-    g, near = eigenstate_log_derivative_masked(n, z)
-    if np.any(near):
-        raise NearNode(f"psi_{n} has a node at {np.count_nonzero(near)} point(s)")
-    return complex(g) if scalar else g
-
-
-def gaussian_log_derivative(p0: float, t: float, z, form: str = "exact"):
-    """d ln(psi)/dz for the Gaussian packet at time t >= 0."""
-    z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 0
-    if form == "exact":
-        g = 1j * p0 - (z - p0 * t) / (1.0 + 1j * t)
-    elif form == "simplified":
-        g = (z - p0 * t) / (1.0 + t * t) + 0j
-    else:
-        raise ValueError(f"unknown drift form {form!r}")
-    return complex(g) if scalar else g
-
-
 def log_derivative_masked(model: ModelSpec, t, z):
-    """Dispatch to the model's log-derivative, returning (values, node_mask)."""
-    if isinstance(model, Eigenstate):
-        return eigenstate_log_derivative_masked(model.n, z)
-    g = gaussian_log_derivative(model.p0, t, np.asarray(z, dtype=complex), model.drift_form)
-    return g, np.zeros(np.shape(g), dtype=bool)
+    """d ln(psi)/dz of the model at time t, as (values, node_mask): the one
+    drift implementation, which the integrator and the FPE solver call.
+
+    For psi_n it is -z + 2n H_{n-1}(z)/H_n(z) at every t; node_mask marks the
+    zeros of H_n, where the value is meaningless.  A packet has no nodes.
+    """
+    z = np.asarray(z, dtype=complex)
+    if isinstance(model, GaussianPacket):
+        if model.drift_form == "exact":
+            g = 1j * model.p0 - (z - model.p0 * t) / (1.0 + 1j * t)
+        else:
+            g = (z - model.p0 * t) / (1.0 + t * t) + 0j
+        return g, np.zeros(z.shape, dtype=bool)
+    if model.n == 0:
+        return -z, np.zeros(z.shape, dtype=bool)
+    ratio, near = hermite_ratio_masked(model.n, z)
+    return -z + (2.0 * model.n) * ratio, near
 
 
 def log_derivative(model: ModelSpec, t, z):
     """d ln(psi)/dz of the configured model (raises NearNode at nodes)."""
-    if isinstance(model, Eigenstate):
-        return eigenstate_log_derivative(model.n, z)
-    return gaussian_log_derivative(model.p0, t, z, model.drift_form)
+    return raise_at_nodes(log_derivative_masked(model, t, z), z, model)
+
+
+def eigenstate_log_derivative(n: int, z):
+    """d ln(psi_n)/dz, time-independent (raises NearNode at zeros of H_n)."""
+    return log_derivative(Eigenstate(n), 0.0, z)
+
+
+def gaussian_log_derivative(p0: float, t: float, z, form: str = "exact"):
+    """d ln(psi)/dz for the Gaussian packet at time t >= 0."""
+    return log_derivative(GaussianPacket(p0, form), t, z)
 
 
 def _normalized_psi(n, x):
@@ -136,7 +119,7 @@ def _normalized_psi(n, x):
 
 def quantum_density_eigenstate(n: int, x):
     """|psi_n(x)|^2, integrating to 1 over the real line."""
-    scalar = np.isscalar(x) or getattr(x, "ndim", 0) == 0
+    scalar = np.ndim(x) == 0
     psi = _normalized_psi(n, x)
     out = psi * psi
     return float(out) if scalar else out

@@ -240,12 +240,28 @@ class TestSimulate:
         np.testing.assert_array_equal(serial.crossing_times, threaded.crossing_times)
 
     def test_single_trajectory_matches_ensemble_slice(self):
-        cfg = _config(n_trajectories=50)
-        ens = simulate_ensemble(cfg)
-        for index in (0, 13, 49):
-            traj = simulate_trajectory(cfg, index)
-            np.testing.assert_array_equal(traj.points, ens.trajectory(index).points)
-            np.testing.assert_array_equal(traj.crossings, ens.trajectory(index).crossings)
+        for mode in ("full_path", "crossings_and_final", "snapshots"):
+            cfg = _config(n_trajectories=50, record_mode=mode, snapshot_times=(0.25, 1.0))
+            ens = simulate_ensemble(cfg)
+            for index in (0, 13, 49):
+                traj = simulate_trajectory(cfg, index)
+                view = ens.trajectory(index)
+                assert traj.id == view.id == index
+                np.testing.assert_array_equal(traj.times, view.times)
+                np.testing.assert_array_equal(traj.points, view.points)
+                np.testing.assert_array_equal(traj.crossings, view.crossings)
+                assert view.points[-1] == complex(ens.final_x[index], ens.final_y[index])
+            expected_times = {"full_path": cfg.record_times, "snapshots": [0.25, 1.0],
+                              "crossings_and_final": [cfg.adjusted_t_final]}[mode]
+            np.testing.assert_array_equal(view.times, expected_times)
+
+    @pytest.mark.parametrize("index", [-1, 50])
+    def test_index_outside_ensemble_rejected(self, index):
+        cfg = _config(n_trajectories=50, t_final=0.1)
+        with pytest.raises(ValueError, match="outside"):
+            simulate_trajectory(cfg, index)
+        with pytest.raises(ValueError, match="outside"):
+            simulate_ensemble(cfg).trajectory(index)
 
     def test_round_robin_initial_points(self):
         cfg = _config(n_trajectories=5)

@@ -14,6 +14,8 @@ from cqrt import (
     classical_density_binned,
     eigenstate_log_derivative,
     gaussian_log_derivative,
+    hermite_ratio,
+    hermite_real_roots,
     log_derivative,
     quantum_density_eigenstate,
     quantum_density_gaussian,
@@ -21,6 +23,7 @@ from cqrt import (
     turning_point,
 )
 from cqrt.hermite import hermite_ratio_masked
+from cqrt.wavefield import log_derivative_masked
 
 
 class TestEigenstateLogDerivative:
@@ -64,6 +67,52 @@ class TestEigenstateLogDerivative:
     def test_raises_at_node(self):
         with pytest.raises(NearNode):
             eigenstate_log_derivative(1, 0j)
+
+
+def _raising_wrappers(model, t):
+    """Each public raising form of the model's drift, paired with the masked
+    function whose values it must return."""
+    def drift(z):
+        return log_derivative_masked(model, t, z)
+
+    pairs = [(lambda z: log_derivative(model, t, z), drift)]
+    if isinstance(model, GaussianPacket):
+        return pairs + [(lambda z: gaussian_log_derivative(model.p0, t, z, model.drift_form),
+                         drift)]
+    pairs.append((lambda z: eigenstate_log_derivative(model.n, z), drift))
+    if model.n >= 1:
+        pairs.append((lambda z: hermite_ratio(model.n, z),
+                      lambda z: hermite_ratio_masked(model.n, z)))
+    return pairs
+
+
+@pytest.mark.parametrize("model", [Eigenstate(0), Eigenstate(1), Eigenstate(70),
+                                   GaussianPacket(1.0, "exact"),
+                                   GaussianPacket(1.0, "simplified")], ids=repr)
+def test_raising_wrappers_return_masked_values(model):
+    # away from nodes each wrapper is the masked drift bit for bit, for an
+    # array, a list and a scalar; at the real zeros of H_n it raises NearNode
+    t = 0.7
+    rng = np.random.default_rng(3)
+    z = rng.uniform(-4, 4, 64) + 1j * rng.uniform(0.5, 3, 64)
+    for wrapper, masked in _raising_wrappers(model, t):
+        values, near = masked(z)
+        assert not near.any()
+        np.testing.assert_array_equal(wrapper(z), values)
+        np.testing.assert_array_equal(wrapper([complex(w) for w in z[:2]]), values[:2])
+        scalar = wrapper(complex(z[0]))
+        assert isinstance(scalar, complex)
+        assert scalar == complex(masked(complex(z[0]))[0])
+        roots = hermite_real_roots(getattr(model, "n", 0)) + 0j
+        if roots.size:
+            assert masked(roots)[1].any()
+            with pytest.raises(NearNode):
+                wrapper(roots)
+
+
+def test_density_accepts_a_list():
+    np.testing.assert_array_equal(quantum_density_eigenstate(2, [0.5, 1.0]),
+                                  quantum_density_eigenstate(2, np.array([0.5, 1.0])))
 
 
 class TestEigenstateModel:
