@@ -1,7 +1,12 @@
 """Command-line front end: simulate | analyze | fpe | plot | compare.
 
-Exit codes: 0 success, 1 usage error (a bad flag or value), 2 numerical
-failure, 3 I/O error (a file that cannot be read or written).
+Exit codes: 0 success, 1 usage error (a bad flag or value, or a snapshot time
+the pool did not record), 2 numerical failure (an empty selection among
+them), 3 I/O error (a file that cannot be read or written).
+
+`analyze` selects with the library's rule (stats.select_window): --window ends
+are included within 1e-12 * max(1, |lo|, |hi|), and --t rounds to the dt grid
+as --snapshots does, so a full pool answers --set snapshot at any step.
 
 Every option is one typed argparse flag with its default.  An optional
 key=value config file (--config) is read as flags: each key is a flag name
@@ -25,7 +30,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .errors import CqrtError
+from .errors import CqrtError, TimeNotRecorded
 from . import serialize
 from .fpe import FpGrid, fp_marginal_x, fp_solve, sample_initial_points
 from .sde import SimulationConfig, simulate_ensemble
@@ -39,6 +44,8 @@ from .stats import (
     gaussian_bin_range,
     gaussian_reference,
     pearson,
+    select_snapshot,
+    select_window,
 )
 from .svgplot import SvgPlot
 from .wavefield import Eigenstate, GaussianPacket
@@ -49,10 +56,6 @@ EXIT_NUMERICAL = 2
 EXIT_IO = 3
 
 
-class UsageError(Exception):
-    pass
-
-
 def parse_model(text: str):
     """eigenstate:N or gaussian:p0=X[,form=exact|simplified]."""
     kind, _, rest = text.partition(":")
@@ -60,20 +63,20 @@ def parse_model(text: str):
         try:
             n = int(rest)
         except ValueError as exc:
-            raise UsageError(f"bad eigenstate model string {text!r}") from exc
+            raise ValueError(f"bad eigenstate model string {text!r}") from exc
         return Eigenstate(n)
     if kind != "gaussian":
-        raise UsageError(f"unknown model kind {kind!r} (use eigenstate:N or gaussian:p0=X)")
+        raise ValueError(f"unknown model kind {kind!r} (use eigenstate:N or gaussian:p0=X)")
     params = _params(rest)
     unknown = sorted(set(params) - {"p0", "form"})
     if unknown:
-        raise UsageError(f"unknown gaussian parameter {unknown[0]!r}")
+        raise ValueError(f"unknown gaussian parameter {unknown[0]!r}")
     if "p0" not in params:
-        raise UsageError("gaussian model requires p0=<value>")
+        raise ValueError("gaussian model requires p0=<value>")
     try:
         return GaussianPacket(float(params["p0"]), params.get("form", "exact"))
     except ValueError as exc:
-        raise UsageError(f"bad gaussian model {text!r}: {exc}") from exc
+        raise ValueError(f"bad gaussian model {text!r}: {exc}") from exc
 
 
 def _params(text: str) -> dict:
@@ -88,7 +91,7 @@ def parse_initial_points(text: str, model, n_trajectories: int, seed: int):
     text = text.strip()
     if text in ("born", "fp"):
         if not isinstance(model, Eigenstate):
-            raise UsageError(f"--init {text} requires an eigenstate model")
+            raise ValueError(f"--init {text} requires an eigenstate model")
         if text == "born":
             from .wavefield import sample_eigenstate_positions
 
@@ -99,7 +102,7 @@ def parse_initial_points(text: str, model, n_trajectories: int, seed: int):
     for token in filter(None, (t.strip() for t in text.split(";"))):
         parts = token.split(",")
         if len(parts) != 2:
-            raise UsageError(f"bad point {token!r} (expected x,y)")
+            raise ValueError(f"bad point {token!r} (expected x,y)")
         xs_text, y_text = parts[0].strip(), parts[1].strip()
         both = False
         for prefix in ("±", "+-"):
@@ -110,12 +113,12 @@ def parse_initial_points(text: str, model, n_trajectories: int, seed: int):
             x = float(xs_text)
             y = float(y_text)
         except ValueError as exc:
-            raise UsageError(f"bad point {token!r}") from exc
+            raise ValueError(f"bad point {token!r}") from exc
         points.append(complex(x, y))
         if both and x != 0.0:
             points.append(complex(-x, y))
     if not points:
-        raise UsageError("no initial points given")
+        raise ValueError("no initial points given")
     return tuple(points)
 
 
@@ -148,7 +151,7 @@ def _config_tokens(path: str) -> list:
                 continue
             key, sep, value = line.partition("=")
             if not sep:
-                raise UsageError(f"{path}: bad config line {raw.strip()!r}")
+                raise ValueError(f"{path}: bad config line {raw.strip()!r}")
             tokens.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
     return tokens
 
@@ -187,11 +190,11 @@ REFERENCES = {
 def _reference(name: str, params: dict) -> Reference:
     """The named analytic density, built from the parameters it needs."""
     if name not in REFERENCES:
-        raise UsageError(f"unknown reference {name!r}")
+        raise ValueError(f"unknown reference {name!r}")
     needed, make = REFERENCES[name]
     missing = [key for key in needed if params.get(key) is None]
     if missing:
-        raise UsageError(f"{name} needs {', '.join(key + '=' for key in missing)}")
+        raise ValueError(f"{name} needs {', '.join(key + '=' for key in missing)}")
     return make(*(params[key] for key in needed))
 
 
@@ -252,41 +255,27 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 # ----------------------------------------------------------------- analyze
 
-def _in_window(times, window):
-    lo, hi = window
-    return (times >= lo - 1e-12) & (times <= hi + 1e-12)
-
-
-def _pool_samples(pool_dir: str, which: str, window, t):
-    """Assemble the requested sample pool (set a, b or snapshot) from a
-    simulate output directory."""
+def _pool_samples(pool_dir: str, which: str, window, t, dt: float):
+    """The requested sample pool (set a, b or snapshot) of a simulate output
+    directory, selected by the library's rule (stats.select_window).  Sets b
+    and snapshot read the recorded points: paths.csv where --record full wrote
+    it, else every snapshot file."""
     if which == "a":
         _, times, xs = serialize.read_crossings(os.path.join(pool_dir, "crossings.csv"))
-        return xs if window is None else xs[_in_window(times, window)]
-    snapshots = sorted(
-        f for f in os.listdir(pool_dir) if f.startswith("snapshot_") and f.endswith(".csv")
-    )
+        return select_window(times, xs, window)
+    if which == "snapshot" and t is None:
+        raise ValueError("--set snapshot requires --t")
+    files = os.listdir(pool_dir)
+    names = ["paths.csv"] if "paths.csv" in files else sorted(
+        f for f in files if f.startswith("snapshot_") and f.endswith(".csv"))
+    if not names:
+        raise ValueError(f"{pool_dir} holds no recorded path points")
+    tables = [serialize.read_points(os.path.join(pool_dir, name)) for name in names]
+    times = np.concatenate([table[1] for table in tables])
+    xs = np.concatenate([table[2] for table in tables])
     if which == "snapshot":
-        if t is None:
-            raise UsageError("--set snapshot requires --t")
-        for name in snapshots:
-            _, ts, xs, _ = serialize.read_points(os.path.join(pool_dir, name))
-            if ts.size and abs(ts[0] - t) <= 1e-9 * max(1.0, abs(t)):
-                return xs
-        raise UsageError(f"no snapshot at t={t} in {pool_dir}")
-    paths = os.path.join(pool_dir, "paths.csv")
-    pools = []
-    if os.path.exists(paths):
-        _, times, xs, _ = serialize.read_points(paths)
-        pools.append(xs if window is None else xs[_in_window(times, window)])
-    else:
-        for name in snapshots:
-            _, ts, xs, _ = serialize.read_points(os.path.join(pool_dir, name))
-            if window is None or not ts.size or _in_window(ts[0], window):
-                pools.append(xs)
-    if not pools:
-        raise UsageError(f"no path records for set b in {pool_dir}")
-    return np.concatenate(pools)
+        return select_snapshot(times, xs, t, dt)
+    return select_window(times, xs, window)
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -295,14 +284,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     t = args.t
 
     started = time.monotonic()
-    samples = _pool_samples(args.pool, args.set, args.window, t)
+    samples = _pool_samples(args.pool, args.set, args.window, t, manifest["config"]["dt"])
     if args.range:
         bin_range = args.range
     elif isinstance(model, Eigenstate):
         bin_range = eigenstate_bin_range(model.n)
     else:
         if t is None:
-            raise UsageError("gaussian pools need --t or an explicit --range")
+            raise ValueError("gaussian pools need --t or an explicit --range")
         bin_range = gaussian_bin_range(model.p0, t)
     density = build_density(samples, args.bins, bin_range)
 
@@ -319,7 +308,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     report_text = json.dumps(report_dict, indent=2, sort_keys=True) + "\n"
     outputs = {"density.csv": lambda path: serialize.write_density(path, density),
                "report.json": lambda path: serialize.atomic_write_text(path, report_text)}
-    _write_run(args.out, outputs, args, time.monotonic() - started, {})
+    _write_run(args.out, outputs, args, time.monotonic() - started, {},
+               pool_run_id=manifest["run_id"])
     return EXIT_OK
 
 
@@ -328,7 +318,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_fpe(args: argparse.Namespace) -> int:
     model = Eigenstate(args.n)
     if args.grid < 4:
-        raise UsageError("--grid must be at least 4 grid lines")
+        raise ValueError("--grid must be at least 4 grid lines")
     # --grid counts grid lines per axis; cells are one fewer
     grid = FpGrid(L=args.L, nx=args.grid - 1, ny=args.grid - 1, dt_pde=args.dt_pde)
     started = time.monotonic()
@@ -361,7 +351,7 @@ def cmd_fpe(args: argparse.Namespace) -> int:
 
 def cmd_plot(args: argparse.Namespace) -> int:
     if not args.density and not args.curve:
-        raise UsageError("plot needs at least one --density or --curve")
+        raise ValueError("plot needs at least one --density or --curve")
     plot = SvgPlot(title=args.title or "", xlabel="x", ylabel="density")
     x_lo, x_hi = np.inf, -np.inf
     densities = []
@@ -373,7 +363,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
     if args.range:
         x_lo, x_hi = args.range
     if not np.isfinite(x_lo):
-        raise UsageError("--curve alone needs --range lo,hi")
+        raise ValueError("--curve alone needs --range lo,hi")
     grid = np.linspace(x_lo, x_hi, 512)
     for text in args.curve or []:
         name, _, rest = text.partition(":")
@@ -487,7 +477,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage problems; report them under our contract
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    except UsageError as exc:
+    except (ValueError, KeyError, TimeNotRecorded) as exc:
+        # bad arguments raise ValueError, here and in the library; a KeyError
+        # is a field missing from an input such as a manifest
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CqrtError as exc:
@@ -496,11 +488,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ValueError, KeyError) as exc:
-        # the library rejects bad arguments with ValueError; a KeyError is a
-        # field missing from an input such as a manifest
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import NumericalBlowup, TimeNotRecorded
+from .errors import NumericalBlowup
 from .wavefield import ModelSpec, log_derivative_masked
 
 #: complex noise factor; its square is exactly -i (the diffusion coefficient)
@@ -331,18 +331,17 @@ def _step(model: ModelSpec, t: float, z, dt: float, xi, drift_cap: float, last_d
     saturates at drift_cap*sqrt(dt) along last_dir (zero until a finite
     direction exists).  new_dir is the updated last finite drift direction.
     """
-    sqrt_dt = math.sqrt(dt)
     g, near = log_derivative_masked(model, t, z)
     disp = -1j * g * dt
     mag = np.abs(disp)
-    lim = drift_cap * sqrt_dt
+    lim = drift_cap * math.sqrt(dt)
     over = (mag > lim) & ~near
     disp = np.where(over, disp * (lim / np.where(mag == 0.0, 1.0, mag)), disp)
     disp = np.where(near, lim * last_dir, disp)
     finite = ~near & (mag > 0.0)
     new_mag = np.abs(disp)
     new_dir = np.where(finite, disp / np.where(new_mag == 0.0, 1.0, new_mag), last_dir)
-    return z + disp + NOISE_FACTOR * xi * sqrt_dt, over, near, new_dir
+    return z + disp + noise_increment(xi, dt), over, near, new_dir
 
 
 def em_step(model: ModelSpec, t: float, z, dt: float, xi, drift_cap: float = 10.0,
@@ -521,14 +520,3 @@ def simulate_trajectory(config: SimulationConfig, traj_index: int) -> Trajectory
     """
     part = _integrate_chunk(config, traj_index, traj_index + 1)
     return _merge(config, [part])._path(traj_index, 0)
-
-
-def snapshot_index(ensemble: Ensemble, t: float) -> int:
-    """Row index of recorded time t, or TimeNotRecorded."""
-    if ensemble.times.size == 0:
-        raise TimeNotRecorded("this record mode stores no path points")
-    j = int(round(t / ensemble.config.dt))
-    hits = np.nonzero(np.abs(ensemble.times - j * ensemble.config.dt) <= 1e-9 * max(1.0, t))[0]
-    if hits.size == 0 or abs(j * ensemble.config.dt - t) > ensemble.config.dt / 2:
-        raise TimeNotRecorded(f"time {t} is not a recorded step time")
-    return int(hits[0])

@@ -5,6 +5,10 @@ point set B collects the real parts of every recorded path point.  Histograms
 of either are compared against analytic reference densities by the Pearson
 correlation coefficient, which is invariant under positive affine rescaling of
 both inputs.
+
+One time rule (select_window) picks both sets, snapshots and the samples of
+`cqrt analyze`: window ends are included within 1e-12 * max(1, |lo|, |hi|),
+and a snapshot at t is the step round(t / dt) * dt that --snapshots records.
 """
 
 from __future__ import annotations
@@ -14,8 +18,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import AllOutOfRange, DegenerateVariance, EmptyResult
-from .sde import Ensemble, snapshot_index
+from .errors import AllOutOfRange, DegenerateVariance, EmptyResult, TimeNotRecorded
+from .sde import Ensemble
 from .wavefield import (
     classical_density,
     classical_density_binned,
@@ -23,8 +27,6 @@ from .wavefield import (
     quantum_density_gaussian,
     turning_point,
 )
-
-DEFAULT_BINS = 100
 
 
 @dataclass(frozen=True)
@@ -100,13 +102,38 @@ def classical_reference(n: int) -> Reference:
                      on_bins=lambda edges: classical_density_binned(n, edges))
 
 
-def _window_or_default(ensemble: Ensemble, window):
-    if window is None:
-        return 0.0, ensemble.config.adjusted_t_final
-    lo, hi = float(window[0]), float(window[1])
+def select_window(times, values, window) -> np.ndarray:
+    """A new array of the entries of values (one per time, along the first
+    axis) whose time lies in window = (lo, hi), or of all if window is None.
+    Both ends are included within 1e-12 * max(1, |lo|, |hi|), so a multiple of
+    dt matches the decimal end that names it.  Raises EmptyResult if empty.
+    """
+    lo, hi = (-np.inf, np.inf) if window is None else (float(window[0]), float(window[1]))
     if hi < lo:
         raise ValueError("window must satisfy t_min <= t_max")
-    return lo, hi
+    tol = 1e-12 * max(1.0, abs(lo), abs(hi))
+    out = values[(times >= lo - tol) & (times <= hi + tol)]
+    if out.size == 0:
+        raise EmptyResult(f"nothing recorded in window [{lo}, {hi}]")
+    return out
+
+
+def select_snapshot(times, values, t: float, dt: float) -> np.ndarray:
+    """select_window over [s, s] with s = round(t / dt) * dt: the step that a
+    snapshot time t is recorded at.  Raises TimeNotRecorded if it was not."""
+    s = round(t / dt) * dt
+    try:
+        return select_window(times, values, (s, s))
+    except EmptyResult:
+        raise TimeNotRecorded(f"time {t} (step time {s:.6g}) was not recorded") from None
+
+
+def _live_records(ensemble: Ensemble) -> np.ndarray:
+    """Re(z) of the live trajectories, one row per recorded time; the record
+    array itself when every path is alive, so selecting from it copies once."""
+    if ensemble.x is None:
+        raise ValueError("record mode did not retain path points")
+    return ensemble.x if ensemble.alive.all() else ensemble.x[:, ensemble.alive]
 
 
 def extract_point_set_a(ensemble: Ensemble, window=None) -> np.ndarray:
@@ -116,32 +143,19 @@ def extract_point_set_a(ensemble: Ensemble, window=None) -> np.ndarray:
     points with y exactly 0 were emitted once at recording time and are not
     double-counted here.  Diverged paths contribute nothing.
     """
-    lo, hi = _window_or_default(ensemble, window)
-    tol = 1e-9 * max(1.0, hi)
-    sel = (ensemble.crossing_times >= lo - tol) & (ensemble.crossing_times <= hi + tol)
-    out = ensemble.crossing_x[sel]
-    if out.size == 0:
-        raise EmptyResult(f"no axis crossings in window [{lo}, {hi}]")
-    return out
+    return select_window(ensemble.crossing_times, ensemble.crossing_x, window)
 
 
 def extract_point_set_b(ensemble: Ensemble, window=None) -> np.ndarray:
-    """Real parts of every recorded path point in the window, all trajectories."""
-    if ensemble.x is None:
-        raise ValueError("record mode did not retain path points")
-    lo, hi = _window_or_default(ensemble, window)
-    tol = 1e-6 * ensemble.config.dt
-    rows = (ensemble.times >= lo - tol) & (ensemble.times <= hi + tol)
-    out = ensemble.x[np.ix_(rows, ensemble.alive)].ravel()
-    if out.size == 0:
-        raise EmptyResult(f"no recorded points in window [{lo}, {hi}]")
-    return out
+    """Real parts of every recorded path point in the window, all live
+    trajectories, in time-major order."""
+    return select_window(ensemble.times, _live_records(ensemble), window).ravel()
 
 
 def snapshot_positions(ensemble: Ensemble, t: float) -> np.ndarray:
-    """Re(z) of every live trajectory at recorded time t."""
-    row = snapshot_index(ensemble, t)
-    return ensemble.x[row, ensemble.alive]
+    """Re(z) of every live trajectory at the recorded step of time t (see
+    select_snapshot)."""
+    return select_snapshot(ensemble.times, _live_records(ensemble), t, ensemble.config.dt)[0]
 
 
 def build_density(samples, bins: int, range: tuple) -> EmpiricalDensity:  # noqa: A002

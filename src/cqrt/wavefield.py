@@ -18,8 +18,6 @@ import numpy as np
 
 from .hermite import hermite_ratio_masked, raise_at_nodes
 
-SQRT_PI = math.sqrt(math.pi)
-
 #: largest supported and tested quantum number; Eigenstate rejects larger n
 MAX_QUANTUM_NUMBER = 70
 

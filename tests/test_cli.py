@@ -43,9 +43,7 @@ class TestParsers:
         assert model == GaussianPacket(1.5, "simplified")
 
     def test_model_bad(self):
-        from cqrt.cli import UsageError
-
-        with pytest.raises(UsageError):
+        with pytest.raises(ValueError):
             parse_model("harmonic:2")
 
     def test_init_plus_minus(self):
@@ -210,6 +208,19 @@ class TestAnalyzeCommand:
         assert centers.size == 100
         width = centers[1] - centers[0]
         assert np.sum(densities) * width == pytest.approx(1.0, abs=1e-9)
+
+    def test_run_id_follows_the_pool(self, tmp_path):
+        pool = tmp_path / "pool"
+
+        def run_id(out):
+            assert main(["analyze", "--pool", str(pool), "--out", str(tmp_path / out)]) == 0
+            return read_manifest(tmp_path / out / "manifest.json")["run_id"]
+
+        _run_simulate(pool, seed="42")
+        first = run_id("a1")
+        assert run_id("a2") == first
+        _run_simulate(pool, seed="7321")
+        assert run_id("a3") != first
 
     def test_self_comparison_gamma_one(self, tmp_path):
         # a density compared against itself through the compare command
@@ -433,6 +444,13 @@ class TestPinnedBytes:
         self._assert_density(
             self._analyze(pool, tmp_path / "bw", "--set", "b", "--window", "0.2,0.4"),
             extract_point_set_b(ens, window=(0.2, 0.4)), bin_range)
+        # a full pool answers --set snapshot at any step, not only at its ends
+        self._assert_density(
+            self._analyze(pool, tmp_path / "s", "--set", "snapshot", "--t", "0.25"),
+            snapshot_positions(ens, 0.25), bin_range)
+        for which in ("a", "b"):  # an empty selection is a numerical failure
+            assert main(["analyze", "--pool", str(pool), "--set", which, "--window", "0.6,0.7",
+                         "--out", str(tmp_path / "empty")]) == 2
 
     def test_snapshot_pool_set_b_and_snapshot(self, tmp_path):
         pool = tmp_path / "pool"
@@ -448,6 +466,26 @@ class TestPinnedBytes:
         self._assert_density(
             self._analyze(pool, tmp_path / "s", "--set", "snapshot", "--t", "0.5"),
             snapshot_positions(ens, 0.5), gaussian_bin_range(1.0, 0.5))
+
+    def test_snapshot_time_rounds_to_the_step_grid(self, tmp_path):
+        pool = tmp_path / "pool"
+        assert main(["simulate", "--model", "gaussian:p0=1", "--init", "0,0", "--n", "400",
+                     "--t", "1", "--snapshots", "0.503,1", "--seed", "7",
+                     "--out", str(pool)]) == 0
+        assert "snapshot_0.5.csv" in os.listdir(pool)
+        ens = simulate_ensemble(SimulationConfig(
+            model=GaussianPacket(1.0), dt=0.01, t_final=1.0, initial_points=(0j,),
+            n_trajectories=400, master_seed=7, record_mode="snapshots",
+            snapshot_times=(0.503, 1.0)))
+        self._assert_density(
+            self._analyze(pool, tmp_path / "s", "--set", "snapshot", "--t", "0.503"),
+            snapshot_positions(ens, 0.503), gaussian_bin_range(1.0, 0.503))
+        # a time the pool did not record is a usage error; an empty window is
+        # a numerical failure, as on a full pool
+        for flags, rc in ((("--set", "snapshot", "--t", "0.7"), 1),
+                          (("--set", "b", "--t", "1", "--window", "0.6,0.7"), 2)):
+            assert main(["analyze", "--pool", str(pool), *flags,
+                         "--out", str(tmp_path / "o")]) == rc
 
     def test_field_round_trip_is_exact(self, tmp_path):
         out = tmp_path / "fpe"

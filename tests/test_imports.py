@@ -1,16 +1,20 @@
-"""Every module-level import in the package is used by its module.
+"""Every module-level import in the package is used by its module, and every
+module-level UPPER_CASE constant is read somewhere in the package.
 
-`__init__.py` is exempt because its imports are the public re-exports, and
-`from __future__` imports change the compiler, not the namespace.
+`__init__.py` is exempt from the import check because its imports are the
+public re-exports, and `from __future__` imports change the compiler, not the
+namespace.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cqrt"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
 
 
 def unused_imports(source: str) -> list:
@@ -36,3 +40,41 @@ def test_no_unused_imports(path):
 def test_checker_finds_an_unused_import():
     source = "from __future__ import annotations\nimport os\nimport numpy as np\nnp.zeros(1)\n"
     assert unused_imports(source) == ["os (line 2)"]
+
+
+def unread_constants(sources: dict) -> list:
+    """Module-level UPPER_CASE names assigned in sources (file name -> text)
+    that no source reads, as a name or as an attribute."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                if (isinstance(target, ast.Name) and CONSTANT.fullmatch(target.id)
+                        and target.id not in read):
+                    unread.append(f"{name}: {target.id} (line {node.lineno})")
+    return unread
+
+
+def test_no_unread_constants():
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert unread_constants(sources) == []
+
+
+def test_checker_finds_an_unread_constant():
+    sources = {"a.py": "import b\nLIMIT = 1\n_STEP: int = 2\nSCALE = 3\nprint(SCALE)\n",
+               "b.py": "x = 1\nWIDTH = 4\n", "c.py": "import b\nprint(b.WIDTH + 1)\n"}
+    assert unread_constants(sources) == ["a.py: LIMIT (line 2)", "a.py: _STEP (line 3)"]

@@ -1,5 +1,7 @@
 """Extraction, histogramming, and Pearson comparison contracts."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,15 @@ class TestPointSetA:
         assert late.size < full.size
         assert late.size > 0
 
+    def test_window_ends_within_1e12(self):
+        ens = dataclasses.replace(
+            _ensemble(n_trajectories=2, t_final=0.1),
+            crossing_times=np.array([0.4 - 2e-12, 0.4 - 0.5e-12, 0.7, 1.0 + 0.5e-12,
+                                     1.0 + 2e-12]),
+            crossing_x=np.arange(5.0))
+        np.testing.assert_array_equal(extract_point_set_a(ens, window=(0.4, 1.0)),
+                                      [1.0, 2.0, 3.0])
+
     def test_empty_window_raises(self):
         ens = _ensemble(model=Eigenstate(0), n_trajectories=3,
                         initial_points=(0.2 + 2.5j,), t_final=0.1)
@@ -72,6 +83,12 @@ class TestPointSetB:
         ens = _ensemble(n_trajectories=3, t_final=1.0)
         xs = extract_point_set_b(ens, window=(0.0, 1.0))
         assert xs.size == 3 * 101  # the t = 1.0 row is included despite rounding
+
+    def test_point_window_picks_the_grid_time(self):
+        ens = _ensemble(n_trajectories=4, dt=0.1, t_final=0.5)
+        assert ens.times[3] == 3 * 0.1 != 0.3
+        np.testing.assert_array_equal(extract_point_set_b(ens, window=(0.3, 0.3)), ens.x[3])
+        np.testing.assert_array_equal(snapshot_positions(ens, 0.3), ens.x[3])
 
     def test_requires_paths(self):
         ens = _ensemble(record_mode="crossings_and_final")
