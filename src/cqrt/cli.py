@@ -4,9 +4,11 @@ Exit codes: 0 success, 1 usage error (a bad flag or value, or a snapshot time
 the pool did not record), 2 numerical failure (an empty selection among
 them), 3 I/O error (a file that cannot be read or written).
 
-`analyze` selects with the library's rule (stats.select_window): --window ends
-are included within 1e-12 * max(1, |lo|, |hi|), and --t rounds to the dt grid
-as --snapshots does, so a full pool answers --set snapshot at any step.
+A simulate pool holds crossings.csv (point set A), final.csv (the end points)
+and, where the record mode keeps rows (--record full, --snapshots), points.csv:
+every recorded row of the live paths, time-major with ids ascending.  `analyze`
+reads one of the two tables and selects with the library's rule
+(stats.select_window); --t rounds to the dt grid as --snapshots does.
 
 Every option is one typed argparse flag with its default.  An optional
 key=value config file (--config) is read as flags: each key is a flag name
@@ -16,7 +18,7 @@ unknown key or a bad value is a usage error; a config file that cannot be
 read is an I/O error.  A reversed --range or --window (lo,hi with lo > hi) is
 rejected while parsing, before any file is read.  The manifest written next
 to the outputs records the typed options, so any run can be reproduced from
-its manifest alone.
+its manifest alone, and the seconds from the command's start to its manifest.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .stats import (
     pearson,
     select_snapshot,
     select_window,
+    step_time,
 )
 from .svgplot import SvgPlot
 from .wavefield import Eigenstate, GaussianPacket
@@ -165,10 +168,10 @@ def _with_config(argv: list) -> list:
     return [argv[0], *_config_tokens(path), *argv[1:]] if path else argv
 
 
-def _write_run(out_dir: str, outputs: dict, args: argparse.Namespace, duration: float,
+def _write_run(out_dir: str, outputs: dict, args: argparse.Namespace, started: float,
                diagnostics: dict, **extra) -> None:
     """Make out_dir, write each output with its writer(path), then the manifest:
-    the typed options of args plus extra, and the digest of every output."""
+    the typed options of args plus extra, the time since started, each digest."""
     os.makedirs(out_dir, exist_ok=True)
     files = {}
     for name, write in outputs.items():
@@ -176,7 +179,7 @@ def _write_run(out_dir: str, outputs: dict, args: argparse.Namespace, duration: 
         write(files[name])
     config = {key: value for key, value in vars(args).items() if key != "func"}
     serialize.write_manifest(os.path.join(out_dir, "manifest.json"), dict(config, **extra),
-                             __version__, duration, diagnostics, files)
+                             __version__, time.monotonic() - started, diagnostics, files)
 
 
 #: reference name -> (the parameters it needs, its stats.Reference factory)
@@ -200,56 +203,47 @@ def _reference(name: str, params: dict) -> Reference:
 
 # ---------------------------------------------------------------- simulate
 
-#: --record value -> SimulationConfig.record_mode
-RECORD_FLAGS = {"full": "full_path", "crossings": "crossings_and_final",
-                "snapshots": "snapshots"}
+#: --record value -> SimulationConfig.record_mode (--snapshots selects "snapshots")
+RECORD_FLAGS = {"full": "full_path", "crossings": "crossings_and_final"}
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    model = parse_model(args.model)
-    snapshots = args.snapshots or ()
-    record_mode = RECORD_FLAGS[args.record or ("snapshots" if snapshots else "crossings")]
-    init = parse_initial_points(args.init, model, args.n, args.seed)
-
-    config = SimulationConfig(
-        model=model, dt=args.dt, t_final=args.t, initial_points=init, n_trajectories=args.n,
-        master_seed=args.seed, record_mode=record_mode, snapshot_times=snapshots,
-        drift_cap=args.drift_cap,
-    )
     started = time.monotonic()
+    model = parse_model(args.model)
+    config = SimulationConfig(
+        model=model, dt=args.dt, t_final=args.t,
+        initial_points=parse_initial_points(args.init, model, args.n, args.seed),
+        n_trajectories=args.n, master_seed=args.seed,
+        record_mode="snapshots" if args.snapshots else RECORD_FLAGS[args.record or "crossings"],
+        snapshot_times=args.snapshots or (), drift_cap=args.drift_cap,
+    )
+    integrating = time.monotonic()
     ensemble = simulate_ensemble(config, threads=args.threads)
-    duration = time.monotonic() - started
+    integration_s = time.monotonic() - integrating
 
     alive = ensemble.alive
     ids = np.arange(config.n_trajectories)[alive]
-
-    def snapshot(t_rec, xs, ys):
-        return lambda path: serialize.write_points(path, ids, t_rec, xs[alive], ys[alive])
-
-    outputs = {"crossings.csv": lambda path: serialize.write_crossings(
-        path, ensemble.crossing_ids, ensemble.crossing_times, ensemble.crossing_x)}
-    for row, t_rec in enumerate(ensemble.times):
-        if record_mode == "full_path" and row not in (0, len(ensemble.times) - 1):
-            continue  # full paths go to paths.csv; keep only the endpoints as snapshots
-        outputs[f"snapshot_{t_rec:.6g}.csv"] = snapshot(float(t_rec), ensemble.x[row],
-                                                        ensemble.y[row])
-    outputs["final.csv"] = snapshot(config.adjusted_t_final, ensemble.final_x, ensemble.final_y)
-    if record_mode == "full_path":
-        n_rec = len(ensemble.times)
-        outputs["paths.csv"] = lambda path: serialize.write_points(
-            path, np.repeat(ids, n_rec), np.tile(ensemble.times, ids.size),
-            ensemble.x[:, alive].T.ravel(), ensemble.y[:, alive].T.ravel())
+    outputs = {
+        "crossings.csv": lambda path: serialize.write_crossings(
+            path, ensemble.crossing_ids, ensemble.crossing_times, ensemble.crossing_x),
+        "final.csv": lambda path: serialize.write_points(
+            path, ids, config.adjusted_t_final, ensemble.final_x[alive], ensemble.final_y[alive]),
+    }
+    if ensemble.x is not None:  # time-major, as extract_point_set_b reads the rows
+        outputs["points.csv"] = lambda path: serialize.write_points(
+            path, np.tile(ids, ensemble.times.size), np.repeat(ensemble.times, ids.size),
+            ensemble.x[:, alive].ravel(), ensemble.y[:, alive].ravel())
 
     diagnostics = {
         "capped_steps": ensemble.capped_steps,
         "near_node_steps": ensemble.near_node_steps,
         "diverged": ensemble.n_diverged,
     }
-    _write_run(args.out, outputs, args, duration, diagnostics,
+    _write_run(args.out, outputs, args, started, diagnostics,
                n_steps=config.n_steps, t_final_adjusted=config.adjusted_t_final)
     print(f"simulate: {args.n} trajectories, {config.n_steps} steps, "
           f"{len(ensemble.crossing_x)} crossings, {ensemble.n_diverged} diverged, "
-          f"{duration:.2f}s -> {args.out}")
+          f"{integration_s:.2f}s -> {args.out}")
     return EXIT_OK
 
 
@@ -257,34 +251,30 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def _pool_samples(pool_dir: str, which: str, window, t, dt: float):
     """The requested sample pool (set a, b or snapshot) of a simulate output
-    directory, selected by the library's rule (stats.select_window).  Sets b
-    and snapshot read the recorded points: paths.csv where --record full wrote
-    it, else every snapshot file."""
+    directory, selected by the library's rule (stats.select_window) from
+    crossings.csv (set a) or points.csv (sets b and snapshot)."""
     if which == "a":
         _, times, xs = serialize.read_crossings(os.path.join(pool_dir, "crossings.csv"))
         return select_window(times, xs, window)
     if which == "snapshot" and t is None:
         raise ValueError("--set snapshot requires --t")
-    files = os.listdir(pool_dir)
-    names = ["paths.csv"] if "paths.csv" in files else sorted(
-        f for f in files if f.startswith("snapshot_") and f.endswith(".csv"))
-    if not names:
-        raise ValueError(f"{pool_dir} holds no recorded path points")
-    tables = [serialize.read_points(os.path.join(pool_dir, name)) for name in names]
-    times = np.concatenate([table[1] for table in tables])
-    xs = np.concatenate([table[2] for table in tables])
+    try:
+        _, times, xs, _ = serialize.read_points(os.path.join(pool_dir, "points.csv"))
+    except FileNotFoundError:
+        raise ValueError(f"{pool_dir} holds no recorded path points") from None
     if which == "snapshot":
         return select_snapshot(times, xs, t, dt)
     return select_window(times, xs, window)
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    started = time.monotonic()
     manifest = serialize.read_manifest(os.path.join(args.pool, "manifest.json"))
     model = parse_model(manifest["config"]["model"])
-    t = args.t
-
-    started = time.monotonic()
-    samples = _pool_samples(args.pool, args.set, args.window, t, manifest["config"]["dt"])
+    dt = manifest["config"]["dt"]
+    samples = _pool_samples(args.pool, args.set, args.window, args.t, dt)
+    # a snapshot is binned and compared at the step it was selected at
+    t = step_time(args.t, dt) if args.set == "snapshot" else args.t
     if args.range:
         bin_range = args.range
     elif isinstance(model, Eigenstate):
@@ -308,7 +298,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     report_text = json.dumps(report_dict, indent=2, sort_keys=True) + "\n"
     outputs = {"density.csv": lambda path: serialize.write_density(path, density),
                "report.json": lambda path: serialize.atomic_write_text(path, report_text)}
-    _write_run(args.out, outputs, args, time.monotonic() - started, {},
+    _write_run(args.out, outputs, args, started, {},
                pool_run_id=manifest["run_id"])
     return EXIT_OK
 
@@ -316,15 +306,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------- fpe
 
 def cmd_fpe(args: argparse.Namespace) -> int:
+    started = time.monotonic()
     model = Eigenstate(args.n)
     if args.grid < 4:
         raise ValueError("--grid must be at least 4 grid lines")
     # --grid counts grid lines per axis; cells are one fewer
     grid = FpGrid(L=args.L, nx=args.grid - 1, ny=args.grid - 1, dt_pde=args.dt_pde)
-    started = time.monotonic()
     solution = fp_solve(model, grid, args.t, drift_cap=args.drift_cap)
     marginal = fp_marginal_x(solution)
-    duration = time.monotonic() - started
 
     diagnostics = {
         "steps": solution.steps,
@@ -337,7 +326,7 @@ def cmd_fpe(args: argparse.Namespace) -> int:
                                                         solution.rho),
         "marginal.csv": lambda path: serialize.write_density(path, marginal),
     }
-    _write_run(args.out, outputs, args, duration, diagnostics, t_reached=solution.t)
+    _write_run(args.out, outputs, args, started, diagnostics, t_reached=solution.t)
     print(f"fpe: n={args.n} grid={args.grid}x{args.grid} steps={solution.steps} "
           f"mass_change={solution.mass_change:+.3%} "
           f"clipped={diagnostics['clipped_mass_fraction']:.3%} -> {args.out}")
@@ -419,8 +408,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--dt", type=float, default=0.01)
     sim.add_argument("--t", type=float, default=1.0)
     sim.add_argument("--seed", type=int, default=42)
-    sim.add_argument("--snapshots", type=_floats)
-    sim.add_argument("--record", choices=RECORD_FLAGS)
+    recording = sim.add_mutually_exclusive_group()
+    recording.add_argument("--snapshots", type=_floats)
+    recording.add_argument("--record", choices=RECORD_FLAGS)
     sim.add_argument("--drift-cap", type=float, default=10.0)
     sim.add_argument("--threads", type=int, default=1)
     sim.add_argument("--out", required=True)

@@ -253,16 +253,14 @@ def marginal_reference(solution: FpSolution):
     return lambda x: np.interp(x, centers, values)
 
 
-def sample_initial_points(n: int, count: int, seed: int,
-                          half_width: float | None = None) -> np.ndarray:
+def sample_initial_points(n: int, count: int, seed: int) -> np.ndarray:
     """Rejection-sample launch points from the fp_initial density.
 
     Gives the trajectory ensemble the same initial distribution the PDE
     evolves, which is what makes the two solvers directly comparable.
-    Deterministic for a given seed.
+    Draws in the square |x|, |y| <= sqrt(2n + 1) + 2.5; deterministic per seed.
     """
-    if half_width is None:
-        half_width = math.sqrt(2.0 * n + 1.0) + 2.5
+    half_width = math.sqrt(2.0 * n + 1.0) + 2.5
     probe = np.linspace(-half_width, half_width, 401)
     px, py = np.meshgrid(probe, probe)
     fmax = float(_initial_density(n, px, py).max()) * 1.25

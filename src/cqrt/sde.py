@@ -232,24 +232,21 @@ class SimulationConfig:
     def adjusted_t_final(self) -> float:
         return self.n_steps * self.dt
 
-    def snapshot_indices(self) -> tuple:
-        """Step indices of the requested snapshot times (rounded to the grid)."""
-        idx = []
-        for t in self.snapshot_times:
-            j = int(round(t / self.dt))
-            if j < 0 or j > self.n_steps:
-                raise ValueError(f"snapshot time {t} outside [0, {self.adjusted_t_final}]")
-            idx.append(j)
-        return tuple(sorted(set(idx)))
-
     def record_steps(self) -> np.ndarray:
         """Step indices whose positions are recorded: every step (full_path),
-        the snapshot steps (snapshots) or none (crossings_and_final)."""
+        none (crossings_and_final), or the sorted unique steps round(t / dt),
+        half to even, of the snapshot times (snapshots), where a time outside
+        [0, adjusted_t_final] raises ValueError."""
         if self.record_mode == "full_path":
             return np.arange(self.n_steps + 1)
-        if self.record_mode == "snapshots":
-            return np.array(self.snapshot_indices())
-        return np.empty(0, dtype=int)
+        if self.record_mode == "crossings_and_final":
+            return np.empty(0, dtype=int)
+        steps = np.rint(np.divide(self.snapshot_times, self.dt))
+        outside = ~((steps >= 0) & (steps <= self.n_steps))
+        if outside.any():
+            t = np.array(self.snapshot_times)[outside][0]
+            raise ValueError(f"snapshot time {t} outside [0, {self.adjusted_t_final}]")
+        return np.unique(steps).astype(int)
 
     @property
     def record_times(self) -> np.ndarray:

@@ -3,7 +3,7 @@
 Every CSV file is a header row, then one row per record.  Integer columns are
 written as integers and all others with %.17g, which round-trips IEEE doubles
 exactly, so identical runs give byte-identical files.  Readers check the
-header.  snapshot_*.csv, final.csv and paths.csv share one points format,
+header.  A pool's final.csv and points.csv share one points format,
 traj_id,t,x,y.  A field file's header row is y\\x and the x centres; each later
 row is a y centre and that row of the field.  Every file is written to a
 temporary name in the same directory and renamed into place.

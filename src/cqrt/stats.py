@@ -118,10 +118,15 @@ def select_window(times, values, window) -> np.ndarray:
     return out
 
 
+def step_time(t: float, dt: float) -> float:
+    """round(t / dt) * dt: the time of the step that records snapshot time t."""
+    return round(t / dt) * dt
+
+
 def select_snapshot(times, values, t: float, dt: float) -> np.ndarray:
-    """select_window over [s, s] with s = round(t / dt) * dt: the step that a
-    snapshot time t is recorded at.  Raises TimeNotRecorded if it was not."""
-    s = round(t / dt) * dt
+    """select_window over [s, s] with s = step_time(t, dt).  Raises
+    TimeNotRecorded if that step was not recorded."""
+    s = step_time(t, dt)
     try:
         return select_window(times, values, (s, s))
     except EmptyResult:

@@ -4,6 +4,7 @@ exit codes."""
 import json
 import os
 import shlex
+import time
 from pathlib import Path
 
 import numpy as np
@@ -20,12 +21,14 @@ from cqrt import (
     simulate_ensemble,
     snapshot_positions,
 )
+from cqrt import serialize
 from cqrt.cli import build_parser, main, parse_initial_points, parse_model
 from cqrt.serialize import (
     read_crossings,
     read_density,
     read_field,
     read_manifest,
+    read_points,
     read_table,
     write_crossings,
     write_density,
@@ -107,9 +110,23 @@ class TestSimulateCommand:
                    "--n", "100", "--dt", "0.01", "--t", "0.3",
                    "--snapshots", "0.1,0.3", "--out", str(tmp_path / "run")])
         assert rc == 0
-        names = os.listdir(tmp_path / "run")
-        assert "snapshot_0.1.csv" in names
-        assert "snapshot_0.3.csv" in names
+        assert sorted(os.listdir(tmp_path / "run")) == [
+            "crossings.csv", "final.csv", "manifest.json", "points.csv"]
+        ids, times, _, _ = read_points(tmp_path / "run" / "points.csv")
+        np.testing.assert_array_equal(ids, np.tile(np.arange(100), 2))
+        np.testing.assert_array_equal(times, np.repeat([10 * 0.01, 30 * 0.01], 100))
+
+    def test_duration_covers_the_writes(self, tmp_path, monkeypatch):
+        write_table = serialize.write_table
+
+        def slow_write_table(*args, **kwargs):
+            time.sleep(0.2)
+            write_table(*args, **kwargs)
+
+        monkeypatch.setattr(serialize, "write_table", slow_write_table)
+        assert main(["simulate", "--model", "eigenstate:1", "--n", "4", "--t", "0.02",
+                     "--out", str(tmp_path / "run")]) == 0
+        assert read_manifest(tmp_path / "run" / "manifest.json")["duration_s"] >= 0.2
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -235,6 +252,15 @@ class TestAnalyzeCommand:
         rc = main(["compare", "--first", str(path), "--second", str(path)])
         assert rc == 0
 
+    def test_crossings_pool_has_no_points(self, tmp_path):
+        pool = tmp_path / "pool"
+        assert _run_simulate(pool) == 0
+        assert sorted(os.listdir(pool)) == ["crossings.csv", "final.csv", "manifest.json"]
+        for flags in (("--set", "b"), ("--set", "snapshot", "--t", "0.5")):
+            assert main(["analyze", "--pool", str(pool), *flags,
+                         "--out", str(tmp_path / "o")]) == 1
+            assert not (tmp_path / "o").exists()
+
     def test_missing_model_metadata(self, tmp_path):
         pool = tmp_path / "pool"
         pool.mkdir()
@@ -344,6 +370,11 @@ class TestExitCodes:
         ["analyze", "--pool", "missing-pool", "--range", "5,1"],
         ["analyze", "--pool", "missing-pool", "--window", "1.0,0.4"],
         ["plot", "--curve", "classical:n=3", "--range=3,-3"],
+        # --snapshots selects the snapshots record mode; --record cannot join it
+        ["simulate", "--model", "eigenstate:1", "--record", "full", "--snapshots", "0.5"],
+        ["simulate", "--model", "eigenstate:1", "--record", "crossings", "--snapshots", "0.5"],
+        ["simulate", "--model", "eigenstate:1", "--record", "snapshots"],
+        ["simulate", "--model", "eigenstate:1", "--snapshots", "inf"],
     ])
     def test_bad_values_are_usage_errors(self, tmp_path, argv):
         argv = [str(tmp_path / arg) if arg == "missing-pool" else arg for arg in argv]
@@ -416,6 +447,17 @@ class TestPinnedBytes:
         return read_density(out / "density.csv")
 
     @staticmethod
+    def _assert_points(pool, ens):
+        """points.csv holds every recorded row of the live paths, time-major."""
+        header, (ids, times, xs, ys) = read_table(str(pool / "points.csv"))
+        assert header == ["traj_id", "t", "x", "y"]
+        live = np.flatnonzero(ens.alive)
+        np.testing.assert_array_equal(ids, np.tile(live, ens.times.size))
+        np.testing.assert_array_equal(times, np.repeat(ens.times, live.size))
+        np.testing.assert_array_equal(xs, ens.x[:, live].ravel())
+        np.testing.assert_array_equal(ys, ens.y[:, live].ravel())
+
+    @staticmethod
     def _assert_density(got, samples, bin_range):
         expected = build_density(samples, 100, bin_range)
         for column, values in zip(got, (expected.bin_centers, expected.densities,
@@ -431,13 +473,7 @@ class TestPinnedBytes:
             model=Eigenstate(2), dt=0.01, t_final=0.5,
             initial_points=parse_initial_points("+-0.5,0.1", Eigenstate(2), 300, 42),
             n_trajectories=300, master_seed=42, record_mode="full_path"))
-        header, (ids, times, xs, ys) = read_table(str(pool / "paths.csv"))
-        assert header == ["traj_id", "t", "x", "y"]
-        live = np.flatnonzero(ens.alive)
-        np.testing.assert_array_equal(ids, np.repeat(live, ens.times.size))
-        np.testing.assert_array_equal(times, np.tile(ens.times, live.size))
-        np.testing.assert_array_equal(xs, ens.x[:, live].T.ravel())
-        np.testing.assert_array_equal(ys, ens.y[:, live].T.ravel())
+        self._assert_points(pool, ens)
         bin_range = eigenstate_bin_range(2)
         self._assert_density(self._analyze(pool, tmp_path / "b", "--set", "b"),
                              extract_point_set_b(ens), bin_range)
@@ -461,6 +497,7 @@ class TestPinnedBytes:
             model=GaussianPacket(1.0), dt=0.01, t_final=1.0, initial_points=(0j,),
             n_trajectories=400, master_seed=7, record_mode="snapshots",
             snapshot_times=(0.5, 1.0)))
+        self._assert_points(pool, ens)
         self._assert_density(self._analyze(pool, tmp_path / "b", "--set", "b", "--t", "1"),
                              extract_point_set_b(ens), gaussian_bin_range(1.0, 1.0))
         self._assert_density(
@@ -472,14 +509,19 @@ class TestPinnedBytes:
         assert main(["simulate", "--model", "gaussian:p0=1", "--init", "0,0", "--n", "400",
                      "--t", "1", "--snapshots", "0.503,1", "--seed", "7",
                      "--out", str(pool)]) == 0
-        assert "snapshot_0.5.csv" in os.listdir(pool)
         ens = simulate_ensemble(SimulationConfig(
             model=GaussianPacket(1.0), dt=0.01, t_final=1.0, initial_points=(0j,),
             n_trajectories=400, master_seed=7, record_mode="snapshots",
             snapshot_times=(0.503, 1.0)))
+        np.testing.assert_array_equal(ens.times, [0.5, 1.0])
+        self._assert_points(pool, ens)
+        # the samples, the bins and the reference all belong to step time 0.5
         self._assert_density(
-            self._analyze(pool, tmp_path / "s", "--set", "snapshot", "--t", "0.503"),
-            snapshot_positions(ens, 0.503), gaussian_bin_range(1.0, 0.503))
+            self._analyze(pool, tmp_path / "s", "--set", "snapshot", "--t", "0.503",
+                          "--reference", "quantum_gaussian"),
+            snapshot_positions(ens, 0.503), gaussian_bin_range(1.0, 0.5))
+        report = json.loads((tmp_path / "s" / "report.json").read_text())
+        assert report["reference_name"] == "quantum_gaussian(p0=1.0, t=0.5)"
         # a time the pool did not record is a usage error; an empty window is
         # a numerical failure, as on a full pool
         for flags, rc in ((("--set", "snapshot", "--t", "0.7"), 1),

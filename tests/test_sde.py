@@ -283,6 +283,16 @@ class TestSimulate:
         assert ens.x.shape[0] == 3
         np.testing.assert_allclose(ens.times, [0.0, 0.5, 1.0])
 
+    def test_snapshot_steps_are_sorted_unique_grid_steps(self):
+        # round half to even: 0.125 / 0.25 = 0.5 is step 0, 0.375 / 0.25 = 1.5 step 2
+        cfg = _config(dt=0.25, record_mode="snapshots", snapshot_times=(1.0, 0.375, 0.125, 0.5))
+        steps = cfg.record_steps()
+        np.testing.assert_array_equal(steps, [0, 2, 4])
+        assert steps.dtype.kind == "i"
+        for t in (-0.2, 1.2, float("nan")):
+            with pytest.raises(ValueError, match=f"snapshot time {t} outside"):
+                _config(record_mode="snapshots", snapshot_times=(0.5, t)).record_steps()
+
     def test_crossings_mode_drops_paths(self):
         cfg = _config(record_mode="crossings_and_final")
         ens = simulate_ensemble(cfg)
