@@ -212,8 +212,8 @@ def fp_solve(model: ModelSpec, grid: FpGrid, t_final: float,
     """
     if not isinstance(model, Eigenstate):
         raise TypeError("fp_solve supports eigenstate models only")
-    if t_final < 0:
-        raise ValueError("t_final must be >= 0")
+    if not 0 <= t_final < math.inf:
+        raise ValueError("t_final must be finite and >= 0")
     rho0 = fp_initial(model.n, grid)
     mass0 = float(np.sum(rho0) * grid.hx * grid.hy)
     solution = FpSolution(grid=grid, t=0.0, rho=rho0, total_mass=mass0, initial_mass=mass0)

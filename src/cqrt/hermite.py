@@ -4,41 +4,74 @@ The three-term recurrence H_{k+1}(z) = 2 z H_k(z) - 2 k H_{k-1}(z) grows past
 1e150 well before n = 70 at moderate |z|, so raw values are useless in double
 precision.  Everything downstream only needs the ratio H_{n-1}/H_n or the
 log-magnitude, both of which survive a running rescale of the pair.
+
+The rescale multiplies the pair by a power of two, which is exact: the
+recurrence commutes with it, so the ratio and the near-node mask do not
+depend on when or whether it happens.  Every value stays finite for n <= 70
+and |z| below about 1e207; see _recurrence_pair for the bound.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .errors import NearNode
 
-# Rescale the recurrence pair once its magnitude passes this threshold.
-RESCALE_THRESHOLD = 1e100
+#: the recurrence pair is rescaled where its magnitude passes 2**333 = 1.75e100
+RESCALE_THRESHOLD = 2.0**333
+
+# bits by which a pair below RESCALE_THRESHOLD may grow and stay below half the
+# largest double (about 690)
+_HEADROOM_BITS = math.log2(np.finfo(float).max / RESCALE_THRESHOLD) - 1.0
 
 # |H_n| below scale * NEAR_NODE_RTOL means the ratio has no correct digits.
 NEAR_NODE_RTOL = 1e-12
 
 
 def _recurrence_pair(n, z):
-    """Run the recurrence up to H_n, rescaling in place.
+    """Run the recurrence up to H_n, rescaling in place by powers of two.
 
-    Returns (h_prev, h_cur, log_scale) where H_{n-1} = h_prev * exp(log_scale)
-    and H_n = h_cur * exp(log_scale), elementwise over z.
+    Returns (h_prev, h_cur, exp2) where H_{n-1} = h_prev * 2**exp2 and
+    H_n = h_cur * 2**exp2, elementwise over z; exp2 is an integer array.
+
+    The magnitude m = max(|h_prev|, |h_cur|) is tested once every `cadence`
+    steps, and where m > RESCALE_THRESHOLD both values are multiplied by
+    2**-e, e the binary exponent of m.  Since |H_{k+1}| <= (2|z| + 2k)
+    max(|H_k|, |H_{k-1}|), a step grows m by at most g = 2 max|z| + 2n, the
+    maximum over the finite z.  So cadence = floor(690 / log2 g) steps from
+    m <= 2**333 keep m, and every product of the step, below 2**1023.  The
+    cadence is at least 1, so the values are finite for log2 g < 690, that
+    is |z| < 2**689 (about 2e207).  At |z| <= 20 and n <= 70 the cadence
+    exceeds n, and the pair is tested once, at the start.
     """
     z = np.asarray(z, dtype=complex)
-    h_prev = np.ones_like(z)
-    h_cur = 2.0 * z
-    log_scale = np.zeros(z.shape)
+    h_prev = np.ones(z.shape, dtype=complex)
+    h_cur = np.multiply(z, 2.0, out=np.empty(z.shape, dtype=complex))
+    exp2 = np.zeros(z.shape, dtype=int)
+    if n < 2:
+        return h_prev, h_cur, exp2
+    size = np.abs(z)
+    growth = 2.0 * np.max(size, initial=0.0, where=np.isfinite(size)) + 2.0 * n
+    cadence = max(1, int(_HEADROOM_BITS // math.log2(growth)))
+    two_z = h_cur.copy()
+    step = np.empty(z.shape, dtype=complex)
     for k in range(1, n):
-        h_prev, h_cur = h_cur, 2.0 * z * h_cur - 2.0 * k * h_prev
-        mag = np.maximum(np.abs(h_prev), np.abs(h_cur))
-        big = mag > RESCALE_THRESHOLD
-        if np.any(big):
-            factor = np.where(big, mag, 1.0)
-            h_prev = h_prev / factor
-            h_cur = h_cur / factor
-            log_scale = log_scale + np.where(big, np.log(factor), 0.0)
-    return h_prev, h_cur, log_scale
+        if (k - 1) % cadence == 0:
+            mag = np.maximum(np.abs(h_prev), np.abs(h_cur))
+            big = mag > RESCALE_THRESHOLD
+            if np.any(big):
+                e = np.frexp(mag)[1]
+                scale = np.ldexp(1.0, -e)
+                np.multiply(h_prev, scale, out=h_prev, where=big)
+                np.multiply(h_cur, scale, out=h_cur, where=big)
+                np.add(exp2, e, out=exp2, where=big)
+        np.multiply(two_z, h_cur, out=step)
+        np.multiply(h_prev, 2.0 * k, out=h_prev)
+        np.subtract(step, h_prev, out=h_prev)
+        h_prev, h_cur = h_cur, h_prev
+    return h_prev, h_cur, exp2
 
 
 def hermite_ratio_masked(n, z):
@@ -58,7 +91,7 @@ def hermite_ratio_masked(n, z):
 
 
 def hermite_ratio(n: int, z):
-    """H_{n-1}(z)/H_n(z), stable for n <= 70 and |z| <= 20.
+    """H_{n-1}(z)/H_n(z), finite for n <= 70 and |z| below about 1e207.
 
     Raises NearNode if any evaluation point is numerically a zero of H_n.
     Accepts scalars or arrays.
@@ -80,9 +113,9 @@ def hermite_log_abs(n, z):
     z = np.asarray(z, dtype=complex)
     if n == 0:
         return np.zeros(z.shape)
-    _, h_cur, log_scale = _recurrence_pair(n, z)
+    _, h_cur, exp2 = _recurrence_pair(n, z)
     with np.errstate(divide="ignore"):
-        return np.log(np.abs(h_cur)) + log_scale
+        return np.log(np.abs(h_cur)) + exp2 * math.log(2.0)
 
 
 def hermite_real_roots(n: int) -> np.ndarray:

@@ -30,7 +30,7 @@ from .wavefield import ModelSpec, log_derivative_masked
 #: complex noise factor; its square is exactly -i (the diffusion coefficient)
 NOISE_FACTOR = (-1.0 + 1.0j) / math.sqrt(2.0)
 
-#: |z| beyond which a path is declared diverged
+#: |z| beyond which a path is declared diverged (a NaN position diverges too)
 BLOWUP_THRESHOLD = 1e6
 
 #: fraction of diverged paths above which simulate_ensemble fails
@@ -203,10 +203,10 @@ class SimulationConfig:
     drift_cap: float = 10.0
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be > 0")
-        if self.t_final < self.dt:
-            raise ValueError("t_final must be >= dt")
+        if not 0 < self.dt < math.inf:
+            raise ValueError("dt must be finite and > 0")
+        if not self.dt <= self.t_final < math.inf:
+            raise ValueError("t_final must be finite and >= dt")
         if self.n_trajectories < 1:
             raise ValueError("n_trajectories must be >= 1")
         if len(self.initial_points) == 0:
@@ -215,8 +215,8 @@ class SimulationConfig:
             raise ValueError(f"record_mode must be one of {RECORD_MODES}")
         if self.record_mode == "snapshots" and not self.snapshot_times:
             raise ValueError("snapshots record mode needs snapshot_times")
-        if self.drift_cap <= 0:
-            raise ValueError("drift_cap must be > 0")
+        if not 0 < self.drift_cap < math.inf:
+            raise ValueError("drift_cap must be finite and > 0")
         pts = np.asarray(self.initial_points, dtype=complex)
         if not np.all(np.isfinite(pts.real)) or not np.all(np.isfinite(pts.imag)):
             raise ValueError("initial points must have finite components")
@@ -421,8 +421,8 @@ def _integrate_chunk(config: SimulationConfig, lo: int, hi: int):
         capped += int(np.count_nonzero(over & alive))
         near_nodes += int(np.count_nonzero(near & alive))
         z = np.where(alive, z_new, z)
-        blown = alive & (np.abs(z) > BLOWUP_THRESHOLD)
-        alive &= ~blown
+        # a path lives while |z| is within the threshold, so NaN diverges too
+        alive &= np.abs(z) <= BLOWUP_THRESHOLD
 
         y_new = z.imag
         x_new = z.real

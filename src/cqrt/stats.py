@@ -13,6 +13,7 @@ and a snapshot at t is the step round(t / dt) * dt that --snapshots records.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -119,7 +120,10 @@ def select_window(times, values, window) -> np.ndarray:
 
 
 def step_time(t: float, dt: float) -> float:
-    """round(t / dt) * dt: the time of the step that records snapshot time t."""
+    """round(t / dt) * dt: the time of the step that records snapshot time t.
+    Raises ValueError for a time that is not finite."""
+    if not math.isfinite(t):
+        raise ValueError(f"time {t} is not finite")
     return round(t / dt) * dt
 
 

@@ -375,9 +375,17 @@ class TestExitCodes:
         ["simulate", "--model", "eigenstate:1", "--record", "crossings", "--snapshots", "0.5"],
         ["simulate", "--model", "eigenstate:1", "--record", "snapshots"],
         ["simulate", "--model", "eigenstate:1", "--snapshots", "inf"],
+        # non-finite numbers are rejected before any step count is rounded
+        ["simulate", "--model", "eigenstate:1", "--t", "inf"],
+        ["simulate", "--model", "eigenstate:1", "--drift-cap", "nan"],
+        ["fpe", "--n", "1", "--t", "inf"],
+        ["analyze", "--pool", "snapshot-pool", "--set", "snapshot", "--t", "inf"],
     ])
     def test_bad_values_are_usage_errors(self, tmp_path, argv):
-        argv = [str(tmp_path / arg) if arg == "missing-pool" else arg for arg in argv]
+        if "snapshot-pool" in argv:
+            assert _run_simulate(tmp_path / "snapshot-pool", extra=("--snapshots", "0.5")) == 0
+        argv = [str(tmp_path / arg) if arg in ("missing-pool", "snapshot-pool") else arg
+                for arg in argv]
         assert main(argv + ["--out", str(tmp_path / "o")]) == 1
         assert not (tmp_path / "o").exists()
 

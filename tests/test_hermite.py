@@ -1,11 +1,24 @@
 """Hermite recurrence: exact small cases, a frozen big-float value, node
-detection, and overflow headroom at n = 70."""
+detection, overflow headroom at n = 70, and the power-of-two rescaling against
+the per-step rescaling recurrence it replaced."""
 
 import numpy as np
 import pytest
 
-from cqrt import NearNode, hermite_log_abs, hermite_ratio, hermite_real_roots
-from cqrt.hermite import hermite_ratio_masked
+from cqrt import (
+    Eigenstate,
+    NearNode,
+    SimulationConfig,
+    hermite_log_abs,
+    hermite_ratio,
+    hermite_real_roots,
+    sample_eigenstate_positions,
+    simulate_ensemble,
+)
+from cqrt.hermite import NEAR_NODE_RTOL, hermite_ratio_masked
+from cqrt.sde import BLOWUP_THRESHOLD
+
+EPS = np.finfo(float).eps
 
 # H_69/H_70 at 3 + 0.5i, frozen from a 260-bit mpmath evaluation of the raw
 # polynomial recurrence (see test_matches_bigfloat_oracle for the live check).
@@ -79,3 +92,88 @@ def test_vectorized_matches_scalar():
     for i, zi in enumerate(z):
         scalar = hermite_ratio(7, complex(zi))
         assert abs(scalar - vec[i]) <= 1e-15 * abs(scalar)
+
+
+def _per_step_reference(n, z):
+    """The recurrence as it was before the power-of-two rescale: magnitude
+    tested after every step, and the pair divided by it past 1e100.  Returns
+    (ratio, near, log_abs, rescaled), rescaled marking where it ever divided."""
+    z = np.asarray(z, dtype=complex)
+    h_prev = np.ones_like(z)
+    h_cur = 2.0 * z
+    log_scale = np.zeros(z.shape)
+    rescaled = np.zeros(z.shape, dtype=bool)
+    for k in range(1, n):
+        h_prev, h_cur = h_cur, 2.0 * z * h_cur - 2.0 * k * h_prev
+        mag = np.maximum(np.abs(h_prev), np.abs(h_cur))
+        big = mag > 1e100
+        if np.any(big):
+            factor = np.where(big, mag, 1.0)
+            h_prev = h_prev / factor
+            h_cur = h_cur / factor
+            log_scale = log_scale + np.where(big, np.log(factor), 0.0)
+            rescaled |= big
+    scale = np.maximum(np.abs(h_prev), np.abs(h_cur))
+    near = np.abs(h_cur) <= scale * NEAR_NODE_RTOL
+    ratio = np.where(near, 0.0, h_prev) / np.where(near, 1.0, h_cur)
+    return ratio, near, np.log(np.abs(h_cur)) + log_scale, rescaled
+
+
+def _kernel_points():
+    """Born n = 70 launches, N(0, 7^2) in both parts, and rings of radius 20
+    up to 1e100."""
+    rng = np.random.default_rng(5)
+    born = sample_eigenstate_positions(70, 2000, 7) + 0j
+    normal = rng.normal(0.0, 7.0, 2000) + 1j * rng.normal(0.0, 7.0, 2000)
+    phases = np.exp(2j * np.pi * rng.random(100))
+    rings = [r * phases for r in (20.0, 1e6, 1.1e6, 1e30, 1e100)]
+    return np.concatenate([born, normal, *rings])
+
+
+@pytest.mark.parametrize("n", [1, 8, 9, 16, 17, 70])
+def test_power_of_two_rescale_matches_per_step_reference(n):
+    mp = pytest.importorskip("mpmath")
+    mp.mp.prec = 260
+    z = _kernel_points()
+    ref_ratio, ref_near, ref_log, rescaled = _per_step_reference(n, z)
+    ratio, near = hermite_ratio_masked(n, z)
+    log_abs = hermite_log_abs(n, z)
+    # bit-equal wherever the reference never rescaled
+    kept = ~rescaled
+    assert np.count_nonzero(kept) >= 2000
+    np.testing.assert_array_equal(ratio[kept], ref_ratio[kept])
+    np.testing.assert_array_equal(near[kept], ref_near[kept])
+    np.testing.assert_array_equal(log_abs[kept], ref_log[kept])
+    # within 4 ulp elsewhere
+    np.testing.assert_array_equal(near, ref_near)
+    moved = rescaled & ~near
+    assert np.all(np.abs(ratio - ref_ratio)[moved] <= 4 * EPS * np.abs(ref_ratio)[moved])
+    # finite wherever the reference is
+    assert np.all(np.isfinite(ratio[np.isfinite(ref_ratio)]))
+    assert np.all(np.isfinite(log_abs[np.isfinite(ref_log)]))
+    # where the reference rescaled its sum of logs carries up to one rounding
+    # per rescale, so the rescaled log magnitudes are held to 260-bit values
+    for zi, value in zip(z[rescaled], log_abs[rescaled]):
+        exact = float(mp.log(abs(mp.hermite(n, mp.mpc(zi)))))
+        assert abs(value - exact) <= 4 * EPS * abs(exact), zi
+
+
+def test_ratio_at_blowup_threshold_matches_bigfloat():
+    mp = pytest.importorskip("mpmath")
+    mp.mp.prec = 260
+    z = BLOWUP_THRESHOLD * np.exp(2j * np.pi * np.arange(16) / 16)
+    ratio, near = hermite_ratio_masked(70, z)
+    assert not near.any()
+    for zi, value in zip(z, ratio):
+        zm = mp.mpc(zi)
+        exact = complex(mp.hermite(69, zm) / mp.hermite(70, zm))
+        assert abs(value - exact) <= 4 * EPS * abs(exact)
+
+
+def test_far_launch_still_diverges_at_n70():
+    launches = (1e40 + 0j, *(sample_eigenstate_positions(70, 199, 7) + 0j))
+    ens = simulate_ensemble(SimulationConfig(
+        model=Eigenstate(70), dt=0.05 / 141, t_final=0.01, initial_points=launches,
+        n_trajectories=200, master_seed=42, record_mode="crossings_and_final"))
+    assert ens.n_diverged == 1
+    assert not ens.alive[0]

@@ -17,12 +17,14 @@ from cqrt import (
     derive_seed,
     em_step,
     noise_increment,
+    sample_eigenstate_positions,
     simulate_ensemble,
     simulate_trajectory,
     split_step,
     standard_normals,
 )
 from cqrt.sde import CHUNK_SIZE, NoiseStreams, derive_seeds
+from cqrt.wavefield import log_derivative_masked
 
 
 class TestNoise:
@@ -317,6 +319,25 @@ class TestSimulate:
         with pytest.raises(NumericalBlowup):
             simulate_trajectory(cfg, 0)
 
+    def test_nan_position_counts_as_diverged(self, monkeypatch):
+        # from t = 0.5 on, path 0's drift is NaN, as an overflowing kernel gives
+        def poisoned(model, t, z):
+            g, near = log_derivative_masked(model, t, z)
+            if t >= 0.5:
+                g = g.copy()
+                g[0] = complex("nan")
+            return g, near
+
+        cfg = _config(n_trajectories=200)
+        clean = simulate_ensemble(cfg)
+        assert np.any(clean.crossing_ids == 0)
+        monkeypatch.setattr("cqrt.sde.log_derivative_masked", poisoned)
+        ens = simulate_ensemble(cfg)
+        assert ens.n_diverged == 1
+        assert not ens.alive[0]
+        assert not np.any(ens.crossing_ids == 0)
+        np.testing.assert_array_equal(ens.alive[1:], clean.alive[1:])
+
     def test_capped_steps_reported(self):
         # trajectories forced through the node region get capped at least once
         cfg = _config(model=Eigenstate(1), n_trajectories=2000, t_final=0.5,
@@ -388,6 +409,10 @@ class TestSimulate:
             _config(record_mode="sometimes")
         with pytest.raises(ValueError):
             _config(record_mode="snapshots", snapshot_times=())
+        for bad in (dict(dt=math.nan), dict(t_final=math.inf), dict(t_final=math.nan),
+                    dict(drift_cap=math.nan), dict(drift_cap=math.inf), dict(drift_cap=0.0)):
+            with pytest.raises(ValueError, match="finite"):
+                _config(**bad)
 
 
 class TestCrossingInterpolation:
@@ -410,3 +435,40 @@ class TestCrossingInterpolation:
         x, frac = crossing_interpolation(x0, y0, x1, y1)
         assert np.all((frac > 0) & (frac < 1))
         assert np.all((x >= np.minimum(x0, x1) - 1e-12) & (x <= np.maximum(x0, x1) + 1e-12))
+
+
+class TestGroundStateMomentOracle:
+    """For n = 0 the Euler step is linear, z' = (1 + i dt) z + NOISE_FACTOR xi
+    sqrt(dt), and NOISE_FACTOR**2 = -i, so m = E z**2 obeys the exact recursion
+    m <- (1 + i dt)**2 m - i dt from the Born launch value m_0 = 1/2.  Its fixed
+    point 1/(2 + i dt) leaves the continuum value 1/2 at O(dt).  The ensemble
+    mean of z**2 must match the recursion within 4 standard errors per
+    component.
+    """
+
+    TIMES = (0.5, 1.0, 2.0)
+
+    @staticmethod
+    def _recursion(dt, steps):
+        m = 0.5 + 0j
+        for _ in range(steps):
+            m = (1.0 + 1j * dt) ** 2 * m - 1j * dt
+        return m
+
+    @pytest.mark.parametrize("dt", [0.01, 0.05])
+    def test_mean_z_squared_follows_recursion(self, dt):
+        n = 40_000
+        launches = sample_eigenstate_positions(0, n, 7)
+        ens = simulate_ensemble(SimulationConfig(
+            model=Eigenstate(0), dt=dt, t_final=max(self.TIMES), initial_points=tuple(launches),
+            n_trajectories=n, master_seed=42, record_mode="snapshots",
+            snapshot_times=self.TIMES))
+        assert ens.capped_steps == 0
+        assert ens.n_diverged == 0
+        for row, t in enumerate(self.TIMES):
+            z2 = (ens.x[row] + 1j * ens.y[row]) ** 2
+            expected = self._recursion(dt, round(t / dt))
+            assert abs(expected - 0.5) <= dt  # the chain's weak error is O(dt)
+            for part in (np.real, np.imag):
+                se = np.std(part(z2), ddof=1) / math.sqrt(n)
+                assert abs(np.mean(part(z2)) - part(expected)) <= 4 * se, (t, part.__name__)
