@@ -26,6 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InstabilityDetected, ZeroMass
+from .sde import check_drift_cap
 from .stats import EmpiricalDensity
 from .wavefield import Eigenstate, ModelSpec, log_derivative_masked
 from .hermite import hermite_log_abs
@@ -129,6 +130,7 @@ def drift_field(model: ModelSpec, grid: FpGrid, drift_cap: float = 10.0):
     """
     if not isinstance(model, Eigenstate):
         raise TypeError("drift_field supports eigenstate models only")
+    check_drift_cap(drift_cap)
     x, y = grid.meshgrid()
     g, near = log_derivative_masked(model, 0.0, x + 1j * y)
     ux = np.where(near, 0.0, np.imag(g))
@@ -214,6 +216,7 @@ def fp_solve(model: ModelSpec, grid: FpGrid, t_final: float,
         raise TypeError("fp_solve supports eigenstate models only")
     if not 0 <= t_final < math.inf:
         raise ValueError("t_final must be finite and >= 0")
+    check_drift_cap(drift_cap)
     rho0 = fp_initial(model.n, grid)
     mass0 = float(np.sum(rho0) * grid.hx * grid.hy)
     solution = FpSolution(grid=grid, t=0.0, rho=rho0, total_mass=mass0, initial_mass=mass0)

@@ -8,10 +8,11 @@ Reproducibility contract: an Ensemble is a pure function of its
 SimulationConfig.  Trajectory i owns an independent noise stream: the outputs
 of numpy's PCG64(SeedSequence(derive_seed(master_seed, i))), where derive_seed
 is a SplitMix64 avalanche.  Each draw is mapped to a normal by inverse CDF over
-the 53-bit uniform ((raw >> 11) + 0.5) * 2**-53.  The integrator generates the
-streams of a whole chunk together, one row per Euler step (NoiseStreams), and
-they equal standard_normals draw for draw, so results are bit-identical across
-runs, platforms, chunk sizes, and thread counts.
+the 53-bit uniform ((raw >> 11) + 0.5) * 2**-53, clamped to 1 - 2**-53 (see
+_uniform_normals).  The integrator generates the streams of a whole chunk
+together, one row per Euler step (NoiseStreams), and they equal
+standard_normals draw for draw, so results are bit-identical across runs,
+platforms, chunk sizes, and thread counts.
 """
 
 from __future__ import annotations
@@ -75,8 +76,9 @@ def derive_seed(master_seed: int, index: int) -> int:
 
 def _uniform_normals(k53) -> np.ndarray:
     """Inverse-CDF normals of 53-bit integers via the uniform (k + 0.5) * 2**-53,
-    which never reaches 0 or 1."""
-    return ndtri((k53.astype(np.float64) + 0.5) * 2.0**-53)
+    clamped to 1 - 2**-53: k = 2**53 - 1 alone would round to 1 and give +inf.
+    The uniform lies in [2**-54, 1 - 2**-53], so every normal is finite."""
+    return ndtri(np.minimum((k53.astype(np.float64) + 0.5) * 2.0**-53, 1.0 - 2.0**-53))
 
 
 def standard_normals(master_seed: int, traj_index: int, count: int) -> np.ndarray:
@@ -188,6 +190,12 @@ def crossing_interpolation(x_prev, y_prev, x_new, y_new):
     return x_prev + (x_new - x_prev) * frac, frac
 
 
+def check_drift_cap(drift_cap: float) -> None:
+    """A drift cap must be finite and > 0; a NaN cap would cap nothing."""
+    if not 0 < drift_cap < math.inf:
+        raise ValueError("drift_cap must be finite and > 0")
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """Everything needed to reproduce an ensemble bit for bit."""
@@ -213,10 +221,9 @@ class SimulationConfig:
             raise ValueError("initial_points must be nonempty")
         if self.record_mode not in RECORD_MODES:
             raise ValueError(f"record_mode must be one of {RECORD_MODES}")
-        if self.record_mode == "snapshots" and not self.snapshot_times:
-            raise ValueError("snapshots record mode needs snapshot_times")
-        if not 0 < self.drift_cap < math.inf:
-            raise ValueError("drift_cap must be finite and > 0")
+        if (self.record_mode == "snapshots") != bool(self.snapshot_times):
+            raise ValueError("snapshot_times are needed in snapshots mode and nowhere else")
+        check_drift_cap(self.drift_cap)
         pts = np.asarray(self.initial_points, dtype=complex)
         if not np.all(np.isfinite(pts.real)) or not np.all(np.isfinite(pts.imag)):
             raise ValueError("initial points must have finite components")
@@ -266,7 +273,7 @@ class Trajectory:
 
 @dataclass
 class Ensemble:
-    """Merged result of all trajectories of one configuration.
+    """The result of all trajectories of one configuration.
 
     x/y hold recorded real and imaginary parts with shape (n_records,
     n_trajectories); in "crossings_and_final" mode they are None.  Crossing
@@ -374,135 +381,98 @@ def split_step(model: ModelSpec, t: float, x, y, dt: float, xi, drift_cap: float
     return (float(out.real), float(out.imag)) if scalar else (out.real, out.imag)
 
 
-def _integrate_chunk(config: SimulationConfig, lo: int, hi: int):
-    """Integrate trajectories [lo, hi); returns this chunk's records and pools."""
+def _integrate_chunk(ens: Ensemble, lo: int, hi: int, column: int):
+    """Integrate trajectories [lo, hi) of ens.config into columns [column,
+    column + hi - lo) of ens's records, final_x, final_y and alive.
+
+    Returns (crossings, capped, near_node): crossings is [times, x, ids] of
+    the axis points of the paths still alive at the end.  A diverged path
+    stays frozen where it left the threshold, and the drift is evaluated at 0
+    in its place.
+    """
+    config = ens.config
     if not 0 <= lo < hi <= config.n_trajectories:
         raise ValueError(f"trajectories [{lo}, {hi}) outside [0, {config.n_trajectories})")
-    n = hi - lo
-    n_steps = config.n_steps
+    cols = slice(column, column + hi - lo)
     dt = config.dt
     ids = np.arange(lo, hi)
-
-    init = np.asarray(config.initial_points, dtype=complex)
-    z = init[ids % len(init)]
-
+    z = np.asarray(config.initial_points, dtype=complex)[ids % len(config.initial_points)]
     noise = NoiseStreams(derive_seeds(config.master_seed, ids))
-
-    rec_steps = config.record_steps()
-    recorded = np.zeros(n_steps + 1, dtype=bool)
-    recorded[rec_steps] = True
-    xs = np.empty((rec_steps.size, n)) if rec_steps.size else None
-    ys = np.empty((rec_steps.size, n)) if rec_steps.size else None
-    rec_row = 0
-    if recorded[0]:
-        xs[rec_row] = z.real
-        ys[rec_row] = z.imag
-        rec_row += 1
-
-    cross_t, cross_x, cross_id = [], [], []
-    # a recorded point with y exactly 0 is itself an axis point, emitted once
+    rows = {step: row for row, step in enumerate(config.record_steps())}
+    if 0 in rows:
+        ens.x[0, cols], ens.y[0, cols] = z.real, z.imag
+    # a launch with y exactly 0 is itself an axis point, emitted once
     on_axis = z.imag == 0.0
-    if np.any(on_axis):
-        cross_t.append(np.zeros(int(on_axis.sum())))
-        cross_x.append(z.real[on_axis].copy())
-        cross_id.append(ids[on_axis])
+    crossings = [(np.zeros(int(on_axis.sum())), z.real[on_axis], ids[on_axis])]
+    alive = ens.alive[cols]
+    last_dir = np.zeros(hi - lo, dtype=complex)
+    capped = near_nodes = 0
 
-    alive = np.ones(n, dtype=bool)
-    last_dir = np.zeros(n, dtype=complex)
-    capped = 0
-    near_nodes = 0
-    y_prev = z.imag.copy()
-    x_prev = z.real.copy()
-
-    for j in range(n_steps):
+    for j in range(config.n_steps):
         t = j * dt
-        z_new, over, near, last_dir = _step(config.model, t, z, dt, noise.normals(),
-                                            config.drift_cap, last_dir)
+        z_new, over, near, last_dir = _step(config.model, t, np.where(alive, z, 0.0), dt,
+                                            noise.normals(), config.drift_cap, last_dir)
         capped += int(np.count_nonzero(over & alive))
         near_nodes += int(np.count_nonzero(near & alive))
-        z = np.where(alive, z_new, z)
+        z_prev, z = z, np.where(alive, z_new, z)
         # a path lives while |z| is within the threshold, so NaN diverges too
         alive &= np.abs(z) <= BLOWUP_THRESHOLD
 
-        y_new = z.imag
-        x_new = z.real
-        flip = (y_prev * y_new < 0.0) & alive
+        flip = (z_prev.imag * z.imag < 0.0) & alive
         if np.any(flip):
-            x_cross, frac = crossing_interpolation(x_prev[flip], y_prev[flip],
-                                                   x_new[flip], y_new[flip])
-            cross_t.append(t + dt * frac)
-            cross_x.append(x_cross)
-            cross_id.append(ids[flip])
-        touch = (y_new == 0.0) & alive
+            x_cross, frac = crossing_interpolation(z_prev.real[flip], z_prev.imag[flip],
+                                                   z.real[flip], z.imag[flip])
+            crossings.append((t + dt * frac, x_cross, ids[flip]))
+        touch = (z.imag == 0.0) & alive
         if np.any(touch):
-            cross_t.append(np.full(int(touch.sum()), t + dt))
-            cross_x.append(x_new[touch].copy())
-            cross_id.append(ids[touch])
+            crossings.append((np.full(int(touch.sum()), t + dt), z.real[touch], ids[touch]))
+        row = rows.get(j + 1)
+        if row is not None:
+            ens.x[row, cols], ens.y[row, cols] = z.real, z.imag
 
-        if recorded[j + 1]:
-            xs[rec_row] = x_new
-            ys[rec_row] = y_new
-            rec_row += 1
-        x_prev, y_prev = x_new, y_new
-
+    ens.final_x[cols], ens.final_y[cols] = z.real, z.imag
     # pools exclude paths that later diverged
-    if cross_t:
-        ct = np.concatenate(cross_t)
-        cx = np.concatenate(cross_x)
-        ci = np.concatenate(cross_id)
-        keep = alive[ci - lo]
-        ct, cx, ci = ct[keep], cx[keep], ci[keep]
+    crossings = [np.concatenate(c) for c in zip(*crossings)]
+    keep = alive[crossings[2] - lo]
+    return [c[keep] for c in crossings], capped, near_nodes
+
+
+def _run(config: SimulationConfig, lo: int, hi: int, threads: int) -> Ensemble:
+    """The Ensemble of trajectories [lo, hi), run in chunks of CHUNK_SIZE on
+    `threads` threads (0: one per core): column c holds trajectory lo + c,
+    and the crossings join in chunk order."""
+    bounds = [(a, min(a + CHUNK_SIZE, hi)) for a in range(lo, hi, CHUNK_SIZE)]
+    threads = threads or min(len(bounds), os.cpu_count() or 1)
+    n = hi - lo
+    times = config.record_times
+    x, y = np.empty((2, times.size, n)) if times.size else (None, None)
+    ens = Ensemble(config=config, times=times, x=x, y=y, crossing_times=None, crossing_x=None,
+                   crossing_ids=None, final_x=np.empty(n), final_y=np.empty(n),
+                   alive=np.ones(n, dtype=bool), capped_steps=0, near_node_steps=0)
+    if threads <= 1 or len(bounds) == 1:
+        parts = [_integrate_chunk(ens, a, b, a - lo) for a, b in bounds]
     else:
-        ct = np.empty(0)
-        cx = np.empty(0)
-        ci = np.empty(0, dtype=int)
-
-    return dict(xs=xs, ys=ys, ct=ct, cx=cx, ci=ci, alive=alive,
-                fx=z.real.copy(), fy=z.imag.copy(), capped=capped, near=near_nodes)
-
-
-def _merge(config: SimulationConfig, parts) -> Ensemble:
-    """Join chunk results in chunk order."""
-    xs = np.concatenate([p["xs"] for p in parts], axis=1) if parts[0]["xs"] is not None else None
-    ys = np.concatenate([p["ys"] for p in parts], axis=1) if parts[0]["ys"] is not None else None
-    return Ensemble(
-        config=config,
-        times=config.record_times,
-        x=xs,
-        y=ys,
-        crossing_times=np.concatenate([p["ct"] for p in parts]),
-        crossing_x=np.concatenate([p["cx"] for p in parts]),
-        crossing_ids=np.concatenate([p["ci"] for p in parts]).astype(int),
-        final_x=np.concatenate([p["fx"] for p in parts]),
-        final_y=np.concatenate([p["fy"] for p in parts]),
-        alive=np.concatenate([p["alive"] for p in parts]),
-        capped_steps=sum(p["capped"] for p in parts),
-        near_node_steps=sum(p["near"] for p in parts),
-    )
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(lambda b: _integrate_chunk(ens, *b, b[0] - lo), bounds))
+    crossings, capped, near = zip(*parts)
+    ens.crossing_times, ens.crossing_x, ens.crossing_ids = map(np.concatenate, zip(*crossings))
+    ens.capped_steps, ens.near_node_steps = sum(capped), sum(near)
+    return ens
 
 
 def simulate_ensemble(config: SimulationConfig, threads: int = 1) -> Ensemble:
-    """Run every trajectory of the configuration and merge the results.
+    """Run every trajectory of the configuration into one Ensemble.
 
     Trajectories are integrated in fixed-size chunks that may execute on any
-    number of threads (0: one per core); the merge is by chunk index, so the
+    number of threads (0: one per core).  Each chunk writes its own columns
+    of the Ensemble's arrays, and the crossings join in chunk order, so the
     output is bit-identical for every thread count.  Serial is the default
     because the chunks hold the interpreter lock for most of their time.
     Fails with NumericalBlowup if more than MAX_DIVERGED_FRACTION of the
     paths diverge.
     """
     n = config.n_trajectories
-    bounds = [(lo, min(lo + CHUNK_SIZE, n)) for lo in range(0, n, CHUNK_SIZE)]
-
-    if threads == 0:
-        threads = min(len(bounds), os.cpu_count() or 1)
-    if threads <= 1 or len(bounds) == 1:
-        parts = [_integrate_chunk(config, lo, hi) for lo, hi in bounds]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda b: _integrate_chunk(config, *b), bounds))
-
-    ens = _merge(config, parts)
+    ens = _run(config, 0, n, threads)
     if ens.n_diverged > MAX_DIVERGED_FRACTION * n:
         raise NumericalBlowup(
             f"{ens.n_diverged}/{n} trajectories diverged (>{MAX_DIVERGED_FRACTION:.0%})"
@@ -515,5 +485,4 @@ def simulate_trajectory(config: SimulationConfig, traj_index: int) -> Trajectory
     without the other paths.  Raises ValueError outside [0, n_trajectories)
     and NumericalBlowup if that path diverges.
     """
-    part = _integrate_chunk(config, traj_index, traj_index + 1)
-    return _merge(config, [part])._path(traj_index, 0)
+    return _run(config, traj_index, traj_index + 1, 1)._path(traj_index, 0)

@@ -380,6 +380,10 @@ class TestExitCodes:
         ["simulate", "--model", "eigenstate:1", "--drift-cap", "nan"],
         ["fpe", "--n", "1", "--t", "inf"],
         ["analyze", "--pool", "snapshot-pool", "--set", "snapshot", "--t", "inf"],
+        # a NaN cap would cap nothing; the FPE takes the integrator's rule
+        ["fpe", "--drift-cap", "nan", "--t", "0.5", "--grid", "21"],
+        ["fpe", "--drift-cap", "0", "--t", "0.5", "--grid", "21"],
+        ["fpe", "--drift-cap", "inf", "--t", "0.5", "--grid", "21"],
     ])
     def test_bad_values_are_usage_errors(self, tmp_path, argv):
         if "snapshot-pool" in argv:

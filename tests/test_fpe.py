@@ -112,6 +112,16 @@ class TestDriftField:
         with pytest.raises(TypeError):
             drift_field(GaussianPacket(1.0), FpGrid(L=2.0, nx=8, ny=8))
 
+    @pytest.mark.parametrize("cap", [math.nan, 0.0, -1.0, math.inf])
+    def test_bad_cap_rejected(self, cap):
+        # a NaN cap would cap nothing: speed > nan is False everywhere
+        grid = FpGrid(L=2.0, nx=8, ny=8)
+        with pytest.raises(ValueError, match="drift_cap"):
+            drift_field(Eigenstate(1), grid, drift_cap=cap)
+        for t_final in (0.0, 0.1):
+            with pytest.raises(ValueError, match="drift_cap"):
+                fp_solve(Eigenstate(1), grid, t_final, drift_cap=cap)
+
 
 class TestInitialCondition:
     def test_zero_at_origin_for_n1(self):

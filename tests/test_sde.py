@@ -2,6 +2,7 @@
 identity, one-step moments, reproducibility, and divergence accounting."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from cqrt import (
     split_step,
     standard_normals,
 )
-from cqrt.sde import CHUNK_SIZE, NoiseStreams, derive_seeds
+from cqrt.sde import BLOWUP_THRESHOLD, CHUNK_SIZE, NoiseStreams, _uniform_normals, derive_seeds
 from cqrt.wavefield import log_derivative_masked
 
 
@@ -184,6 +185,15 @@ class TestNoiseStreams:
             np.testing.assert_array_equal(drawn[:, col],
                                           standard_normals(master_seed, int(index), count))
 
+    def test_uniform_map_is_finite_at_both_ends(self):
+        # (k + 0.5) * 2**-53 rounds to exactly 1 at k = 2**53 - 1 alone; the map
+        # clamps that one value and equals the unclamped formula everywhere else
+        ends = np.array([0, 2**53 - 1], dtype=np.uint64)
+        assert np.all(np.isfinite(_uniform_normals(ends)))
+        k = np.array([0, 1, 2**52, 2**53 - 3, 2**53 - 2], dtype=np.uint64)
+        old = ndtri((k.astype(np.float64) + 0.5) * 2.0**-53)
+        assert _uniform_normals(k).tobytes() == old.tobytes()
+
     def test_raw_seeds_match_numpy(self):
         # 0 .. 2**32 - 1 are one SeedSequence entropy word, larger seeds two
         seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
@@ -234,16 +244,24 @@ class TestSimulate:
         np.testing.assert_array_equal(e1.crossing_x, e2.crossing_x)
 
     def test_thread_count_does_not_change_results(self):
+        # three chunks on four threads write disjoint columns of one Ensemble;
+        # a short switch interval interleaves them as often as it can
         cfg = _config(n_trajectories=20_000)
         serial = simulate_ensemble(cfg, threads=1)
-        threaded = simulate_ensemble(cfg, threads=4)
-        np.testing.assert_array_equal(serial.x, threaded.x)
-        np.testing.assert_array_equal(serial.crossing_x, threaded.crossing_x)
-        np.testing.assert_array_equal(serial.crossing_times, threaded.crossing_times)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threaded = simulate_ensemble(cfg, threads=4)
+        finally:
+            sys.setswitchinterval(interval)
+        for name in ("x", "y", "crossing_times", "crossing_x", "crossing_ids",
+                     "final_x", "final_y", "alive", "capped_steps", "near_node_steps"):
+            np.testing.assert_array_equal(getattr(serial, name), getattr(threaded, name))
 
     def test_single_trajectory_matches_ensemble_slice(self):
         for mode in ("full_path", "crossings_and_final", "snapshots"):
-            cfg = _config(n_trajectories=50, record_mode=mode, snapshot_times=(0.25, 1.0))
+            times = (0.25, 1.0) if mode == "snapshots" else ()
+            cfg = _config(n_trajectories=50, record_mode=mode, snapshot_times=times)
             ens = simulate_ensemble(cfg)
             for index in (0, 13, 49):
                 traj = simulate_trajectory(cfg, index)
@@ -332,11 +350,37 @@ class TestSimulate:
         clean = simulate_ensemble(cfg)
         assert np.any(clean.crossing_ids == 0)
         monkeypatch.setattr("cqrt.sde.log_derivative_masked", poisoned)
-        ens = simulate_ensemble(cfg)
+        # the step kernel normalises the NaN displacement into a direction
+        with pytest.warns(RuntimeWarning, match="invalid value encountered in divide"):
+            ens = simulate_ensemble(cfg)
         assert ens.n_diverged == 1
         assert not ens.alive[0]
         assert not np.any(ens.crossing_ids == 0)
         np.testing.assert_array_equal(ens.alive[1:], clean.alive[1:])
+
+    def test_diverged_path_leaves_the_drift(self, monkeypatch):
+        # path 0 launches at 1e40 and diverges in its first step; from then on
+        # the drift sees a finite stand-in for it, never its frozen position
+        launches = sample_eigenstate_positions(70, 199, 3)
+        cfg = _config(model=Eigenstate(70), dt=0.05 / 141, t_final=0.01, n_trajectories=200,
+                      initial_points=(1e40 + 0j,) + tuple(launches))
+        inputs = []
+
+        def recording(model, t, z):
+            inputs.append(np.array(z))
+            return log_derivative_masked(model, t, z)
+
+        monkeypatch.setattr("cqrt.sde.log_derivative_masked", recording)
+        ens = simulate_ensemble(cfg)
+        assert not ens.alive[0] and ens.final_x[0] == 1e40
+        assert len(inputs) == cfg.n_steps and abs(inputs[0][0]) == 1e40
+        for z in inputs[1:]:
+            assert np.all(np.isfinite(z)) and np.all(np.abs(z) <= BLOWUP_THRESHOLD)
+
+    def test_snapshot_times_need_snapshots_mode(self):
+        for mode in ("full_path", "crossings_and_final"):
+            with pytest.raises(ValueError, match="snapshot_times"):
+                _config(record_mode=mode, snapshot_times=(0.5,))
 
     def test_capped_steps_reported(self):
         # trajectories forced through the node region get capped at least once
@@ -438,37 +482,52 @@ class TestCrossingInterpolation:
 
 
 class TestGroundStateMomentOracle:
-    """For n = 0 the Euler step is linear, z' = (1 + i dt) z + NOISE_FACTOR xi
-    sqrt(dt), and NOISE_FACTOR**2 = -i, so m = E z**2 obeys the exact recursion
-    m <- (1 + i dt)**2 m - i dt from the Born launch value m_0 = 1/2.  Its fixed
-    point 1/(2 + i dt) leaves the continuum value 1/2 at O(dt).  The ensemble
-    mean of z**2 must match the recursion within 4 standard errors per
-    component.
+    """For n = 0 the Euler step is linear, z' = a z + NOISE_FACTOR xi sqrt(dt)
+    with a = 1 + i dt, and NOISE_FACTOR**2 = -i, so m2 = E z**2 obeys the exact
+    recursion m2 <- a**2 m2 - i dt from the Born launch value 1/2.  Its fixed
+    point 1/(2 + i dt) leaves the continuum value 1/2 at O(dt).  With
+    NOISE_FACTOR**4 = -1 and E xi**4 = 3, m4 = E z**4 obeys m4 <- a**4 m4
+    - 6i dt a**2 m2 - 3 dt**2 from the launch value 3/4.  On one ensemble per
+    dt, the means of z**2 and z**4 must match their chains within 4 standard
+    errors per component.
     """
 
     TIMES = (0.5, 1.0, 2.0)
+    N = 40_000
+
+    @pytest.fixture(scope="class", params=[0.01, 0.05])
+    def run(self, request):
+        dt = request.param
+        launches = sample_eigenstate_positions(0, self.N, 7)
+        return dt, simulate_ensemble(SimulationConfig(
+            model=Eigenstate(0), dt=dt, t_final=max(self.TIMES), initial_points=tuple(launches),
+            n_trajectories=self.N, master_seed=42, record_mode="snapshots",
+            snapshot_times=self.TIMES))
 
     @staticmethod
-    def _recursion(dt, steps):
-        m = 0.5 + 0j
+    def _chain(dt, steps):
+        """(E z**2, E z**4) after `steps` Euler steps from the Born launch."""
+        a = 1.0 + 1j * dt
+        m2, m4 = 0.5 + 0j, 0.75 + 0j
         for _ in range(steps):
-            m = (1.0 + 1j * dt) ** 2 * m - 1j * dt
-        return m
+            m2, m4 = a**2 * m2 - 1j * dt, a**4 * m4 - 6j * dt * a**2 * m2 - 3.0 * dt**2
+        return m2, m4
 
-    @pytest.mark.parametrize("dt", [0.01, 0.05])
-    def test_mean_z_squared_follows_recursion(self, dt):
-        n = 40_000
-        launches = sample_eigenstate_positions(0, n, 7)
-        ens = simulate_ensemble(SimulationConfig(
-            model=Eigenstate(0), dt=dt, t_final=max(self.TIMES), initial_points=tuple(launches),
-            n_trajectories=n, master_seed=42, record_mode="snapshots",
-            snapshot_times=self.TIMES))
+    def _assert_moment(self, run, power, launch_value, weak_error):
+        dt, ens = run
+        for row, t in enumerate(self.TIMES):
+            zk = (ens.x[row] + 1j * ens.y[row]) ** power
+            expected = self._chain(dt, round(t / dt))[power // 2 - 1]
+            assert abs(expected - launch_value) <= weak_error  # the chain's weak error is O(dt)
+            for part in (np.real, np.imag):
+                se = np.std(part(zk), ddof=1) / math.sqrt(self.N)
+                assert abs(np.mean(part(zk)) - part(expected)) <= 4 * se, (t, part.__name__)
+
+    def test_mean_z_squared_follows_recursion(self, run):
+        dt, ens = run
         assert ens.capped_steps == 0
         assert ens.n_diverged == 0
-        for row, t in enumerate(self.TIMES):
-            z2 = (ens.x[row] + 1j * ens.y[row]) ** 2
-            expected = self._recursion(dt, round(t / dt))
-            assert abs(expected - 0.5) <= dt  # the chain's weak error is O(dt)
-            for part in (np.real, np.imag):
-                se = np.std(part(z2), ddof=1) / math.sqrt(n)
-                assert abs(np.mean(part(z2)) - part(expected)) <= 4 * se, (t, part.__name__)
+        self._assert_moment(run, 2, 0.5, dt)
+
+    def test_mean_z_fourth_follows_recursion(self, run):
+        self._assert_moment(run, 4, 0.75, 2 * run[0])
