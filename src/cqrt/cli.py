@@ -34,7 +34,8 @@ import numpy as np
 from . import __version__
 from .errors import CqrtError, TimeNotRecorded
 from . import serialize
-from .fpe import FpGrid, fp_marginal_x, fp_solve, sample_initial_points
+from .fpe import (D_XX, D_YY, FpGrid, drift_field, fp_marginal_x, fp_solve,
+                  sample_initial_points)
 from .sde import SimulationConfig, simulate_ensemble
 from .stats import (
     EmpiricalDensity,
@@ -314,12 +315,19 @@ def cmd_fpe(args: argparse.Namespace) -> int:
     grid = FpGrid(L=args.L, nx=args.grid - 1, ny=args.grid - 1, dt_pde=args.dt_pde)
     solution = fp_solve(model, grid, args.t, drift_cap=args.drift_cap)
     marginal = fp_marginal_x(solution)
+    ux, uy = drift_field(model, grid, drift_cap=args.drift_cap)
+    speed_x, speed_y = float(np.abs(ux).max()), float(np.abs(uy).max())
 
     diagnostics = {
         "steps": solution.steps,
         "dt_pde": grid.dt_pde,
         "mass_change": solution.mass_change,
         "clipped_mass_fraction": solution.clipped_mass / max(solution.initial_mass, 1e-300),
+        # known before the march: the centered stencil can undershoot where the
+        # cell Peclet number exceeds 1, and mass moves past a cell per step
+        # once the Courant number exceeds 1
+        "courant": speed_x * grid.dt_pde / grid.hx + speed_y * grid.dt_pde / grid.hy,
+        "cell_peclet": max(speed_x * grid.hx / (2.0 * D_XX), speed_y * grid.hy / (2.0 * D_YY)),
     }
     outputs = {
         "field.csv": lambda path: serialize.write_field(path, grid.x_centers, grid.y_centers,

@@ -16,6 +16,12 @@ singularity at the origin.  Negative undershoot from the cross stencil is
 clipped to zero after each step and reported as a quality diagnostic: a large
 clipped fraction means the node vortices of the drift are under-resolved and
 the field cannot be trusted (seen for n = 3 on coarse grids).
+
+The per-cell floating-point operation order of fp_step is part of the output
+contract: fields, marginals and every digest downstream depend on it to the
+last bit.  A faster step may only use rewrites that are exact in IEEE double
+arithmetic (the ones in use are listed in fp_step's docstring); reordering a
+sum or a difference is not one of them.
 """
 
 from __future__ import annotations
@@ -166,7 +172,24 @@ def fp_step(solution: FpSolution, drift) -> FpSolution:
 
     Central differences throughout, 4-corner stencil for the cross
     derivative, zero-density ghost cells beyond all four edges.  Negative
-    undershoot is clipped to zero and accumulated into clipped_mass.
+    undershoot is clipped to zero and accumulated into clipped_mass.  A
+    field that grows more than MAX_STEP_GROWTH-fold in one step, or stops
+    being finite, raises InstabilityDetected.
+
+    The per-cell operation order is part of the output contract: every cell
+    evaluates
+
+        new = rho + dt * ((((-div_x - div_y) + D_XX lap_x) - cross / 2) + D_YY lap_y)
+
+    with div_x = (f[i+1] - f[i-1]) / (2 hx), lap_x = ((p[i+1] - 2 rho) + p[i-1]) / hx^2,
+    cross = (((p[j+1,i+1] - p[j+1,i-1]) - p[j-1,i+1]) + p[j-1,i-1]) / (4 hx hy),
+    in that association, and the terms are built in place in that order.
+    Three rewrites of it are exact and used here: D_XX (t / h^2) is
+    t / (h^2 / D_XX) and (t / (4 hx hy)) / 2 is t / (8 hx hy), because D_XX,
+    D_YY and 1/2 are powers of two (exact while the quotients stay normal);
+    and -div_x is (f[i-1] - f[i+1]) / (2 hx), which differs only in the sign
+    of a zero.  That sign cannot reach new while rho holds no -0, which
+    fp_initial and every clipped step guarantee.
     """
     grid = solution.grid
     hx, hy, dt = grid.hx, grid.hy, grid.dt_pde
@@ -174,21 +197,38 @@ def fp_step(solution: FpSolution, drift) -> FpSolution:
     ux, uy = drift
 
     p = np.pad(rho, 1)
-    fx = np.pad(ux * rho, 1)
-    fy = np.pad(uy * rho, 1)
-    div_x = (fx[1:-1, 2:] - fx[1:-1, :-2]) / (2.0 * hx)
-    div_y = (fy[2:, 1:-1] - fy[:-2, 1:-1]) / (2.0 * hy)
-    lap_x = (p[1:-1, 2:] - 2.0 * rho + p[1:-1, :-2]) / (hx * hx)
-    lap_y = (p[2:, 1:-1] - 2.0 * rho + p[:-2, 1:-1]) / (hy * hy)
-    cross = (p[2:, 2:] - p[2:, :-2] - p[:-2, 2:] + p[:-2, :-2]) / (4.0 * hx * hy)
+    flux = np.zeros_like(p)
+    inner = flux[1:-1, 1:-1]
+    two_rho = 2.0 * rho
 
-    new = rho + dt * (-div_x - div_y + D_XX * lap_x - 0.5 * cross + D_YY * lap_y)
+    np.multiply(ux, rho, out=inner)
+    acc = np.subtract(flux[1:-1, :-2], flux[1:-1, 2:])
+    acc /= 2.0 * hx
+    np.multiply(uy, rho, out=inner)
+    term = np.subtract(flux[2:, 1:-1], flux[:-2, 1:-1])
+    term /= 2.0 * hy
+    acc -= term
+    np.subtract(p[1:-1, 2:], two_rho, out=term)
+    term += p[1:-1, :-2]
+    term /= hx * hx / D_XX
+    acc += term
+    np.subtract(p[2:, 2:], p[2:, :-2], out=term)
+    term -= p[:-2, 2:]
+    term += p[:-2, :-2]
+    term /= 8.0 * hx * hy
+    acc -= term
+    np.subtract(p[2:, 1:-1], two_rho, out=term)
+    term += p[:-2, 1:-1]
+    term /= hy * hy / D_YY
+    acc += term
+    acc *= dt
+    new = np.add(rho, acc, out=acc)
 
-    peak = float(np.max(np.abs(new)))
-    prev_peak = max(float(np.max(np.abs(rho))), 1e-300)
-    if peak > MAX_STEP_GROWTH * prev_peak:
+    peak = max(float(new.max()), -float(new.min()))
+    prev_peak = max(float(rho.max()), -float(rho.min()), 1e-300)
+    if not peak <= MAX_STEP_GROWTH * prev_peak:
         raise InstabilityDetected(
-            f"field grew {peak / prev_peak:.1f}x in one step at t={solution.t:g}"
+            f"field peak went from {prev_peak:g} to {peak:g} in one step at t={solution.t:g}"
         )
 
     negative = new < 0.0

@@ -64,6 +64,7 @@ from cqrt import (
     split_step,
     standard_normals,
 )
+from cqrt.fpe import DT_REF
 from cqrt.stats import EmpiricalDensity, Reference
 
 SEED = 42
@@ -450,15 +451,23 @@ def _fpe_cross_validation(n, cells, dt_mc):
     density = build_density(xs, 100, eigenstate_bin_range(n))
     gamma = pearson(density, Reference(f"fp_marginal(n={n})",
                                        marginal_reference(solution))).gamma
-    return gamma, clip_fraction, pde_elapsed
+    return gamma, clip_fraction, pde_elapsed, ensemble.capped_steps
+
+
+def _capped_detail(capped, dt_mc):
+    # the default drift cap of 10 per sqrt(dt) is a speed of 10/sqrt(dt_mc)
+    # for the trajectories and 10/sqrt(DT_REF) for the field
+    return (f"capped_steps={capped} (trajectory speed cap {10 / math.sqrt(dt_mc):.0f}, "
+            f"field cap {10 / math.sqrt(DT_REF):.0f})")
 
 
 class TestCriterion6FokkerPlanckCrossValidation:
     def test_n1(self):
-        gamma, clip, elapsed = _fpe_cross_validation(1, cells=200, dt_mc=0.01)
+        gamma, clip, elapsed, capped = _fpe_cross_validation(1, cells=200, dt_mc=0.01)
         ok = gamma >= 0.985 and elapsed <= 120
         report("6a", ok, f"n=1 (201 grid lines): gamma={gamma:.4f} (>=0.985), "
-                         f"clipped={clip:.2%}, pde {elapsed:.0f}s")
+                         f"clipped={clip:.2%}, {_capped_detail(capped, 0.01)}, "
+                         f"pde {elapsed:.0f}s")
         assert gamma >= 0.985
         assert clip < 0.02
         assert elapsed <= 120.0
@@ -466,10 +475,11 @@ class TestCriterion6FokkerPlanckCrossValidation:
     def test_n3(self):
         # 200 cells is silently unstable for n = 3 (node vortices at +-1.22
         # under-resolved; ~70% of the mass gets clipped); 400 cells solves it
-        gamma, clip, elapsed = _fpe_cross_validation(3, cells=400, dt_mc=0.0025)
+        gamma, clip, elapsed, capped = _fpe_cross_validation(3, cells=400, dt_mc=0.0025)
         ok = gamma >= 0.985 and elapsed <= 120
         report("6b", ok, f"n=3 (401 grid lines): gamma={gamma:.4f} (>=0.985), "
-                         f"clipped={clip:.2%}, pde {elapsed:.0f}s")
+                         f"clipped={clip:.2%}, {_capped_detail(capped, 0.0025)}, "
+                         f"pde {elapsed:.0f}s")
         assert gamma >= 0.985
         assert clip < 0.02
         assert elapsed <= 120.0

@@ -295,6 +295,19 @@ class TestFpeCommand:
         gamma = json.loads((tmp_path / "cmp.json").read_text())["gamma"]
         assert gamma >= 0.999
 
+    def test_resolution_numbers_in_manifest(self, tmp_path):
+        # 5 lines on [-2, 2]: 4 cells of width 1, centers at +-0.5 and +-1.5,
+        # dt_pde = 0.5 * 1 / (2 (1/4 + 1/4)) = 0.5.  The n = 0 drift is the
+        # rotation (-y, x), so max|ux| = max|uy| = 1.5, under the speed cap
+        out = tmp_path / "fpe"
+        rc = main(["fpe", "--n", "0", "--L", "2", "--grid", "5", "--t", "0.5",
+                   "--out", str(out)])
+        assert rc == 0
+        diagnostics = read_manifest(out / "manifest.json")["diagnostics"]
+        assert diagnostics["dt_pde"] == 0.5
+        assert diagnostics["courant"] == pytest.approx(1.5 * 0.5 / 1 + 1.5 * 0.5 / 1)
+        assert diagnostics["cell_peclet"] == pytest.approx(1.5 * 1 / (2 * 0.25))
+
     def test_t_zero_marginal(self, tmp_path):
         out = tmp_path / "fpe0"
         rc = main(["fpe", "--n", "1", "--grid", "81", "--t", "0", "--out", str(out)])

@@ -2,6 +2,7 @@
 anisotropic heat kernel, symmetry preservation, and marginals."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +25,32 @@ from cqrt import (
 )
 
 SQRT_PI = math.sqrt(math.pi)
+
+
+def reference_step(solution, drift):
+    """fp_step as first written: one full-size temporary per term, evaluated
+    in the stencil's documented operation order.  fp_step must agree with
+    it byte for byte."""
+    grid = solution.grid
+    hx, hy, dt = grid.hx, grid.hy, grid.dt_pde
+    rho = solution.rho
+    ux, uy = drift
+    p = np.pad(rho, 1)
+    fx = np.pad(ux * rho, 1)
+    fy = np.pad(uy * rho, 1)
+    div_x = (fx[1:-1, 2:] - fx[1:-1, :-2]) / (2.0 * hx)
+    div_y = (fy[2:, 1:-1] - fy[:-2, 1:-1]) / (2.0 * hy)
+    lap_x = (p[1:-1, 2:] - 2.0 * rho + p[1:-1, :-2]) / (hx * hx)
+    lap_y = (p[2:, 1:-1] - 2.0 * rho + p[:-2, 1:-1]) / (hy * hy)
+    cross = (p[2:, 2:] - p[2:, :-2] - p[:-2, 2:] + p[:-2, :-2]) / (4.0 * hx * hy)
+    new = rho + dt * (-div_x - div_y + 0.25 * lap_x - 0.5 * cross + 0.25 * lap_y)
+    negative = new < 0.0
+    clipped = float(-np.sum(new[negative]) * hx * hy)
+    new[negative] = 0.0
+    return replace(solution, t=solution.t + dt, rho=new,
+                   total_mass=float(np.sum(new) * hx * hy),
+                   clipped_mass=solution.clipped_mass + clipped,
+                   steps=solution.steps + 1)
 
 
 class TestGrid:
@@ -215,11 +242,63 @@ class TestStep:
         with pytest.raises(InstabilityDetected):
             fp_step(solution, monster)
 
+    @pytest.mark.parametrize("where", ["rho", "drift"])
+    def test_non_finite_field_detected(self, where):
+        # one NaN cell spreads to its 9-cell neighbourhood; the field's peak is
+        # then NaN, which no growth bound may let through
+        grid = FpGrid(L=2.0, nx=20, ny=20)
+        rho = fp_initial(1, grid)
+        ux, uy = drift_field(Eigenstate(1), grid)
+        (rho if where == "rho" else ux)[7, 12] = math.nan
+        solution = FpSolution(grid=grid, t=0.0, rho=rho, total_mass=1.0, initial_mass=1.0)
+        with pytest.raises(InstabilityDetected):
+            fp_step(solution, (ux, uy))
+
     def test_clipping_accounted(self):
         grid = FpGrid(L=5.0, nx=100, ny=100)
         solution = fp_solve(Eigenstate(1), grid, 0.05)
         assert solution.clipped_mass >= 0.0
         assert solution.steps == int(round(0.05 / grid.dt_pde))
+
+
+class TestStepIsBitExact:
+    """fp_step against the frozen reference_step, byte for byte."""
+
+    @staticmethod
+    def assert_marches_agree(solution, drift, steps):
+        expected = solution
+        for _ in range(steps):
+            solution = fp_step(solution, drift)
+            expected = reference_step(expected, drift)
+            assert solution.rho.tobytes() == expected.rho.tobytes()
+            assert solution.clipped_mass == expected.clipped_mass
+            assert solution.total_mass == expected.total_mass
+            assert solution.t == expected.t
+            assert not np.signbit(solution.rho).any()  # neither -0.0 nor negative
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("nx, ny", [(60, 60), (80, 50), (81, 100)],
+                             ids=["square", "non-square", "odd-axis"])
+    def test_eigenstate_drift(self, n, nx, ny):
+        grid = FpGrid(L=5.0, nx=nx, ny=ny)
+        rho = fp_initial(n, grid)
+        solution = FpSolution(grid=grid, t=0.0, rho=rho, total_mass=1.0, initial_mass=1.0)
+        self.assert_marches_agree(solution, drift_field(Eigenstate(n), grid), 8)
+
+    def test_random_field_with_exact_zeros(self):
+        # zero blocks in the field and zero strips in the drift make exactly
+        # cancelling differences, where a rewritten sign of zero could show
+        grid = FpGrid(L=5.0, nx=50, ny=64)
+        rng = np.random.default_rng(7)
+        rho = rng.random((64, 50))
+        rho[10:20, 5:30] = 0.0
+        rho[40:, 44:] = 0.0
+        ux = rng.normal(scale=5.0, size=rho.shape)
+        uy = rng.normal(scale=5.0, size=rho.shape)
+        ux[:, 20:25] = 0.0
+        uy[30:35, :] = 0.0
+        solution = FpSolution(grid=grid, t=0.0, rho=rho, total_mass=1.0, initial_mass=1.0)
+        self.assert_marches_agree(solution, (ux, uy), 20)
 
 
 class TestSolve:

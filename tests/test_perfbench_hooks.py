@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import cqrt
-from cqrt import Eigenstate, SimulationConfig, simulate_ensemble
+from cqrt import Eigenstate, FpGrid, SimulationConfig, fp_solve, simulate_ensemble
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -45,3 +45,20 @@ def test_integrator_calls_the_drift_hook(monkeypatch):
     simulate_ensemble(SimulationConfig(model=Eigenstate(1), dt=0.01, t_final=0.05,
                                        initial_points=(0.5 + 0j,), n_trajectories=4))
     assert len(calls) > 0
+
+
+def test_solver_calls_the_step_hook_once_per_step(monkeypatch):
+    # the fpe.step spans, and with them fpe.step_s.* and fpe.bytes_per_step,
+    # exist only while fp_solve goes through the module-global fp_step
+    calls = []
+    step = cqrt.fpe.fp_step
+
+    def counting(*args):
+        calls.append(1)
+        return step(*args)
+
+    monkeypatch.setattr(cqrt.fpe, "fp_step", counting)
+    grid = FpGrid(L=5.0, nx=40, ny=40)
+    t_final = 0.3
+    solution = fp_solve(Eigenstate(1), grid, t_final)
+    assert len(calls) == round(t_final / grid.dt_pde) == solution.steps
