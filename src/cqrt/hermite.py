@@ -84,10 +84,13 @@ def hermite_ratio_masked(n, z):
     if n < 1:
         raise ValueError(f"hermite_ratio requires n >= 1, got {n}")
     h_prev, h_cur, _ = _recurrence_pair(n, z)
-    scale = np.maximum(np.abs(h_prev), np.abs(h_cur))
-    near = np.abs(h_cur) <= scale * NEAR_NODE_RTOL
-    ratio = np.where(near, 0.0, h_prev) / np.where(near, 1.0, h_cur)
-    return ratio, near
+    mag = np.abs(h_cur)
+    scale = np.maximum(np.abs(h_prev), mag)
+    scale *= NEAR_NODE_RTOL
+    near = mag <= scale
+    np.divide(h_prev, h_cur, out=h_prev, where=~near)
+    h_prev[near] = 0.0
+    return h_prev, near
 
 
 def hermite_ratio(n: int, z):

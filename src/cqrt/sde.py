@@ -3,6 +3,8 @@
 The dynamics is dz = -i (d ln psi / dz) dt + sqrt(-i) dW with the square root
 taken as (-1+i)/sqrt(2), so one real standard-normal draw per step feeds both
 coordinates with perfectly anticorrelated increments of variance dt/2 each.
+The drift displacement of a step is capped at drift_cap*sqrt(dt), and it is 0
+at a node of psi, where the log-derivative is unusable.
 
 Reproducibility contract: an Ensemble is a pure function of its
 SimulationConfig.  Trajectory i owns an independent noise stream: the outputs
@@ -327,48 +329,42 @@ class Ensemble:
         return Trajectory(id=index, times=times, points=points, crossings=crossings)
 
 
-def _step(model: ModelSpec, t: float, z, dt: float, xi, drift_cap: float, last_dir):
-    """The Euler-Maruyama step kernel; returns (z_new, over, near, new_dir).
+def _step(model: ModelSpec, t: float, z, dt: float, xi, drift_cap: float):
+    """The Euler-Maruyama step kernel on 1-d arrays; returns (z_new, over, near).
 
     The drift displacement -i*g*dt is capped at drift_cap*sqrt(dt) where it is
-    larger (`over`).  Near a node (`near`) the gradient is unusable; the step
-    saturates at drift_cap*sqrt(dt) along last_dir (zero until a finite
-    direction exists).  new_dir is the updated last finite drift direction.
+    larger (`over`).  Where the drift's node mask is set (`near`) the gradient
+    is unusable and the drift displacement is 0: the step is pure diffusion.
     """
     g, near = log_derivative_masked(model, t, z)
-    disp = -1j * g * dt
+    disp = -1j * g
+    disp *= dt
     mag = np.abs(disp)
     lim = drift_cap * math.sqrt(dt)
     over = (mag > lim) & ~near
-    disp = np.where(over, disp * (lim / np.where(mag == 0.0, 1.0, mag)), disp)
-    disp = np.where(near, lim * last_dir, disp)
-    finite = ~near & (mag > 0.0)
-    new_mag = np.abs(disp)
-    new_dir = np.where(finite, disp / np.where(new_mag == 0.0, 1.0, new_mag), last_dir)
-    return z + disp + noise_increment(xi, dt), over, near, new_dir
+    # mag becomes the cap factor lim/mag where the step is capped
+    np.divide(lim, mag, out=mag, where=over)
+    np.multiply(disp, mag, out=disp, where=over)
+    disp[near] = 0.0
+    disp += z
+    disp += noise_increment(xi, dt)
+    return disp, over, near
 
 
-def em_step(model: ModelSpec, t: float, z, dt: float, xi, drift_cap: float = 10.0,
-            fallback_direction=None):
+def em_step(model: ModelSpec, t: float, z, dt: float, xi, drift_cap: float = 10.0):
     """One Euler-Maruyama step from z at time t with normal draw xi.
 
-    The drift displacement is capped at drift_cap*sqrt(dt).  Where the drift's
-    node mask is set, the step moves drift_cap*sqrt(dt) along
-    fallback_direction (or takes a pure diffusion step when none is known).
+    The drift displacement is capped at drift_cap*sqrt(dt), and it is 0 where
+    the drift's node mask is set, so a step from a node is pure diffusion.
     Accepts scalars or broadcastable arrays.
     """
     scalar = np.isscalar(z) and np.isscalar(xi)
-    z = np.asarray(z, dtype=complex)
-    xi = np.asarray(xi, dtype=float)
-    last_dir = np.zeros(np.broadcast(z, xi).shape, dtype=complex)
-    if fallback_direction is not None:
-        last_dir = last_dir + fallback_direction
-    out = _step(model, t, z, dt, xi, drift_cap, last_dir)[0]
+    z, xi = np.broadcast_arrays(np.asarray(z, dtype=complex), np.asarray(xi, dtype=float))
+    out = _step(model, t, z.ravel(), dt, xi.ravel(), drift_cap)[0].reshape(z.shape)[()]
     return complex(out) if scalar else out
 
 
-def split_step(model: ModelSpec, t: float, x, y, dt: float, xi, drift_cap: float = 10.0,
-               fallback_direction=None):
+def split_step(model: ModelSpec, t: float, x, y, dt: float, xi, drift_cap: float = 10.0):
     """em_step written on the real and imaginary parts: returns (x', y').
 
     x' = x + Im(g) dt - xi sqrt(dt)/sqrt(2) and y' = y - Re(g) dt
@@ -377,7 +373,7 @@ def split_step(model: ModelSpec, t: float, x, y, dt: float, xi, drift_cap: float
     """
     scalar = np.isscalar(x) and np.isscalar(y) and np.isscalar(xi)
     z = np.asarray(x, dtype=float) + 1j * np.asarray(y, dtype=float)
-    out = em_step(model, t, z, dt, xi, drift_cap, fallback_direction)
+    out = em_step(model, t, z, dt, xi, drift_cap)
     return (float(out.real), float(out.imag)) if scalar else (out.real, out.imag)
 
 
@@ -405,13 +401,12 @@ def _integrate_chunk(ens: Ensemble, lo: int, hi: int, column: int):
     on_axis = z.imag == 0.0
     crossings = [(np.zeros(int(on_axis.sum())), z.real[on_axis], ids[on_axis])]
     alive = ens.alive[cols]
-    last_dir = np.zeros(hi - lo, dtype=complex)
     capped = near_nodes = 0
 
     for j in range(config.n_steps):
         t = j * dt
-        z_new, over, near, last_dir = _step(config.model, t, np.where(alive, z, 0.0), dt,
-                                            noise.normals(), config.drift_cap, last_dir)
+        z_new, over, near = _step(config.model, t, np.where(alive, z, 0.0), dt, noise.normals(),
+                                  config.drift_cap)
         capped += int(np.count_nonzero(over & alive))
         near_nodes += int(np.count_nonzero(near & alive))
         z_prev, z = z, np.where(alive, z_new, z)

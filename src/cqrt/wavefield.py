@@ -78,7 +78,8 @@ def log_derivative_masked(model: ModelSpec, t, z):
     if model.n == 0:
         return -z, np.zeros(z.shape, dtype=bool)
     ratio, near = hermite_ratio_masked(model.n, z)
-    return -z + (2.0 * model.n) * ratio, near
+    ratio *= 2.0 * model.n
+    return np.subtract(ratio, z, out=ratio), near
 
 
 def log_derivative(model: ModelSpec, t, z):

@@ -15,7 +15,7 @@ from cqrt import (
     sample_eigenstate_positions,
     simulate_ensemble,
 )
-from cqrt.hermite import NEAR_NODE_RTOL, hermite_ratio_masked
+from cqrt.hermite import NEAR_NODE_RTOL, _recurrence_pair, hermite_ratio_masked
 from cqrt.sde import BLOWUP_THRESHOLD
 
 EPS = np.finfo(float).eps
@@ -92,6 +92,34 @@ def test_vectorized_matches_scalar():
     for i, zi in enumerate(z):
         scalar = hermite_ratio(7, complex(zi))
         assert abs(scalar - vec[i]) <= 1e-15 * abs(scalar)
+
+
+def _frozen_ratio_masked(n, z):
+    """hermite_ratio_masked as it was before the in-place rewrite: one
+    temporary per operation, and 0/1 at the nodes."""
+    h_prev, h_cur, _ = _recurrence_pair(n, z)
+    scale = np.maximum(np.abs(h_prev), np.abs(h_cur))
+    near = np.abs(h_cur) <= scale * NEAR_NODE_RTOL
+    return np.where(near, 0.0, h_prev) / np.where(near, 1.0, h_cur), near
+
+
+def _same_bits(new, old):
+    return all(np.asarray(a).dtype == np.asarray(b).dtype and np.shape(a) == np.shape(b)
+               and np.asarray(a).tobytes() == np.asarray(b).tobytes() for a, b in zip(new, old))
+
+
+@pytest.mark.parametrize("n", [1, 4, 70])
+def test_ratio_matches_frozen_expression_bitwise(n):
+    rng = np.random.default_rng(n)
+    born = sample_eigenstate_positions(n, 3000, 13) + 1j * rng.normal(0.0, 0.7, 3000)
+    roots = hermite_real_roots(n) + 0j
+    z = np.concatenate([born, roots, roots + 1e-9, _kernel_points()])
+    ratio, near = hermite_ratio_masked(n, z)
+    assert near.any() and not near.all()
+    assert _same_bits((ratio, near), _frozen_ratio_masked(n, z))
+    for zi in (z[0], roots[0], roots[-1] + 1e-9):
+        assert _same_bits(hermite_ratio_masked(n, zi), _frozen_ratio_masked(n, zi))
+    assert _same_bits(hermite_ratio_masked(n, z[:9].tolist()), _frozen_ratio_masked(n, z[:9]))
 
 
 def _per_step_reference(n, z):

@@ -17,6 +17,7 @@ from cqrt import (
     crossing_interpolation,
     derive_seed,
     em_step,
+    hermite_real_roots,
     noise_increment,
     sample_eigenstate_positions,
     simulate_ensemble,
@@ -24,7 +25,15 @@ from cqrt import (
     split_step,
     standard_normals,
 )
-from cqrt.sde import BLOWUP_THRESHOLD, CHUNK_SIZE, NoiseStreams, _uniform_normals, derive_seeds
+from cqrt.hermite import hermite_ratio_masked
+from cqrt.sde import (
+    BLOWUP_THRESHOLD,
+    CHUNK_SIZE,
+    NoiseStreams,
+    _step,
+    _uniform_normals,
+    derive_seeds,
+)
 from cqrt.wavefield import log_derivative_masked
 
 
@@ -76,9 +85,103 @@ class TestEmStep:
         out = em_step(Eigenstate(1), 0.0, 0j, 0.01, 1.0)
         assert out == noise_increment(1.0, 0.01)
 
-    def test_near_node_uses_fallback_direction(self):
-        out = em_step(Eigenstate(1), 0.0, 0j, 0.01, 0.0, fallback_direction=1 + 0j)
-        assert out == pytest.approx(10.0 * math.sqrt(0.01))
+    def test_zero_drift_at_node(self):
+        # a node's drift displacement is 0, so with no noise the step stays put
+        assert em_step(Eigenstate(1), 0.0, 0j, 0.01, 0.0) == 0j
+        root = complex(hermite_real_roots(2)[1])
+        assert em_step(Eigenstate(2), 0.0, root, 0.01, 0.0) == root
+
+
+def _frozen_drift(model, t, z):
+    """log_derivative_masked as it was before the in-place rewrite: one
+    temporary per operation on top of hermite_ratio_masked (whose own frozen
+    form is in test_hermite.py)."""
+    if isinstance(model, Eigenstate) and model.n > 0:
+        ratio, near = hermite_ratio_masked(model.n, z)
+        return -z + (2.0 * model.n) * ratio, near
+    return log_derivative_masked(model, t, z)
+
+
+def _frozen_step(model, t, z, dt, xi, drift_cap):
+    """The step kernel as it was before the in-place rewrite, with its
+    fallback direction at 0, which it was at every node step observed."""
+    last_dir = np.zeros(np.broadcast(z, xi).shape, dtype=complex)
+    g, near = _frozen_drift(model, t, z)
+    disp = -1j * g * dt
+    mag = np.abs(disp)
+    lim = drift_cap * math.sqrt(dt)
+    over = (mag > lim) & ~near
+    disp = np.where(over, disp * (lim / np.where(mag == 0.0, 1.0, mag)), disp)
+    disp = np.where(near, lim * last_dir, disp)
+    return z + disp + noise_increment(xi, dt), over, near
+
+
+def _kernel_points(n, count=3000):
+    """Born launches of psi_n with diffused imaginary parts, the real nodes of
+    H_n, points 1e-9 off them (far over the cap), and a far ring."""
+    rng = np.random.default_rng(n)
+    born = sample_eigenstate_positions(n, count, 11) + 1j * rng.normal(0.0, 0.7, count)
+    roots = hermite_real_roots(n) + 0j
+    ring = 1e3 * np.exp(2j * np.pi * rng.random(50))
+    return np.concatenate([born, roots, roots + 1e-9, roots - 1e-9j, ring, [0j]])
+
+
+def _assert_same_bits(new, old):
+    for a, b in zip(new, old):
+        a, b = np.asarray(a), np.asarray(b)
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+class TestStepKernelBits:
+    """The in-place step kernel against its frozen expression, byte for byte."""
+
+    @pytest.mark.parametrize("n", [0, 1, 4, 70])
+    @pytest.mark.parametrize("dt", [0.01, 0.05 / 141])
+    def test_eigenstates(self, n, dt):
+        z = _kernel_points(max(n, 1))
+        xi = np.random.default_rng(7).normal(size=z.size)
+        new = _step(Eigenstate(n), 0.0, z, dt, xi, 10.0)
+        _assert_same_bits(new, _frozen_step(Eigenstate(n), 0.0, z, dt, xi, 10.0))
+        z_new, over, near = new
+        assert over.any() and not over.all()
+        assert near.any() == (n > 0)
+        if n == 0:
+            # a zero drift: psi_0's log-derivative vanishes at 0
+            assert z[-1] == 0 and z_new[-1] == z[-1] + noise_increment(xi[-1], dt)
+
+    @pytest.mark.parametrize("model", [GaussianPacket(1.0), GaussianPacket(0.5, "simplified")])
+    def test_packets(self, model):
+        z = _kernel_points(3)
+        xi = np.random.default_rng(8).normal(size=z.size)
+        new = _step(model, 0.3, z, 0.01, xi, 10.0)
+        _assert_same_bits(new, _frozen_step(model, 0.3, z, 0.01, xi, 10.0))
+        assert new[1].any() and not new[1].all() and not new[2].any()
+
+    @pytest.mark.parametrize("model", [Eigenstate(1), Eigenstate(70), GaussianPacket(1.0)])
+    def test_em_step_on_scalar_zero_d_and_list_input(self, model):
+        z = _kernel_points(70)[::400]
+        xi = np.linspace(-2.0, 2.0, z.size)
+        for zi, x in zip(z, xi):
+            old = _frozen_step(model, 0.2, np.asarray(zi), 0.01, np.asarray(x), 10.0)[0]
+            _assert_same_bits([em_step(model, 0.2, np.asarray(zi), 0.01, np.asarray(x))], [old])
+            assert em_step(model, 0.2, complex(zi), 0.01, float(x)) == complex(old)
+        old = _frozen_step(model, 0.2, z, 0.01, xi, 10.0)[0]
+        _assert_same_bits([em_step(model, 0.2, z.tolist(), 0.01, xi.tolist())], [old])
+        # one point broadcast against many draws
+        old = _frozen_step(model, 0.2, np.asarray(z[1]), 0.01, xi, 10.0)[0]
+        _assert_same_bits([em_step(model, 0.2, z[1], 0.01, xi)], [old])
+
+    def test_ensemble_with_node_launches(self, monkeypatch):
+        # launches on psi_1's node take a node step at step 0
+        cfg = _config(n_trajectories=200, t_final=0.3, initial_points=(0j, 0.95 + 0j, 1e-9 + 0j))
+        ens = simulate_ensemble(cfg)
+        assert ens.near_node_steps > 0 and ens.capped_steps > 0
+        monkeypatch.setattr("cqrt.sde._step", _frozen_step)
+        frozen = simulate_ensemble(cfg)
+        for name in ("x", "y", "crossing_times", "crossing_x", "crossing_ids",
+                     "final_x", "final_y", "alive", "capped_steps", "near_node_steps"):
+            _assert_same_bits([getattr(ens, name)], [getattr(frozen, name)])
 
 
 class TestSplitStep:
@@ -350,9 +453,9 @@ class TestSimulate:
         clean = simulate_ensemble(cfg)
         assert np.any(clean.crossing_ids == 0)
         monkeypatch.setattr("cqrt.sde.log_derivative_masked", poisoned)
-        # the step kernel normalises the NaN displacement into a direction
-        with pytest.warns(RuntimeWarning, match="invalid value encountered in divide"):
-            ens = simulate_ensemble(cfg)
+        # the NaN displacement is never divided (a NaN is not over the cap),
+        # so the step raises no RuntimeWarning
+        ens = simulate_ensemble(cfg)
         assert ens.n_diverged == 1
         assert not ens.alive[0]
         assert not np.any(ens.crossing_ids == 0)
@@ -376,6 +479,18 @@ class TestSimulate:
         assert len(inputs) == cfg.n_steps and abs(inputs[0][0]) == 1e40
         for z in inputs[1:]:
             assert np.all(np.isfinite(z)) and np.all(np.abs(z) <= BLOWUP_THRESHOLD)
+
+    def test_landing_on_the_axis_is_one_crossing(self, monkeypatch):
+        # with no noise psi_0's first step from 1 - 0.5i is exactly
+        # 1 - 0.5i + 0.5 * (0.5 + 1i) = 1.25 + 0i, on the axis; the next step
+        # leaves it upwards, which is no second crossing
+        monkeypatch.setattr(NoiseStreams, "normals", lambda self: np.zeros(self._lo.size))
+        cfg = _config(model=Eigenstate(0), dt=0.5, t_final=1.0, initial_points=(1 - 0.5j,),
+                      n_trajectories=1)
+        ens = simulate_ensemble(cfg)
+        assert ens.y[1, 0] == 0.0 and ens.x[1, 0] == 1.25 and ens.y[2, 0] > 0.0
+        assert ens.crossing_times.tolist() == [0.5]
+        assert ens.crossing_x.tolist() == [1.25]
 
     def test_snapshot_times_need_snapshots_mode(self):
         for mode in ("full_path", "crossings_and_final"):
