@@ -65,8 +65,8 @@ class FpGrid:
     dt_pde: float | None = None
 
     def __post_init__(self):
-        if self.L <= 0 or self.nx < 3 or self.ny < 3:
-            raise ValueError("grid needs L > 0 and at least 3 cells per axis")
+        if not 0 < self.L < math.inf or self.nx < 3 or self.ny < 3:
+            raise ValueError("grid needs a finite L > 0 and at least 3 cells per axis")
         if self.nx % 2 == 1 and self.ny % 2 == 1:
             raise ValueError("odd nx and ny would place a cell center at the origin")
         bound = self.stability_bound

@@ -7,14 +7,15 @@ The drift displacement of a step is capped at drift_cap*sqrt(dt), and it is 0
 at a node of psi, where the log-derivative is unusable.
 
 Reproducibility contract: an Ensemble is a pure function of its
-SimulationConfig.  Trajectory i owns an independent noise stream: the outputs
-of numpy's PCG64(SeedSequence(derive_seed(master_seed, i))), where derive_seed
-is a SplitMix64 avalanche.  Each draw is mapped to a normal by inverse CDF over
-the 53-bit uniform ((raw >> 11) + 0.5) * 2**-53, clamped to 1 - 2**-53 (see
-_uniform_normals).  The integrator generates the streams of a whole chunk
-together, one row per Euler step (NoiseStreams), and they equal
-standard_normals draw for draw, so results are bit-identical across runs,
-platforms, chunk sizes, and thread counts.
+SimulationConfig.  Trajectory i owns an independent noise stream: SplitMix64
+started at state s_i = derive_seed(master_seed, i), itself SplitMix64 output
+number i of the stream started at master_seed.  Draw j (from 0) of the stream
+is the output _splitmix64(s_i + (j + 1) * gamma), gamma = 0x9E3779B97F4A7C15,
+and it is mapped to a normal by inverse CDF over the 53-bit uniform
+((raw >> 11) + 0.5) * 2**-53, clamped to 1 - 2**-53 (see _uniform_normals).
+Every draw is a pure function of (s_i, j), so the integrator takes draw j of
+all of a chunk's streams at Euler step j (standard_normals), and results are
+bit-identical across runs, platforms, chunk sizes, and thread counts.
 """
 
 from __future__ import annotations
@@ -45,35 +46,40 @@ CHUNK_SIZE = 8192
 RECORD_MODES = ("full_path", "crossings_and_final", "snapshots")
 
 _MASK64 = (1 << 64) - 1
-_MASK32 = np.uint64(0xFFFFFFFF)
-_GOLDEN = 0x9E3779B97F4A7C15
+#: SplitMix64's increment, the odd integer nearest 2**64 / golden ratio
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
-# numpy's SeedSequence hash constants (its pool holds 4 uint32 words)
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-# PCG64's 128-bit LCG multiplier and its high and low 64-bit words
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_PCG_MULT_HI = np.uint64(_PCG_MULT >> 64)
-_PCG_MULT_LO = np.uint64(_PCG_MULT & _MASK64)
+
+def _splitmix64(x) -> np.ndarray:
+    """SplitMix64's output function (Steele, Lea and Flood, OOPSLA 2014): the
+    avalanche of the uint64 states x.  The ufuncs wrap modulo 2**64 without
+    the overflow warning of numpy's scalar operators."""
+    x = np.asarray(x, dtype=np.uint64)
+    x = np.multiply(x ^ (x >> np.uint64(30)), np.uint64(0xBF58476D1CE4E5B9))
+    x = np.multiply(x ^ (x >> np.uint64(27)), np.uint64(0x94D049BB133111EB))
+    return x ^ (x >> np.uint64(31))
+
+
+def _state(seeds, steps) -> np.ndarray:
+    """The state seeds + (steps + 1) * gamma mod 2**64 from which SplitMix64,
+    started at state `seeds`, makes its output number `steps` (from 0)."""
+    steps = np.add(np.asarray(steps, dtype=np.uint64), np.uint64(1))
+    return np.add(np.multiply(steps, _GOLDEN), np.asarray(seeds, dtype=np.uint64))
 
 
 def derive_seeds(master_seed: int, indices) -> np.ndarray:
-    """Per-trajectory 64-bit seeds: SplitMix64 output number (index + 1).
+    """Per-trajectory 64-bit seeds: SplitMix64 output number `index` (from 0)
+    of the stream started at master_seed mod 2**64.
 
     The avalanche stage decorrelates adjacent indices, giving independent
     reproducible streams without any coordination between workers.
     """
-    x = (np.asarray(indices, dtype=np.uint64) + np.uint64(1)) * np.uint64(_GOLDEN) \
-        + np.uint64(master_seed & _MASK64)
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
+    return _splitmix64(_state(master_seed & _MASK64, indices))
 
 
 def derive_seed(master_seed: int, index: int) -> int:
     """The seed of one trajectory (see derive_seeds)."""
-    return int(derive_seeds(master_seed, [index])[0])
+    return int(derive_seeds(master_seed, index))
 
 
 def _uniform_normals(k53) -> np.ndarray:
@@ -83,97 +89,17 @@ def _uniform_normals(k53) -> np.ndarray:
     return ndtri(np.minimum((k53.astype(np.float64) + 0.5) * 2.0**-53, 1.0 - 2.0**-53))
 
 
-def standard_normals(master_seed: int, traj_index: int, count: int) -> np.ndarray:
-    """The trajectory's noise stream: its first `count` normals.
+def standard_normals(seeds, steps) -> np.ndarray:
+    """The draws numbered `steps` (from 0) of the noise streams seeded `seeds`,
+    broadcast against each other.
 
-    The 53-bit integers are PCG64 outputs shifted right by 11, which is what
-    Generator.integers(0, 2**53, dtype=uint64) returns.  Fixed once; stable
-    across platforms.
+    Stream s is SplitMix64 started at state s: draw j maps the top 53 bits of
+    its output number j to a normal (_uniform_normals).  The integrator takes
+    draw j of a chunk's streams at Euler step j, and a trajectory's first
+    `count` draws are standard_normals(derive_seed(master_seed, i),
+    np.arange(count)).  Fixed once; stable across platforms.
     """
-    bits = np.random.PCG64(derive_seed(master_seed, traj_index)).random_raw(count)
-    return _uniform_normals(bits >> np.uint64(11))
-
-
-def _seed_sequence_state(entropy):
-    """SeedSequence(entropy).generate_state(4, uint64) for uint64 entropies.
-
-    numpy's algorithm with pool size 4, run on uint32 arrays.  An entropy below
-    2**32 is one word and a larger one two; hashing the missing word as 0 is
-    what SeedSequence does for the empty pool slot, so both take one path.
-    """
-    const = _INIT_A
-
-    def hashmix(value):
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * _MULT_A & 0xFFFFFFFF
-        value = value * np.uint32(const)
-        return value ^ (value >> np.uint32(16))
-
-    zero = np.zeros(entropy.shape, dtype=np.uint32)
-    pool = [hashmix(w) for w in ((entropy & _MASK32).astype(np.uint32),
-                                 (entropy >> np.uint64(32)).astype(np.uint32), zero, zero)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashmix(pool[src])
-                pool[dst] = mixed ^ (mixed >> np.uint32(16))
-    const = _INIT_B
-    words = []
-    for i in range(8):
-        value = pool[i % 4] ^ np.uint32(const)
-        const = const * _MULT_B & 0xFFFFFFFF
-        value = value * np.uint32(const)
-        words.append((value ^ (value >> np.uint32(16))).astype(np.uint64))
-    return [words[k] | (words[k + 1] << np.uint64(32)) for k in range(0, 8, 2)]
-
-
-def _mulhi64(a, b: int):
-    """High 64 bits of the 128-bit product of a uint64 array and a constant,
-    from 32-bit limbs."""
-    a0, a1 = a & _MASK32, a >> np.uint64(32)
-    b0, b1 = np.uint64(b & 0xFFFFFFFF), np.uint64(b >> 32)
-    p01, p10 = a0 * b1, a1 * b0
-    mid = ((a0 * b0) >> np.uint64(32)) + (p01 & _MASK32) + (p10 & _MASK32)
-    return a1 * b1 + (p01 >> np.uint64(32)) + (p10 >> np.uint64(32)) + (mid >> np.uint64(32))
-
-
-class NoiseStreams:
-    """Many PCG64 streams advanced together, one draw of each per call.
-
-    Stream k is numpy's PCG64(seeds[k]) output for output: the 128-bit states
-    are kept as high and low uint64 words, seeded by SeedSequence and
-    pcg64_set_seed, stepped by the LCG and read out by XSL-RR.  Memory is
-    O(len(seeds)) however many draws are taken.
-    """
-
-    def __init__(self, seeds):
-        s_hi, s_lo, i_hi, i_lo = _seed_sequence_state(np.asarray(seeds, dtype=np.uint64))
-        self._inc_hi = (i_hi << np.uint64(1)) | (i_lo >> np.uint64(63))
-        self._inc_lo = (i_lo << np.uint64(1)) | np.uint64(1)
-        # pcg64_set_seed: state 0, step (state = inc), add the seed, step
-        lo = self._inc_lo + s_lo
-        self._hi = self._inc_hi + s_hi + (lo < s_lo)
-        self._lo = lo
-        self._step()
-
-    def _step(self):
-        hi, lo = self._hi, self._lo
-        prod_lo = lo * _PCG_MULT_LO
-        prod_hi = _mulhi64(lo, _PCG_MULT & _MASK64) + lo * _PCG_MULT_HI + hi * _PCG_MULT_LO
-        self._lo = prod_lo + self._inc_lo
-        self._hi = prod_hi + self._inc_hi + (self._lo < self._inc_lo)
-
-    def raw(self) -> np.ndarray:
-        """The next 64-bit output of every stream."""
-        self._step()
-        value = self._hi ^ self._lo
-        rot = self._hi >> np.uint64(58)
-        return (value >> rot) | (value << ((np.uint64(64) - rot) & np.uint64(63)))
-
-    def normals(self) -> np.ndarray:
-        """The next standard normal of every stream, as standard_normals maps it."""
-        return _uniform_normals(self.raw() >> np.uint64(11))
+    return _uniform_normals(_splitmix64(_state(seeds, steps)) >> np.uint64(11))
 
 
 def noise_increment(xi, dt: float):
@@ -393,7 +319,7 @@ def _integrate_chunk(ens: Ensemble, lo: int, hi: int, column: int):
     dt = config.dt
     ids = np.arange(lo, hi)
     z = np.asarray(config.initial_points, dtype=complex)[ids % len(config.initial_points)]
-    noise = NoiseStreams(derive_seeds(config.master_seed, ids))
+    seeds = derive_seeds(config.master_seed, ids)
     rows = {step: row for row, step in enumerate(config.record_steps())}
     if 0 in rows:
         ens.x[0, cols], ens.y[0, cols] = z.real, z.imag
@@ -405,8 +331,8 @@ def _integrate_chunk(ens: Ensemble, lo: int, hi: int, column: int):
 
     for j in range(config.n_steps):
         t = j * dt
-        z_new, over, near = _step(config.model, t, np.where(alive, z, 0.0), dt, noise.normals(),
-                                  config.drift_cap)
+        z_new, over, near = _step(config.model, t, np.where(alive, z, 0.0), dt,
+                                  standard_normals(seeds, j), config.drift_cap)
         capped += int(np.count_nonzero(over & alive))
         near_nodes += int(np.count_nonzero(near & alive))
         z_prev, z = z, np.where(alive, z_new, z)

@@ -90,8 +90,11 @@ def write_density(path: str, density: EmpiricalDensity) -> None:
 
 
 def read_density(path: str):
-    """Returns (centers, densities, stderr)."""
-    return tuple(read_table(path, DENSITY_HEADER)[1])
+    """Returns (centers, densities, stderr); a density has at least 2 bins."""
+    columns = read_table(path, DENSITY_HEADER)[1]
+    if columns[0].size < 2:
+        raise ValueError(f"{path}: a density needs at least 2 bins")
+    return tuple(columns)
 
 
 def write_field(path: str, x_centers, y_centers, rho) -> None:

@@ -252,6 +252,19 @@ class TestAnalyzeCommand:
         rc = main(["compare", "--first", str(path), "--second", str(path)])
         assert rc == 0
 
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_compare_needs_two_bins(self, tmp_path, capsys, rows):
+        good = tmp_path / "good.csv"
+        write_density(str(good), build_density(np.linspace(-1, 1, 50), 10, (-1, 1)))
+        short = tmp_path / "short.csv"
+        short.write_text("".join(good.read_text().splitlines(keepends=True)[:rows + 1]))
+        for first, second in ((short, good), (good, short)):
+            rc = main(["compare", "--first", str(first), "--second", str(second),
+                       "--out", str(tmp_path / "cmp.json")])
+            assert rc == 1
+            assert "error:" in capsys.readouterr().err
+            assert not (tmp_path / "cmp.json").exists()
+
     def test_crossings_pool_has_no_points(self, tmp_path):
         pool = tmp_path / "pool"
         assert _run_simulate(pool) == 0
@@ -397,6 +410,9 @@ class TestExitCodes:
         ["fpe", "--drift-cap", "nan", "--t", "0.5", "--grid", "21"],
         ["fpe", "--drift-cap", "0", "--t", "0.5", "--grid", "21"],
         ["fpe", "--drift-cap", "inf", "--t", "0.5", "--grid", "21"],
+        # an infinite half-width gives NaN cells, a NaN one no grid at all
+        ["fpe", "--L", "inf", "--t", "0.5", "--grid", "21"],
+        ["fpe", "--L", "nan", "--t", "0.5", "--grid", "21"],
     ])
     def test_bad_values_are_usage_errors(self, tmp_path, argv):
         if "snapshot-pool" in argv:

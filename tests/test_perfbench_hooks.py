@@ -64,7 +64,7 @@ def test_integrator_calls_the_drift_hook(monkeypatch):
 
 
 def test_integrator_calls_the_noise_hook(monkeypatch):
-    calls = _count_calls(monkeypatch, cqrt.sde.NoiseStreams, "normals")
+    calls = _count_calls(monkeypatch, cqrt.sde, "standard_normals")
     n_steps = _two_chunk_ensemble(monkeypatch)
     assert len(calls) == 2 * n_steps
 

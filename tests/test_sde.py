@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.special import ndtri
 
 from cqrt import (
@@ -29,7 +30,6 @@ from cqrt.hermite import hermite_ratio_masked
 from cqrt.sde import (
     BLOWUP_THRESHOLD,
     CHUNK_SIZE,
-    NoiseStreams,
     _step,
     _uniform_normals,
     derive_seeds,
@@ -213,7 +213,7 @@ class TestOneStepMoments:
         z = 0.7 + 0.3j
         dt = 0.01
         n_draws = 1_000_000
-        xi = standard_normals(123, 0, n_draws)
+        xi = standard_normals(derive_seed(123, 0), np.arange(n_draws))
         out = em_step(model, 0.0, np.full(n_draws, z), dt, xi)
         delta = out - z
         from cqrt import eigenstate_log_derivative
@@ -236,31 +236,43 @@ class TestSeeding:
         assert derive_seed(42, 0) != derive_seed(43, 0)
 
     def test_normals_deterministic(self):
-        a = standard_normals(42, 7, 100)
-        b = standard_normals(42, 7, 100)
+        a = standard_normals(derive_seed(42, 7), np.arange(100))
+        b = standard_normals(derive_seed(42, 7), np.arange(100))
         np.testing.assert_array_equal(a, b)
-        c = standard_normals(42, 8, 100)
+        c = standard_normals(derive_seed(42, 8), np.arange(100))
         assert not np.array_equal(a, c)
 
     def test_normals_standard(self):
-        xs = standard_normals(1, 0, 2_000_000)
+        xs = standard_normals(derive_seed(1, 0), np.arange(2_000_000))
         assert abs(xs.mean()) < 3e-3
         assert xs.std() == pytest.approx(1.0, abs=2e-3)
         assert np.all(np.isfinite(xs))
 
 
-def _reference_ints(seed, count):
-    """numpy's own 53-bit draws from PCG64(seed): the noise contract."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    return rng.integers(0, 1 << 53, size=count, dtype=np.uint64)
+_MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
 
 
-def _reference_normals(seed, count):
-    return ndtri((_reference_ints(seed, count).astype(np.float64) + 0.5) * 2.0**-53)
+def _reference_ints(seed, first, count):
+    """The top 53 bits of SplitMix64 outputs number first .. first + count - 1
+    (from 0) of the generator started at state `seed`, in Python integers: the
+    noise contract.  The state jumps over the first `first` increments."""
+    state = (seed + first * _GAMMA) & _MASK64
+    out = []
+    for _ in range(count):
+        state = (state + _GAMMA) & _MASK64
+        x = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+        out.append((x ^ (x >> 31)) >> 11)
+    return np.array(out, dtype=np.uint64)
+
+
+def _reference_normals(seed, first, count):
+    return ndtri((_reference_ints(seed, first, count).astype(np.float64) + 0.5) * 2.0**-53)
 
 
 class TestNoiseStreams:
-    """The chunk-wide streams must equal numpy's PCG64 streams bit for bit."""
+    """The noise streams must equal SplitMix64 in Python integers bit for bit."""
 
     def test_derive_seed_values(self):
         # SplitMix64 outputs of the original Python-integer implementation
@@ -273,20 +285,22 @@ class TestNoiseStreams:
             derive_seeds(7, np.arange(5)), [derive_seed(7, i) for i in range(5)])
 
     def test_standard_normals_literal(self):
-        assert standard_normals(42, 0, 3).tolist() == [
-            0.35122397532964306, -0.4227869889286977, 1.3663390217836842]
+        assert standard_normals(derive_seed(42, 0), np.arange(3)).tolist() == [
+            -0.40349536446955714, 1.7033288326736669, -0.03422331773865502]
 
     @pytest.mark.parametrize("master_seed", [0, 42, 123_456_789, 2**64 - 1])
-    def test_trajectory_streams_match_numpy(self, master_seed):
+    def test_trajectory_streams_match_reference(self, master_seed):
+        # the integrator's form, one step of all streams per call, against the
+        # per-path reference stream
         indices = np.array([0, 1, 2, 1000, CHUNK_SIZE - 1, CHUNK_SIZE, 99_999])
         count = 300
-        streams = NoiseStreams(derive_seeds(master_seed, indices))
-        drawn = np.array([streams.normals() for _ in range(count)])
+        seeds = derive_seeds(master_seed, indices)
+        drawn = np.array([standard_normals(seeds, j) for j in range(count)])
         for col, index in enumerate(indices):
             seed = derive_seed(master_seed, int(index))
-            np.testing.assert_array_equal(drawn[:, col], _reference_normals(seed, count))
+            np.testing.assert_array_equal(drawn[:, col], _reference_normals(seed, 0, count))
             np.testing.assert_array_equal(drawn[:, col],
-                                          standard_normals(master_seed, int(index), count))
+                                          standard_normals(seed, np.arange(count)))
 
     def test_uniform_map_is_finite_at_both_ends(self):
         # (k + 0.5) * 2**-53 rounds to exactly 1 at k = 2**53 - 1 alone; the map
@@ -297,17 +311,27 @@ class TestNoiseStreams:
         old = ndtri((k.astype(np.float64) + 0.5) * 2.0**-53)
         assert _uniform_normals(k).tobytes() == old.tobytes()
 
-    def test_raw_seeds_match_numpy(self):
-        # 0 .. 2**32 - 1 are one SeedSequence entropy word, larger seeds two
+    # steps 0 .. 299, then around the modular inverse of gamma, where the state
+    # is seed + 1, and at the top, where steps + 1 wraps to 0
+    @pytest.mark.parametrize("first", [0, pow(_GAMMA, -1, 1 << 64) - 3, 2**64 - 4],
+                             ids=["start", "inverse", "top"])
+    def test_raw_seeds_match_reference(self, first):
+        # seeds at both ends of the range and on either side of 2**32
         seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
-        count = 64
-        streams = NoiseStreams(np.array(seeds, dtype=np.uint64))
-        bits = np.array([streams.raw() for _ in range(count)])
-        for col, seed in enumerate(seeds):
-            np.testing.assert_array_equal(bits[:, col] >> np.uint64(11),
-                                          _reference_ints(seed, count))
-            np.testing.assert_array_equal(bits[:, col],
-                                          np.random.PCG64(seed).random_raw(count))
+        count = 300 if first == 0 else 4
+        steps = np.array([first + k for k in range(count)], dtype=np.uint64)
+        drawn = standard_normals(np.array(seeds, dtype=np.uint64)[:, None], steps)
+        for row, seed in enumerate(seeds):
+            assert drawn[row].tobytes() == _reference_normals(seed, first, count).tobytes()
+
+    def test_streams_are_independent(self):
+        # bounds fixed before the draws were looked at
+        streams, steps = 8192, 200
+        xs = standard_normals(derive_seeds(42, np.arange(streams)), np.arange(steps)[:, None])
+        for a, b in ((xs[:, :-1], xs[:, 1:]), (xs[:-1], xs[1:])):
+            z = np.corrcoef(a.ravel(), b.ravel())[0, 1] * math.sqrt(a.size)
+            assert abs(z) <= 5
+        assert stats.kstest(xs.ravel(), "norm").pvalue > 1e-3
 
     def test_chunk_boundary_keeps_streams(self):
         n = CHUNK_SIZE + 3
@@ -319,7 +343,8 @@ class TestNoiseStreams:
             np.testing.assert_array_equal(traj.crossings, ens.trajectory(index).crossings)
             # the same path stepped by em_step on the per-path reference stream
             z = cfg.initial_points[index % 2]
-            for j, xi in enumerate(standard_normals(cfg.master_seed, index, cfg.n_steps)):
+            xis = standard_normals(derive_seed(cfg.master_seed, index), np.arange(cfg.n_steps))
+            for j, xi in enumerate(xis):
                 z = em_step(cfg.model, j * cfg.dt, z, cfg.dt, xi)
                 assert z == ens.trajectory(index).points[j + 1]
 
@@ -484,7 +509,8 @@ class TestSimulate:
         # with no noise psi_0's first step from 1 - 0.5i is exactly
         # 1 - 0.5i + 0.5 * (0.5 + 1i) = 1.25 + 0i, on the axis; the next step
         # leaves it upwards, which is no second crossing
-        monkeypatch.setattr(NoiseStreams, "normals", lambda self: np.zeros(self._lo.size))
+        monkeypatch.setattr("cqrt.sde.standard_normals",
+                            lambda seeds, steps: np.zeros(np.shape(seeds)))
         cfg = _config(model=Eigenstate(0), dt=0.5, t_final=1.0, initial_points=(1 - 0.5j,),
                       n_trajectories=1)
         ens = simulate_ensemble(cfg)
