@@ -183,11 +183,12 @@ def _write_run(out_dir: str, outputs: dict, args: argparse.Namespace, started: f
                              __version__, time.monotonic() - started, diagnostics, files)
 
 
-#: reference name -> (the parameters it needs, its stats.Reference factory)
+#: reference name -> (the parameters it needs, its stats.Reference factory);
+#: a parameter is a number or its text, and n an integer Eigenstate accepts
 REFERENCES = {
-    "quantum_eigenstate": (("n",), lambda n: eigenstate_reference(int(n))),
-    "classical": (("n",), lambda n: classical_reference(int(n))),
-    "quantum_gaussian": (("p0", "t"), gaussian_reference),
+    "quantum_eigenstate": (("n",), lambda n: eigenstate_reference(Eigenstate(int(n)).n)),
+    "classical": (("n",), lambda n: classical_reference(Eigenstate(int(n)).n)),
+    "quantum_gaussian": (("p0", "t"), lambda p0, t: gaussian_reference(float(p0), float(t))),
 }
 
 
@@ -364,7 +365,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
     grid = np.linspace(x_lo, x_hi, 512)
     for text in args.curve or []:
         name, _, rest = text.partition(":")
-        reference = _reference(name, {k: float(v) for k, v in _params(rest).items()})
+        reference = _reference(name, _params(rest))
         plot.add_line(grid, reference.at(grid), reference.name)
     for label, centers, dens in densities:
         plot.add_points(centers, dens, label)

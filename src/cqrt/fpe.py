@@ -128,7 +128,8 @@ class FpSolution:
 def drift_field(model: ModelSpec, grid: FpGrid, drift_cap: float = 10.0):
     """Drift components (u_x, u_y) at every cell center, magnitude-capped.
 
-    u_x = Im(d ln psi/dz) and u_y = -Re(d ln psi/dz).  The cap is the
+    u_x = Im(d ln psi/dz) and u_y = -Re(d ln psi/dz), 0 at a node of psi
+    as the drift's node rule gives (log_derivative_masked).  The cap is the
     trajectory integrator's rule at dt = DT_REF: displacement drift_cap*sqrt(dt)
     per step is speed drift_cap/sqrt(DT_REF), 100 for the default cap.  The two
     solvers treat the same regularized problem only when the trajectories also
@@ -138,9 +139,8 @@ def drift_field(model: ModelSpec, grid: FpGrid, drift_cap: float = 10.0):
         raise TypeError("drift_field supports eigenstate models only")
     check_drift_cap(drift_cap)
     x, y = grid.meshgrid()
-    g, near = log_derivative_masked(model, 0.0, x + 1j * y)
-    ux = np.where(near, 0.0, np.imag(g))
-    uy = np.where(near, 0.0, -np.real(g))
+    g = log_derivative_masked(model, 0.0, x + 1j * y)[0]
+    ux, uy = np.imag(g), -np.real(g)
     speed = np.hypot(ux, uy)
     cap = drift_cap / math.sqrt(DT_REF)
     scale = np.where(speed > cap, cap / np.where(speed == 0.0, 1.0, speed), 1.0)

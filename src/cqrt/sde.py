@@ -4,7 +4,8 @@ The dynamics is dz = -i (d ln psi / dz) dt + sqrt(-i) dW with the square root
 taken as (-1+i)/sqrt(2), so one real standard-normal draw per step feeds both
 coordinates with perfectly anticorrelated increments of variance dt/2 each.
 The drift displacement of a step is capped at drift_cap*sqrt(dt), and it is 0
-at a node of psi, where the log-derivative is unusable.
+at a node of psi, where the drift is 0.  Set A holds the on-axis launches and
+the points where steps from off the axis reach or pass it.
 
 Reproducibility contract: an Ensemble is a pure function of its
 SimulationConfig.  Trajectory i owns an independent noise stream: SplitMix64
@@ -110,9 +111,10 @@ def noise_increment(xi, dt: float):
 def crossing_interpolation(x_prev, y_prev, x_new, y_new):
     """x at which the straight segment between the points meets y = 0.
 
-    Requires a strict sign change (y_prev * y_new < 0).  Returns (x, frac)
-    where frac in (0, 1) locates the crossing along the step, so the crossing
-    time is t_prev + frac * dt.
+    Requires a step that starts off the axis and ends on it or past it
+    (y_prev != 0 and sign(y_prev) * y_new <= 0).  Returns (x, frac) where frac
+    in (0, 1] locates the crossing along the step, so the crossing time is
+    t_prev + frac * dt; a landing (y_new == 0) has frac exactly 1.
     """
     frac = y_prev / (y_prev - y_new)
     return x_prev + (x_new - x_prev) * frac, frac
@@ -223,10 +225,6 @@ class Ensemble:
     near_node_steps: int
 
     @property
-    def model(self) -> ModelSpec:
-        return self.config.model
-
-    @property
     def n_diverged(self) -> int:
         return int(np.count_nonzero(~self.alive))
 
@@ -259,19 +257,18 @@ def _step(model: ModelSpec, t: float, z, dt: float, xi, drift_cap: float):
     """The Euler-Maruyama step kernel on 1-d arrays; returns (z_new, over, near).
 
     The drift displacement -i*g*dt is capped at drift_cap*sqrt(dt) where it is
-    larger (`over`).  Where the drift's node mask is set (`near`) the gradient
-    is unusable and the drift displacement is 0: the step is pure diffusion.
+    larger (`over`).  Where the drift's node mask is set (`near`) the drift is
+    0, so the step is pure diffusion and never capped.
     """
     g, near = log_derivative_masked(model, t, z)
     disp = -1j * g
     disp *= dt
     mag = np.abs(disp)
     lim = drift_cap * math.sqrt(dt)
-    over = (mag > lim) & ~near
+    over = mag > lim
     # mag becomes the cap factor lim/mag where the step is capped
     np.divide(lim, mag, out=mag, where=over)
     np.multiply(disp, mag, out=disp, where=over)
-    disp[near] = 0.0
     disp += z
     disp += noise_increment(xi, dt)
     return disp, over, near
@@ -308,9 +305,9 @@ def _integrate_chunk(ens: Ensemble, lo: int, hi: int, column: int):
     column + hi - lo) of ens's records, final_x, final_y and alive.
 
     Returns (crossings, capped, near_node): crossings is [times, x, ids] of
-    the axis points of the paths still alive at the end.  A diverged path
-    stays frozen where it left the threshold, and the drift is evaluated at 0
-    in its place.
+    the axis points (set A) of the paths still alive at the end.  A diverged
+    path stays frozen where it left the threshold, so it crosses no more, and
+    the drift is evaluated at 0 in its place.
     """
     config = ens.config
     if not 0 <= lo < hi <= config.n_trajectories:
@@ -339,14 +336,13 @@ def _integrate_chunk(ens: Ensemble, lo: int, hi: int, column: int):
         # a path lives while |z| is within the threshold, so NaN diverges too
         alive &= np.abs(z) <= BLOWUP_THRESHOLD
 
-        flip = (z_prev.imag * z.imag < 0.0) & alive
-        if np.any(flip):
-            x_cross, frac = crossing_interpolation(z_prev.real[flip], z_prev.imag[flip],
-                                                   z.real[flip], z.imag[flip])
-            crossings.append((t + dt * frac, x_cross, ids[flip]))
-        touch = (z.imag == 0.0) & alive
-        if np.any(touch):
-            crossings.append((np.full(int(touch.sum()), t + dt), z.real[touch], ids[touch]))
+        # a step from off the axis that ends on it or past it; the sign keeps
+        # the test exact where y_prev * y_new would underflow
+        hit = (np.sign(z_prev.imag) * z.imag <= 0.0) & (z_prev.imag != 0.0)
+        if np.any(hit):
+            x_cross, frac = crossing_interpolation(z_prev.real[hit], z_prev.imag[hit],
+                                                   z.real[hit], z.imag[hit])
+            crossings.append((t + dt * frac, x_cross, ids[hit]))
         row = rows.get(j + 1)
         if row is not None:
             ens.x[row, cols], ens.y[row, cols] = z.real, z.imag

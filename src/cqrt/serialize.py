@@ -90,10 +90,10 @@ def write_density(path: str, density: EmpiricalDensity) -> None:
 
 
 def read_density(path: str):
-    """Returns (centers, densities, stderr); a density has at least 2 bins."""
+    """Returns (centers, densities, stderr): 2 or more bins, centers increasing."""
     columns = read_table(path, DENSITY_HEADER)[1]
-    if columns[0].size < 2:
-        raise ValueError(f"{path}: a density needs at least 2 bins")
+    if columns[0].size < 2 or not np.all(np.diff(columns[0]) > 0):
+        raise ValueError(f"{path}: a density needs 2 or more bins at strictly increasing centers")
     return tuple(columns)
 
 

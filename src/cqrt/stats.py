@@ -146,11 +146,12 @@ def _live_records(ensemble: Ensemble) -> np.ndarray:
 
 
 def extract_point_set_a(ensemble: Ensemble, window=None) -> np.ndarray:
-    """x-values where paths crossed the real axis, within the time window.
+    """x-values where paths met the real axis, within the time window.
 
-    Crossings are linearly interpolated between recorded steps; recorded
-    points with y exactly 0 were emitted once at recording time and are not
-    double-counted here.  Diverged paths contribute nothing.
+    The axis points are the launches with y exactly 0, at t = 0, and one
+    point per Euler step that starts off the axis and ends on it or past it,
+    where the step's straight segment meets it (sde.crossing_interpolation).
+    Diverged paths contribute nothing.
     """
     return select_window(ensemble.crossing_times, ensemble.crossing_x, window)
 

@@ -1,7 +1,7 @@
 """Minimal self-contained SVG plots (no rendering dependencies).
 
 Good enough for overlaying empirical densities on analytic curves with a
-correlation annotation; not a general plotting library.
+correlation annotation; not a general plotting library.  All text is XML-escaped.
 """
 
 from __future__ import annotations
@@ -70,6 +70,7 @@ class SvgPlot:
         return x0, x1, y0, y1 * 1.05
 
     def render(self) -> str:
+        from xml.sax.saxutils import escape  # on use: it imports urllib.request
         x0, x1, y0, y1 = self._bounds()
         pw = _W - _ML - _MR
         ph = _H - _MT - _MB
@@ -99,11 +100,11 @@ class SvgPlot:
                          f'text-anchor="end">{_fmt_tick(ty)}</text>')
         if self.title:
             parts.append(f'<text x="{_W / 2}" y="20" text-anchor="middle" '
-                         f'font-size="15">{self.title}</text>')
+                         f'font-size="15">{escape(self.title)}</text>')
         parts.append(f'<text x="{_ML + pw / 2}" y="{_H - 8}" '
-                     f'text-anchor="middle">{self.xlabel}</text>')
+                     f'text-anchor="middle">{escape(self.xlabel)}</text>')
         parts.append(f'<text x="16" y="{_MT + ph / 2}" text-anchor="middle" '
-                     f'transform="rotate(-90 16 {_MT + ph / 2})">{self.ylabel}</text>')
+                     f'transform="rotate(-90 16 {_MT + ph / 2})">{escape(self.ylabel)}</text>')
 
         for k, (kind, xv, yv, label) in enumerate(self.series):
             color = _COLORS[k % len(_COLORS)]
@@ -124,11 +125,11 @@ class SvgPlot:
             yy = _MT + 16 + 16 * line
             parts.append(f'<rect x="{_ML + pw - 150}" y="{yy - 9}" width="12" height="4" '
                          f'fill="{color}"/>')
-            parts.append(f'<text x="{_ML + pw - 132}" y="{yy}">{label}</text>')
+            parts.append(f'<text x="{_ML + pw - 132}" y="{yy}">{escape(label)}</text>')
             line += 1
         for text in self.annotations:
             yy = _MT + 16 + 16 * line
-            parts.append(f'<text x="{_ML + pw - 150}" y="{yy}">{text}</text>')
+            parts.append(f'<text x="{_ML + pw - 150}" y="{yy}">{escape(text)}</text>')
             line += 1
         parts.append("</svg>")
         return "\n".join(parts) + "\n"

@@ -66,7 +66,7 @@ def log_derivative_masked(model: ModelSpec, t, z):
     drift implementation, which the integrator and the FPE solver call.
 
     For psi_n it is -z + 2n H_{n-1}(z)/H_n(z) at every t; node_mask marks the
-    zeros of H_n, where the value is meaningless.  A packet has no nodes.
+    zeros of H_n, where the value is 0 (the node rule).  A packet has no nodes.
     """
     z = np.asarray(z, dtype=complex)
     if isinstance(model, GaussianPacket):
@@ -79,7 +79,7 @@ def log_derivative_masked(model: ModelSpec, t, z):
         return -z, np.zeros(z.shape, dtype=bool)
     ratio, near = hermite_ratio_masked(model.n, z)
     ratio *= 2.0 * model.n
-    return np.subtract(ratio, z, out=ratio), near
+    return np.subtract(ratio, z, out=ratio, where=~near), near
 
 
 def log_derivative(model: ModelSpec, t, z):

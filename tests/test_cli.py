@@ -6,6 +6,7 @@ import os
 import shlex
 import time
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -265,6 +266,20 @@ class TestAnalyzeCommand:
             assert "error:" in capsys.readouterr().err
             assert not (tmp_path / "cmp.json").exists()
 
+    def test_compare_needs_increasing_centers(self, tmp_path, capsys):
+        # a density with its rows reversed is no density, in either position
+        good = tmp_path / "good.csv"
+        write_density(str(good), build_density(np.linspace(-1, 1, 50), 10, (-1, 1)))
+        header, *rows = good.read_text().splitlines(keepends=True)
+        reversed_ = tmp_path / "reversed.csv"
+        reversed_.write_text("".join([header, *rows[::-1]]))
+        for first, second in ((reversed_, good), (good, reversed_)):
+            rc = main(["compare", "--first", str(first), "--second", str(second),
+                       "--out", str(tmp_path / "cmp.json")])
+            assert rc == 1
+            assert "strictly increasing" in capsys.readouterr().err
+            assert not (tmp_path / "cmp.json").exists()
+
     def test_crossings_pool_has_no_points(self, tmp_path):
         pool = tmp_path / "pool"
         assert _run_simulate(pool) == 0
@@ -357,6 +372,16 @@ class TestPlotCommand:
         assert rc == 0
         assert "<svg" in svg.read_text()
 
+    def test_markup_in_texts_is_escaped(self, tmp_path):
+        density = tmp_path / "a<b&c.csv"
+        write_density(str(density), build_density(np.linspace(-1, 1, 50), 10, (-1, 1)))
+        svg = tmp_path / "escaped.svg"
+        rc = main(["plot", "--density", str(density), "--curve", "quantum_eigenstate:n=1",
+                   "--title", "n<2 & t=1", "--out", str(svg)])
+        assert rc == 0
+        texts = [el.text for el in ElementTree.parse(svg).iter("{http://www.w3.org/2000/svg}text")]
+        assert "n<2 & t=1" in texts and "a<b&c.csv" in texts
+
     def test_single_series_renders_without_annotation(self, tmp_path):
         svg = tmp_path / "one.svg"
         rc = main(["plot", "--curve", "classical:n=3", "--range=-4,4",
@@ -413,6 +438,10 @@ class TestExitCodes:
         # an infinite half-width gives NaN cells, a NaN one no grid at all
         ["fpe", "--L", "inf", "--t", "0.5", "--grid", "21"],
         ["fpe", "--L", "nan", "--t", "0.5", "--grid", "21"],
+        # a reference's quantum number is an integer in Eigenstate's range
+        ["plot", "--curve", "quantum_eigenstate:n=-1", "--range=-3,3"],
+        ["plot", "--curve", "quantum_eigenstate:n=1.7", "--range=-3,3"],
+        ["plot", "--curve", "classical:n=2.9", "--range=-3,3"],
     ])
     def test_bad_values_are_usage_errors(self, tmp_path, argv):
         if "snapshot-pool" in argv:

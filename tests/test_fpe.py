@@ -98,6 +98,12 @@ class TestDriftField:
         assert ux[tuple(i)] == pytest.approx(-1.5)
         assert uy[tuple(i)] == pytest.approx(0.5)
 
+    def test_zero_at_a_node(self):
+        # on [-2 sqrt 2, 2 sqrt 2], 4 x 5 cells put center [2, 2] on psi_2's
+        # node (1/sqrt 2, 0), to rounding
+        ux, uy = drift_field(Eigenstate(2), FpGrid(L=2.0 * math.sqrt(2.0), nx=4, ny=5))
+        assert ux[2, 2] == 0.0 and uy[2, 2] == 0.0 and ux[2, 3] != 0.0
+
     def test_advection_coefficients_match_closed_form(self):
         # the expanded advection coefficients of the density equation are
         # -u_x = (x^2 y + y^3 + y)/(x^2+y^2) and -u_y = (x - x y^2 - x^3)/(x^2+y^2)

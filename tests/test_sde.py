@@ -518,6 +518,33 @@ class TestSimulate:
         assert ens.crossing_times.tolist() == [0.5]
         assert ens.crossing_x.tolist() == [1.25]
 
+    @staticmethod
+    def _glide(monkeypatch, launch, dy, t_final=0.5):
+        """One noiseless path whose drift moves it by exactly dy * i per step of 0.5."""
+        monkeypatch.setattr("cqrt.sde.standard_normals",
+                            lambda seeds, steps: np.zeros(np.shape(seeds)))
+        monkeypatch.setattr("cqrt.sde.log_derivative_masked",
+                            lambda model, t, z: (np.full(z.shape, -2.0 * dy + 0j),
+                                                 np.zeros(z.shape, dtype=bool)))
+        cfg = _config(dt=0.5, t_final=t_final, initial_points=(launch,), n_trajectories=1)
+        return simulate_ensemble(cfg)
+
+    @pytest.mark.parametrize("dy, crossings", [(-2e-200, [(0.25, 0.5)]), (1e-200, [])])
+    def test_tiny_steps_cross_by_sign(self, monkeypatch, dy, crossings):
+        # y goes from 1e-200 to -1e-200 (one crossing, half way along the
+        # step) or to 2e-200 (none); y_prev * y_new underflows to 0 either way
+        ens = self._glide(monkeypatch, 0.5 + 1e-200j, dy)
+        assert ens.y[1, 0] == 1e-200 + dy
+        assert list(zip(ens.crossing_times, ens.crossing_x)) == crossings
+
+    def test_path_resting_on_the_axis_is_one_row(self, monkeypatch):
+        # only the launch is an axis point: a step that starts on the axis
+        # does not cross it
+        ens = self._glide(monkeypatch, 0.7 + 0j, 0.0, t_final=2.0)
+        assert np.all(ens.y[:, 0] == 0.0) and ens.x[:, 0].tolist() == [0.7] * 5
+        assert ens.crossing_times.tolist() == [0.0]
+        assert ens.crossing_x.tolist() == [0.7]
+
     def test_snapshot_times_need_snapshots_mode(self):
         for mode in ("full_path", "crossings_and_final"):
             with pytest.raises(ValueError, match="snapshot_times"):

@@ -105,7 +105,9 @@ def test_raising_wrappers_return_masked_values(model):
         assert scalar == complex(masked(complex(z[0]))[0])
         roots = hermite_real_roots(getattr(model, "n", 0)) + 0j
         if roots.size:
-            assert masked(roots)[1].any()
+            # the node rule: the masked value is 0 where the mask is set
+            values, near = masked(roots)
+            assert near.any() and np.all(values[near] == 0)
             with pytest.raises(NearNode):
                 wrapper(roots)
 
