@@ -9,6 +9,9 @@ and, where the record mode keeps rows (--record full, --snapshots), points.csv:
 every recorded row of the live paths, time-major with ids ascending.  `analyze`
 reads one of the two tables and selects with the library's rule
 (stats.select_window); --t rounds to the dt grid as --snapshots does.
+`compare` correlates the --first file's densities with the --second file's
+interpolated at the first file's centres (stats.correlation): any strictly
+increasing centres will do, and a constant density in either file exits 2.
 
 Every option is one typed argparse flag with its default.  An optional
 key=value config file (--config) is read as flags: each key is a flag name
@@ -38,10 +41,10 @@ from .fpe import (D_XX, D_YY, FpGrid, drift_field, fp_marginal_x, fp_solve,
                   sample_initial_points)
 from .sde import SimulationConfig, simulate_ensemble
 from .stats import (
-    EmpiricalDensity,
     Reference,
     build_density,
     classical_reference,
+    correlation,
     eigenstate_bin_range,
     eigenstate_reference,
     gaussian_bin_range,
@@ -52,7 +55,7 @@ from .stats import (
     step_time,
 )
 from .svgplot import SvgPlot
-from .wavefield import Eigenstate, GaussianPacket
+from .wavefield import Eigenstate, GaussianPacket, sample_eigenstate_positions
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -71,10 +74,7 @@ def parse_model(text: str):
         return Eigenstate(n)
     if kind != "gaussian":
         raise ValueError(f"unknown model kind {kind!r} (use eigenstate:N or gaussian:p0=X)")
-    params = _params(rest)
-    unknown = sorted(set(params) - {"p0", "form"})
-    if unknown:
-        raise ValueError(f"unknown gaussian parameter {unknown[0]!r}")
+    params = _params(rest, ("p0", "form"))
     if "p0" not in params:
         raise ValueError("gaussian model requires p0=<value>")
     try:
@@ -83,9 +83,13 @@ def parse_model(text: str):
         raise ValueError(f"bad gaussian model {text!r}: {exc}") from exc
 
 
-def _params(text: str) -> dict:
-    """'key=value,key=value' as a dict of strings."""
-    return dict(item.partition("=")[::2] for item in filter(None, text.split(",")))
+def _params(text: str, allowed: tuple) -> dict:
+    """'key=value,key=value' as a dict of strings; a key not in allowed is a ValueError."""
+    params = dict(item.partition("=")[::2] for item in filter(None, text.split(",")))
+    unknown = sorted(set(params) - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown parameter {unknown[0]!r} (takes {', '.join(allowed)})")
+    return params
 
 
 def parse_initial_points(text: str, model, n_trajectories: int, seed: int):
@@ -97,8 +101,6 @@ def parse_initial_points(text: str, model, n_trajectories: int, seed: int):
         if not isinstance(model, Eigenstate):
             raise ValueError(f"--init {text} requires an eigenstate model")
         if text == "born":
-            from .wavefield import sample_eigenstate_positions
-
             xs = sample_eigenstate_positions(model.n, n_trajectories, seed)
             return tuple(complex(x, 0.0) for x in xs)
         return tuple(sample_initial_points(model.n, n_trajectories, seed))
@@ -193,9 +195,7 @@ REFERENCES = {
 
 
 def _reference(name: str, params: dict) -> Reference:
-    """The named analytic density, built from the parameters it needs."""
-    if name not in REFERENCES:
-        raise ValueError(f"unknown reference {name!r}")
+    """The analytic density a key of REFERENCES names, built from the parameters it needs."""
     needed, make = REFERENCES[name]
     missing = [key for key in needed if params.get(key) is None]
     if missing:
@@ -350,7 +350,7 @@ def cmd_fpe(args: argparse.Namespace) -> int:
 def cmd_plot(args: argparse.Namespace) -> int:
     if not args.density and not args.curve:
         raise ValueError("plot needs at least one --density or --curve")
-    plot = SvgPlot(title=args.title or "", xlabel="x", ylabel="density")
+    plot = SvgPlot(title=args.title or "")
     x_lo, x_hi = np.inf, -np.inf
     densities = []
     for path in args.density or []:
@@ -365,7 +365,9 @@ def cmd_plot(args: argparse.Namespace) -> int:
     grid = np.linspace(x_lo, x_hi, 512)
     for text in args.curve or []:
         name, _, rest = text.partition(":")
-        reference = _reference(name, _params(rest))
+        if name not in REFERENCES:
+            raise ValueError(f"unknown reference {name!r}")
+        reference = _reference(name, _params(rest, REFERENCES[name][0]))
         plot.add_line(grid, reference.at(grid), reference.name)
     for label, centers, dens in densities:
         plot.add_points(centers, dens, label)
@@ -373,8 +375,6 @@ def cmd_plot(args: argparse.Namespace) -> int:
         report = serialize.read_manifest(args.report)
         if "gamma" in report:
             plot.annotate(f"Gamma = {report['gamma']:.4f}")
-    if args.gamma is not None:
-        plot.annotate(f"Gamma = {args.gamma:.4f}")
     serialize.atomic_write_text(args.out, plot.render())
     print(f"plot: wrote {args.out}")
     return EXIT_OK
@@ -383,18 +383,13 @@ def cmd_plot(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------- compare
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    centers_a, dens_a, _ = serialize.read_density(args.first)
+    centers, dens, _ = serialize.read_density(args.first)
     centers_b, dens_b, _ = serialize.read_density(args.second)
-    width = centers_a[1] - centers_a[0]
-    edges = np.concatenate([centers_a - width / 2, [centers_a[-1] + width / 2]])
-    total = float(np.sum(dens_a) * width)
-    density = EmpiricalDensity(bin_edges=edges, densities=dens_a / total, sample_count=0)
-    other = Reference(os.path.basename(args.second), lambda x: np.interp(x, centers_b, dens_b))
-    report = pearson(density, other)
-    print(f"compare: gamma={report.gamma:.6f} ({args.first} vs {args.second})")
+    gamma = correlation(dens, np.interp(centers, centers_b, dens_b))
+    print(f"compare: gamma={gamma:.6f} ({args.first} vs {args.second})")
     if args.out:
         serialize.atomic_write_text(args.out, json.dumps(
-            {"gamma": report.gamma, "first": args.first, "second": args.second},
+            {"gamma": gamma, "first": args.first, "second": args.second},
             indent=2, sort_keys=True) + "\n")
     return EXIT_OK
 
@@ -453,7 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
     plo.add_argument("--density", action="append")
     plo.add_argument("--curve", action="append")
     plo.add_argument("--report")
-    plo.add_argument("--gamma", type=float)
     plo.add_argument("--title")
     plo.add_argument("--range", type=_pair)
     plo.add_argument("--out", required=True)

@@ -32,9 +32,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InstabilityDetected, ZeroMass
-from .sde import check_drift_cap
+from .sde import check_step
 from .stats import EmpiricalDensity
-from .wavefield import Eigenstate, ModelSpec, log_derivative_masked
+from .wavefield import Eigenstate, ModelSpec, log_derivative_masked, turning_point
 from .hermite import hermite_log_abs
 
 #: diffusion coefficients along each axis; the cross coefficient is -1/4
@@ -137,7 +137,7 @@ def drift_field(model: ModelSpec, grid: FpGrid, drift_cap: float = 10.0):
     """
     if not isinstance(model, Eigenstate):
         raise TypeError("drift_field supports eigenstate models only")
-    check_drift_cap(drift_cap)
+    check_step(DT_REF, drift_cap)
     x, y = grid.meshgrid()
     g = log_derivative_masked(model, 0.0, x + 1j * y)[0]
     ux, uy = np.imag(g), -np.real(g)
@@ -155,9 +155,7 @@ def fp_initial(n: int, grid: FpGrid) -> np.ndarray:
     integral is not 1 (recorded as a diagnostic, and immaterial for the
     affine-invariant comparisons downstream).
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return _initial_density(n, *grid.meshgrid())
+    return _initial_density(Eigenstate(n).n, *grid.meshgrid())
 
 
 def _initial_density(n: int, x, y):
@@ -256,7 +254,7 @@ def fp_solve(model: ModelSpec, grid: FpGrid, t_final: float,
         raise TypeError("fp_solve supports eigenstate models only")
     if not 0 <= t_final < math.inf:
         raise ValueError("t_final must be finite and >= 0")
-    check_drift_cap(drift_cap)
+    check_step(DT_REF, drift_cap)
     rho0 = fp_initial(model.n, grid)
     mass0 = float(np.sum(rho0) * grid.hx * grid.hy)
     solution = FpSolution(grid=grid, t=0.0, rho=rho0, total_mass=mass0, initial_mass=mass0)
@@ -303,7 +301,7 @@ def sample_initial_points(n: int, count: int, seed: int) -> np.ndarray:
     evolves, which is what makes the two solvers directly comparable.
     Draws in the square |x|, |y| <= sqrt(2n + 1) + 2.5; deterministic per seed.
     """
-    half_width = math.sqrt(2.0 * n + 1.0) + 2.5
+    half_width = turning_point(Eigenstate(n).n) + 2.5
     probe = np.linspace(-half_width, half_width, 401)
     px, py = np.meshgrid(probe, probe)
     fmax = float(_initial_density(n, px, py).max()) * 1.25

@@ -113,6 +113,8 @@ def raise_at_nodes(masked, z, name):
 
 def hermite_log_abs(n, z):
     """log|H_n(z)|, -inf at exact zeros.  Overflow-safe for large n."""
+    if n < 0:
+        raise ValueError(f"hermite_log_abs requires n >= 0, got {n}")
     z = np.asarray(z, dtype=complex)
     if n == 0:
         return np.zeros(z.shape)

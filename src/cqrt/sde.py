@@ -120,8 +120,11 @@ def crossing_interpolation(x_prev, y_prev, x_new, y_new):
     return x_prev + (x_new - x_prev) * frac, frac
 
 
-def check_drift_cap(drift_cap: float) -> None:
-    """A drift cap must be finite and > 0; a NaN cap would cap nothing."""
+def check_step(dt: float, drift_cap: float) -> None:
+    """A time step and a drift cap must each be finite and > 0; a NaN cap
+    would cap nothing, and a negative one would reverse the drift."""
+    if not 0 < dt < math.inf:
+        raise ValueError("dt must be finite and > 0")
     if not 0 < drift_cap < math.inf:
         raise ValueError("drift_cap must be finite and > 0")
 
@@ -141,8 +144,7 @@ class SimulationConfig:
     drift_cap: float = 10.0
 
     def __post_init__(self):
-        if not 0 < self.dt < math.inf:
-            raise ValueError("dt must be finite and > 0")
+        check_step(self.dt, self.drift_cap)
         if not self.dt <= self.t_final < math.inf:
             raise ValueError("t_final must be finite and >= dt")
         if self.n_trajectories < 1:
@@ -153,7 +155,6 @@ class SimulationConfig:
             raise ValueError(f"record_mode must be one of {RECORD_MODES}")
         if (self.record_mode == "snapshots") != bool(self.snapshot_times):
             raise ValueError("snapshot_times are needed in snapshots mode and nowhere else")
-        check_drift_cap(self.drift_cap)
         pts = np.asarray(self.initial_points, dtype=complex)
         if not np.all(np.isfinite(pts.real)) or not np.all(np.isfinite(pts.imag)):
             raise ValueError("initial points must have finite components")
@@ -279,8 +280,9 @@ def em_step(model: ModelSpec, t: float, z, dt: float, xi, drift_cap: float = 10.
 
     The drift displacement is capped at drift_cap*sqrt(dt), and it is 0 where
     the drift's node mask is set, so a step from a node is pure diffusion.
-    Accepts scalars or broadcastable arrays.
+    Accepts scalars or broadcastable arrays, and checks dt and drift_cap.
     """
+    check_step(dt, drift_cap)
     scalar = np.isscalar(z) and np.isscalar(xi)
     z, xi = np.broadcast_arrays(np.asarray(z, dtype=complex), np.asarray(xi, dtype=float))
     out = _step(model, t, z.ravel(), dt, xi.ravel(), drift_cap)[0].reshape(z.shape)[()]

@@ -195,23 +195,28 @@ def build_density(samples, bins: int, range: tuple) -> EmpiricalDensity:  # noqa
     )
 
 
-def pearson(empirical: EmpiricalDensity, reference: Reference) -> ComparisonReport:
-    """Pearson correlation between the density vector and the reference's
-    values on the same bins (its per-bin rule where it has one, as the
-    classical density does, else its values at the bin centers)."""
-    ref_vals = reference.evaluate(empirical.bin_edges)
-    emp = np.asarray(empirical.densities, dtype=float)
-    if emp.size != ref_vals.size:
-        raise ValueError("reference and density lengths differ")
-    a = emp - emp.mean()
-    b = ref_vals - ref_vals.mean()
+def correlation(u, v) -> float:
+    """Pearson correlation of two equal-length vectors; DegenerateVariance if one is constant."""
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if u.size != v.size:
+        raise ValueError("the vectors' lengths differ")
+    a = u - u.mean()
+    b = v - v.mean()
     va = float(a @ a)
     vb = float(b @ b)
     if va == 0.0 or vb == 0.0:
         raise DegenerateVariance("one of the vectors is constant")
-    gamma = float(a @ b / np.sqrt(va * vb))
+    return float(a @ b / np.sqrt(va * vb))
+
+
+def pearson(empirical: EmpiricalDensity, reference: Reference) -> ComparisonReport:
+    """Pearson correlation between the density vector and the reference's
+    values on the same bins (its per-bin rule where it has one, as the
+    classical density does, else its values at the bin centers)."""
+    emp = np.asarray(empirical.densities, dtype=float)
     return ComparisonReport(
-        gamma=gamma,
+        gamma=correlation(emp, reference.evaluate(empirical.bin_edges)),
         bins=emp.size,
         range=(float(empirical.bin_edges[0]), float(empirical.bin_edges[-1])),
         reference_name=reference.name,

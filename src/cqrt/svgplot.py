@@ -38,12 +38,11 @@ def _fmt_tick(v: float) -> str:
 
 
 class SvgPlot:
-    """Accumulates line/point series, then renders one SVG document."""
+    """Accumulates line/point series, then renders one SVG document with axes x
+    and density."""
 
-    def __init__(self, title: str = "", xlabel: str = "x", ylabel: str = "density"):
+    def __init__(self, title: str = ""):
         self.title = title
-        self.xlabel = xlabel
-        self.ylabel = ylabel
         self.series = []
         self.annotations = []
 
@@ -102,9 +101,9 @@ class SvgPlot:
             parts.append(f'<text x="{_W / 2}" y="20" text-anchor="middle" '
                          f'font-size="15">{escape(self.title)}</text>')
         parts.append(f'<text x="{_ML + pw / 2}" y="{_H - 8}" '
-                     f'text-anchor="middle">{escape(self.xlabel)}</text>')
+                     'text-anchor="middle">x</text>')
         parts.append(f'<text x="16" y="{_MT + ph / 2}" text-anchor="middle" '
-                     f'transform="rotate(-90 16 {_MT + ph / 2})">{escape(self.ylabel)}</text>')
+                     f'transform="rotate(-90 16 {_MT + ph / 2})">density</text>')
 
         for k, (kind, xv, yv, label) in enumerate(self.series):
             color = _COLORS[k % len(_COLORS)]

@@ -119,7 +119,7 @@ def _normalized_psi(n, x):
 def quantum_density_eigenstate(n: int, x):
     """|psi_n(x)|^2, integrating to 1 over the real line."""
     scalar = np.ndim(x) == 0
-    psi = _normalized_psi(n, x)
+    psi = _normalized_psi(Eigenstate(n).n, x)
     out = psi * psi
     return float(out) if scalar else out
 
@@ -182,7 +182,7 @@ def sample_eigenstate_positions(n: int, count: int, seed: int) -> np.ndarray:
 
     Deterministic for a given seed; used to launch Born-distributed ensembles.
     """
-    a = turning_point(n)
+    a = turning_point(Eigenstate(n).n)
     grid = np.linspace(-(a + 3.0), a + 3.0, 200_001)
     pdf = quantum_density_eigenstate(n, grid)
     cdf = np.cumsum(pdf)

@@ -280,6 +280,37 @@ class TestAnalyzeCommand:
             assert "strictly increasing" in capsys.readouterr().err
             assert not (tmp_path / "cmp.json").exists()
 
+    def test_compare_interpolates_at_the_first_files_centers(self, tmp_path):
+        # unevenly spaced centres are compared where they are, not on bins
+        # rebuilt from the first spacing
+        x = np.linspace(-2, 2, 10)
+        keep = [0, 1, 2, 4, 6, 8, 9]
+        first, second = tmp_path / "uneven.csv", tmp_path / "even.csv"
+        write_table(str(first), serialize.DENSITY_HEADER,
+                    [x[keep], np.exp(-x[keep] ** 2), np.zeros(len(keep))])
+        write_table(str(second), serialize.DENSITY_HEADER,
+                    [x, np.exp(-(x - 0.3) ** 2), np.zeros(x.size)])
+        out = tmp_path / "cmp.json"
+        assert main(["compare", "--first", str(first), "--second", str(second),
+                     "--out", str(out)]) == 0
+        expected = np.corrcoef(np.exp(-x[keep] ** 2),
+                               np.interp(x[keep], x, np.exp(-(x - 0.3) ** 2)))[0, 1]
+        assert json.loads(out.read_text())["gamma"] == pytest.approx(expected, rel=1e-12)
+
+    def test_compare_constant_density_is_numerical_failure(self, tmp_path, capsys):
+        # an all-zero density has no variance in either position
+        good = tmp_path / "good.csv"
+        write_density(str(good), build_density(np.linspace(-1, 1, 50), 10, (-1, 1)))
+        zero = tmp_path / "zero.csv"
+        write_table(str(zero), serialize.DENSITY_HEADER,
+                    [np.linspace(-1, 1, 10), np.zeros(10), np.zeros(10)])
+        for first, second in ((zero, good), (good, zero)):
+            rc = main(["compare", "--first", str(first), "--second", str(second),
+                       "--out", str(tmp_path / "cmp.json")])
+            assert rc == 2
+            assert "constant" in capsys.readouterr().err
+            assert not (tmp_path / "cmp.json").exists()
+
     def test_crossings_pool_has_no_points(self, tmp_path):
         pool = tmp_path / "pool"
         assert _run_simulate(pool) == 0
@@ -442,14 +473,25 @@ class TestExitCodes:
         ["plot", "--curve", "quantum_eigenstate:n=-1", "--range=-3,3"],
         ["plot", "--curve", "quantum_eigenstate:n=1.7", "--range=-3,3"],
         ["plot", "--curve", "classical:n=2.9", "--range=-3,3"],
+        # a curve takes only the parameters its reference needs, and the
+        # error names the culprit
+        ["plot", "--curve", "quantum_eigenstate:n=1,bogus=3", "--range=-3,3"],
+        ["plot", "--curve", "nosuch:n=1", "--range=-3,3"],
+        # plot has no --gamma; --report annotates the analysis' gamma
+        ["plot", "--curve", "quantum_eigenstate:n=1", "--range=-3,3", "--gamma", "0.9"],
     ])
-    def test_bad_values_are_usage_errors(self, tmp_path, argv):
+    def test_bad_values_are_usage_errors(self, tmp_path, capsys, argv):
         if "snapshot-pool" in argv:
             assert _run_simulate(tmp_path / "snapshot-pool", extra=("--snapshots", "0.5")) == 0
         argv = [str(tmp_path / arg) if arg in ("missing-pool", "snapshot-pool") else arg
                 for arg in argv]
         assert main(argv + ["--out", str(tmp_path / "o")]) == 1
         assert not (tmp_path / "o").exists()
+        err = capsys.readouterr().err
+        named = {"quantum_eigenstate:n=1,bogus=3": "'bogus'",
+                 "nosuch:n=1": "unknown reference 'nosuch'"}
+        for arg in argv:
+            assert named.get(arg, "") in err
 
     def test_reversed_range_is_usage_error(self, tmp_path):
         pool = tmp_path / "pool"

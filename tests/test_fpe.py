@@ -157,6 +157,14 @@ class TestDriftField:
 
 
 class TestInitialCondition:
+    @pytest.mark.parametrize("n", [-1, 71])
+    def test_quantum_number_in_eigenstate_range(self, n):
+        # the FPE's initial density and its sampler take Eigenstate's range
+        with pytest.raises(ValueError, match=r"\[0, 70\]"):
+            fp_initial(n, FpGrid(L=2.0, nx=8, ny=8))
+        with pytest.raises(ValueError, match=r"\[0, 70\]"):
+            sample_initial_points(n, 5, seed=1)
+
     def test_zero_at_origin_for_n1(self):
         grid = FpGrid(L=2.0, nx=80, ny=80)
         rho = fp_initial(1, grid)

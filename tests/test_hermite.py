@@ -84,6 +84,12 @@ def test_log_abs_matches_direct_for_small_n():
     np.testing.assert_allclose(hermite_log_abs(2, z), direct, rtol=1e-12)
 
 
+def test_log_abs_rejects_negative_degree():
+    # the recurrence for n = -1 would stop at H_1
+    with pytest.raises(ValueError, match="n >= 0"):
+        hermite_log_abs(-1, 0.5 + 0j)
+
+
 def test_vectorized_matches_scalar():
     # numpy's scalar and array complex divisions may differ in the last ulp
     z = np.array([0.5 + 0.1j, 1.2 - 0.3j, -2.0 + 2.0j])

@@ -85,6 +85,17 @@ class TestEmStep:
         out = em_step(Eigenstate(1), 0.0, 0j, 0.01, 1.0)
         assert out == noise_increment(1.0, 0.01)
 
+    @pytest.mark.parametrize("dt, cap", [(0.01, cap) for cap in (-1.0, 0.0, math.nan, math.inf)]
+                             + [(dt, 10.0) for dt in (0.0, -0.01, math.nan, math.inf)])
+    def test_bad_step_rejected(self, dt, cap):
+        # a cap of -1 would reverse the drift and a NaN one cap nothing; a NaN
+        # dt would give a NaN step and a negative one no sqrt(dt)
+        name = "drift_cap" if dt == 0.01 else "dt"
+        with pytest.raises(ValueError, match=f"^{name} must be finite and > 0"):
+            em_step(Eigenstate(1), 0.0, 1j, dt, 0.0, drift_cap=cap)
+        with pytest.raises(ValueError, match=f"^{name} must be finite and > 0"):
+            split_step(Eigenstate(1), 0.0, 0.0, 1.0, dt, 0.0, drift_cap=cap)
+
     def test_zero_drift_at_node(self):
         # a node's drift displacement is 0, so with no noise the step stays put
         assert em_step(Eigenstate(1), 0.0, 0j, 0.01, 0.0) == 0j

@@ -25,7 +25,7 @@ from cqrt import (
     simulate_ensemble,
     snapshot_positions,
 )
-from cqrt.stats import EmpiricalDensity, Reference
+from cqrt.stats import EmpiricalDensity, Reference, correlation
 
 
 def _ensemble(**kw):
@@ -203,6 +203,10 @@ class TestPearson:
         density = EmpiricalDensity(edges, np.full(10, 1.0), 10)
         with pytest.raises(DegenerateVariance):
             pearson(density, Reference("const", lambda x: np.ones_like(x)))
+        # pearson's core alone, with either vector constant
+        for u, v in ((np.zeros(5), np.arange(5.0)), (np.arange(5.0), np.ones(5))):
+            with pytest.raises(DegenerateVariance):
+                correlation(u, v)
 
     def test_classical_reference_uses_binned_rule(self):
         ref = classical_reference(25)

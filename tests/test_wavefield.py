@@ -123,9 +123,12 @@ class TestEigenstateModel:
 
         assert MAX_QUANTUM_NUMBER == 70
         assert Eigenstate(70).n == 70
-        for n in (71, -1):
-            with pytest.raises(ValueError, match=r"\[0, 70\]"):
-                Eigenstate(n)
+        # the public helpers of an eigenstate take the same quantum numbers
+        for make in (Eigenstate, lambda n: quantum_density_eigenstate(n, 0.3),
+                     lambda n: sample_eigenstate_positions(n, 5, 1)):
+            for n in (71, -1):
+                with pytest.raises(ValueError, match=r"\[0, 70\]"):
+                    make(n)
 
 
 class TestGaussianLogDerivative:
