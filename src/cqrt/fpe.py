@@ -301,7 +301,7 @@ def sample_initial_points(n: int, count: int, seed: int) -> np.ndarray:
     evolves, which is what makes the two solvers directly comparable.
     Draws in the square |x|, |y| <= sqrt(2n + 1) + 2.5; deterministic per seed.
     """
-    half_width = turning_point(Eigenstate(n).n) + 2.5
+    half_width = turning_point(n) + 2.5
     probe = np.linspace(-half_width, half_width, 401)
     px, py = np.meshgrid(probe, probe)
     fmax = float(_initial_density(n, px, py).max()) * 1.25

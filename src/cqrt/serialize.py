@@ -2,11 +2,13 @@
 
 Every CSV file is a header row, then one row per record.  Integer columns are
 written as integers and all others with %.17g, which round-trips IEEE doubles
-exactly, so identical runs give byte-identical files.  Readers check the
-header.  A pool's final.csv and points.csv share one points format,
-traj_id,t,x,y.  A field file's header row is y\\x and the x centres; each later
-row is a y centre and that row of the field.  Every file is written to a
-temporary name in the same directory and renamed into place.
+exactly, so identical runs give byte-identical files.  Tables are streamed in
+fixed blocks of rows: the bytes of a row-by-row write, in memory that does not
+grow with the row count.  Readers check the header.  A pool's final.csv and
+points.csv share one points format, traj_id,t,x,y.  A field file's header row
+is y\\x and the x centres; each later row is a y centre and that row of the
+field.  Every file is written to a temporary name in the same directory and
+renamed into place.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import json
 import os
 import tempfile
 import warnings
+from itertools import chain
 
 import numpy as np
 
@@ -25,13 +28,17 @@ CROSSINGS_HEADER = ["traj_id", "t", "x"]
 POINTS_HEADER = ["traj_id", "t", "x", "y"]
 DENSITY_HEADER = ["bin_center", "density", "stderr"]
 
+# rows formatted by one `%` call; bounds a table write's memory at any row count
+_BLOCK_ROWS = 4096
 
-def atomic_write_text(path: str, text: str) -> None:
+
+def atomic_write_text(path: str, text) -> None:
+    """Write a str, or an iterable of str pieces, to path through a temporary file."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            handle.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -40,11 +47,19 @@ def atomic_write_text(path: str, text: str) -> None:
 
 
 def write_table(path: str, header, columns) -> None:
-    """Write aligned columns as CSV with a one-line header."""
+    """Write equal-length columns as CSV with a one-line header, in blocks of rows."""
     columns = [np.asarray(c) for c in columns]
-    row = ",".join("%d" if np.issubdtype(c.dtype, np.integer) else "%.17g" for c in columns)
-    lines = [row % values for values in zip(*(c.tolist() for c in columns))]
-    atomic_write_text(path, "\n".join([",".join(header), *lines]) + "\n")
+    lengths = {len(c) for c in columns}
+    if len(lengths) > 1:
+        raise ValueError(f"{path}: columns differ in length: {sorted(lengths)}")
+    row = ",".join("%d" if np.issubdtype(c.dtype, np.integer) else "%.17g" for c in columns) + "\n"
+
+    def pieces():
+        yield ",".join(header) + "\n"
+        for start in range(0, max(lengths, default=0), _BLOCK_ROWS):
+            block = [c[start:start + _BLOCK_ROWS].tolist() for c in columns]
+            yield row * len(block[0]) % tuple(chain.from_iterable(zip(*block)))
+    atomic_write_text(path, pieces())
 
 
 def read_table(path: str, header=None):

@@ -134,7 +134,7 @@ def quantum_density_gaussian(p0: float, t: float, x):
 
 def turning_point(n: int) -> float:
     """Classical amplitude A = sqrt(2n + 1) at the eigenstate energy n + 1/2."""
-    return math.sqrt(2.0 * n + 1.0)
+    return math.sqrt(2.0 * Eigenstate(n).n + 1.0)
 
 
 def classical_density(n: int, x):
@@ -182,7 +182,7 @@ def sample_eigenstate_positions(n: int, count: int, seed: int) -> np.ndarray:
 
     Deterministic for a given seed; used to launch Born-distributed ensembles.
     """
-    a = turning_point(Eigenstate(n).n)
+    a = turning_point(n)
     grid = np.linspace(-(a + 3.0), a + 3.0, 200_001)
     pdf = quantum_density_eigenstate(n, grid)
     cdf = np.cumsum(pdf)

@@ -5,6 +5,7 @@ import json
 import os
 import shlex
 import time
+import tracemalloc
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -33,6 +34,8 @@ from cqrt.serialize import (
     read_table,
     write_crossings,
     write_density,
+    write_field,
+    write_points,
     write_table,
 )
 from cqrt.wavefield import Eigenstate, GaussianPacket
@@ -649,3 +652,92 @@ class TestPinnedBytes:
         np.testing.assert_array_equal(xc, grid.x_centers)
         np.testing.assert_array_equal(yc, grid.y_centers)
         np.testing.assert_array_equal(rho, fp_solve(Eigenstate(3), grid, 0.02).rho)
+
+
+def _frozen_write_table(path, header, columns):
+    """The row-at-a-time formatter the block writer replaced, frozen to pin its bytes."""
+    columns = [np.asarray(c) for c in columns]
+    row = ",".join("%d" if np.issubdtype(c.dtype, np.integer) else "%.17g" for c in columns)
+    lines = [row % values for values in zip(*(c.tolist() for c in columns))]
+    serialize.atomic_write_text(path, "\n".join([",".join(header), *lines]) + "\n")
+
+
+class TestStreamedTables:
+    """write_table streams fixed row blocks: the frozen formatter's bytes, bounded memory."""
+
+    BLOCK = serialize._BLOCK_ROWS
+    INTS = [0, -1, 7, 10**12, np.iinfo(np.int64).min, np.iinfo(np.int64).max]
+    FLOATS = [-0.0, np.inf, -np.inf, np.nan, 5e-324, 1e-300, 0.1]
+
+    @pytest.mark.parametrize("rows", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+    def test_bytes_match_the_frozen_formatter(self, tmp_path, rows):
+        rng = np.random.default_rng(rows)
+        ids = np.where(rng.random(rows) < 0.5, np.resize(self.INTS, rows),
+                       rng.integers(-10**6, 10**6, rows))
+        specials = np.resize(self.FLOATS, rows)
+        columns = [ids, np.where(rng.random(rows) < 0.5, specials, rng.normal(size=rows)),
+                   specials[::-1] * rng.random(rows)]
+        header = ["id", "u", "v"]
+        write_table(str(tmp_path / "new.csv"), header, columns)
+        _frozen_write_table(str(tmp_path / "old.csv"), header, columns)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_points_and_field_match_the_frozen_formatter(self, tmp_path):
+        rows = self.BLOCK + 1
+        rng = np.random.default_rng(3)
+        ids, xs, ys = np.arange(rows) * 3, rng.normal(size=rows), rng.normal(size=rows)
+        write_points(str(tmp_path / "new.csv"), ids, 0.25, xs, ys)
+        _frozen_write_table(str(tmp_path / "old.csv"), serialize.POINTS_HEADER,
+                            [ids, np.broadcast_to(0.25, xs.shape), xs, ys])
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        # a field as fpe writes one: 401 columns, one row per y centre
+        x_centers, y_centers = np.linspace(-5, 5, 400), np.linspace(-4, 4, 400)
+        rho = rng.random((400, 400)) ** 9
+        write_field(str(tmp_path / "new.csv"), x_centers, y_centers, rho)
+        _frozen_write_table(str(tmp_path / "old.csv"),
+                            ["y\\x", *("%.17g" % x for x in x_centers)], [y_centers, *rho.T])
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        assert (tmp_path / "new.csv").read_text().count("\n") == 401
+
+    def test_failure_mid_stream_leaves_no_file(self, tmp_path):
+        path = tmp_path / "t.csv"
+        bad = np.array([0.5] * (self.BLOCK + 3) + ["bad"], dtype=object)
+        with pytest.raises(TypeError):  # the second block cannot be formatted
+            write_table(str(path), ["x"], [bad])
+        assert os.listdir(tmp_path) == []
+
+        def pieces():
+            yield "x\n"
+            raise RuntimeError("stopped")
+
+        with pytest.raises(RuntimeError, match="stopped"):
+            serialize.atomic_write_text(str(path), pieces())
+        assert os.listdir(tmp_path) == []
+
+    def test_unequal_columns_rejected_before_any_file(self, tmp_path):
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError, match="differ in length"):
+            write_table(str(path), ["a", "b"], [np.arange(5), np.arange(3.0)])
+        with pytest.raises(ValueError, match="differ in length"):
+            write_points(str(path), np.arange(2), 1.0, np.arange(4.0), np.arange(4.0))
+        assert os.listdir(tmp_path) == []
+        write_points(str(path), np.arange(4), 1.0, np.arange(4.0), np.arange(4.0))
+        assert read_points(path)[1].tolist() == [1.0] * 4
+
+    def test_write_memory_does_not_grow_with_rows(self, tmp_path):
+        factor = 1.5  # traced peak at 8x the rows over the peak at 1x
+        rng = np.random.default_rng(5)
+
+        def peak(write, rows):
+            columns = [np.arange(rows), rng.random(rows), rng.normal(size=rows)]
+            tracemalloc.start()
+            try:
+                write(str(tmp_path / "t.csv"), serialize.CROSSINGS_HEADER, columns)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        rows = 2 * self.BLOCK
+        assert peak(write_table, 8 * rows) <= factor * peak(write_table, rows)
+        # the check tells the two writers apart
+        assert peak(_frozen_write_table, 8 * rows) > factor * peak(_frozen_write_table, rows)

@@ -230,6 +230,14 @@ class TestDefaultRanges:
         assert hi == pytest.approx(3.0 + 2.0)
         assert lo == -hi
 
+    def test_eigenstate_range_and_classical_reference_take_eigenstate_n(self):
+        edges = np.linspace(-1.0, 1.0, 5)
+        for n in (-1, 71):
+            with pytest.raises(ValueError, match=r"\[0, 70\]"):
+                eigenstate_bin_range(n)
+            with pytest.raises(ValueError, match=r"\[0, 70\]"):
+                classical_reference(n).evaluate(edges)
+
     def test_gaussian_range(self):
         lo, hi = gaussian_bin_range(1.0, 1.0)
         assert (lo + hi) / 2 == pytest.approx(1.0)

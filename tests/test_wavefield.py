@@ -124,8 +124,10 @@ class TestEigenstateModel:
         assert MAX_QUANTUM_NUMBER == 70
         assert Eigenstate(70).n == 70
         # the public helpers of an eigenstate take the same quantum numbers
-        for make in (Eigenstate, lambda n: quantum_density_eigenstate(n, 0.3),
-                     lambda n: sample_eigenstate_positions(n, 5, 1)):
+        for make in (Eigenstate, turning_point, lambda n: quantum_density_eigenstate(n, 0.3),
+                     lambda n: sample_eigenstate_positions(n, 5, 1),
+                     lambda n: classical_density(n, 0.0),
+                     lambda n: classical_density_binned(n, np.linspace(-1.0, 1.0, 5))):
             for n in (71, -1):
                 with pytest.raises(ValueError, match=r"\[0, 70\]"):
                     make(n)
