@@ -188,8 +188,8 @@ def _write_run(out_dir: str, outputs: dict, args: argparse.Namespace, started: f
 #: reference name -> (the parameters it needs, its stats.Reference factory);
 #: a parameter is a number or its text, and n an integer Eigenstate accepts
 REFERENCES = {
-    "quantum_eigenstate": (("n",), lambda n: eigenstate_reference(Eigenstate(int(n)).n)),
-    "classical": (("n",), lambda n: classical_reference(Eigenstate(int(n)).n)),
+    "quantum_eigenstate": (("n",), lambda n: eigenstate_reference(int(n))),
+    "classical": (("n",), lambda n: classical_reference(int(n))),
     "quantum_gaussian": (("p0", "t"), lambda p0, t: gaussian_reference(float(p0), float(t))),
 }
 

@@ -1,7 +1,7 @@
 """Euler-Maruyama integration of the complex Langevin equation.
 
 The dynamics is dz = -i (d ln psi / dz) dt + sqrt(-i) dW with the square root
-taken as (-1+i)/sqrt(2), so one real standard-normal draw per step feeds both
+taken as (-1+i)/sqrt(2), so one real increment xi per step feeds both
 coordinates with perfectly anticorrelated increments of variance dt/2 each.
 The drift displacement of a step is capped at drift_cap*sqrt(dt), and it is 0
 at a node of psi, where the drift is 0.  Set A holds the on-axis launches and
@@ -11,12 +11,13 @@ Reproducibility contract: an Ensemble is a pure function of its
 SimulationConfig.  Trajectory i owns an independent noise stream: SplitMix64
 started at state s_i = derive_seed(master_seed, i), itself SplitMix64 output
 number i of the stream started at master_seed.  Draw j (from 0) of the stream
-is the output _splitmix64(s_i + (j + 1) * gamma), gamma = 0x9E3779B97F4A7C15,
-and it is mapped to a normal by inverse CDF over the 53-bit uniform
-((raw >> 11) + 0.5) * 2**-53, clamped to 1 - 2**-53 (see _uniform_normals).
-Every draw is a pure function of (s_i, j), so the integrator takes draw j of
-all of a chunk's streams at Euler step j (standard_normals), and results are
-bit-identical across runs, platforms, chunk sizes, and thread counts.
+is xi = +1.0 or -1.0, its sign the top bit of _splitmix64(s_i + (j + 1) *
+gamma), gamma = 0x9E3779B97F4A7C15: the simplified weak Euler scheme's
+two-point law (Kloeden and Platen, 1992, section 14.1), with the weak order 1
+of Gaussian draws, which is all that ensemble statistics need, and no inverse
+CDF.  Every draw is a pure function of (s_i, j), so the integrator takes draw
+j of all of a chunk's streams at Euler step j (standard_normals), and results
+are bit-identical across runs, platforms, chunk sizes, and thread counts.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import NumericalBlowup
 from .wavefield import ModelSpec, log_derivative_masked
@@ -49,6 +49,9 @@ RECORD_MODES = ("full_path", "crossings_and_final", "snapshots")
 _MASK64 = (1 << 64) - 1
 #: SplitMix64's increment, the odd integer nearest 2**64 / golden ratio
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+#: the sign bit of a float64 and the bits of 1.0: word & _SIGN | _ONE is -1.0 or +1.0
+_SIGN = np.uint64(1 << 63)
+_ONE = np.uint64(0x3FF0000000000000)
 
 
 def _splitmix64(x) -> np.ndarray:
@@ -83,24 +86,17 @@ def derive_seed(master_seed: int, index: int) -> int:
     return int(derive_seeds(master_seed, index))
 
 
-def _uniform_normals(k53) -> np.ndarray:
-    """Inverse-CDF normals of 53-bit integers via the uniform (k + 0.5) * 2**-53,
-    clamped to 1 - 2**-53: k = 2**53 - 1 alone would round to 1 and give +inf.
-    The uniform lies in [2**-54, 1 - 2**-53], so every normal is finite."""
-    return ndtri(np.minimum((k53.astype(np.float64) + 0.5) * 2.0**-53, 1.0 - 2.0**-53))
-
-
 def standard_normals(seeds, steps) -> np.ndarray:
-    """The draws numbered `steps` (from 0) of the noise streams seeded `seeds`,
-    broadcast against each other.
+    """The standardised increments numbered `steps` (from 0) of the noise
+    streams seeded `seeds`, broadcast against each other.
 
-    Stream s is SplitMix64 started at state s: draw j maps the top 53 bits of
-    its output number j to a normal (_uniform_normals).  The integrator takes
-    draw j of a chunk's streams at Euler step j, and a trajectory's first
-    `count` draws are standard_normals(derive_seed(master_seed, i),
-    np.arange(count)).  Fixed once; stable across platforms.
+    Increment j of stream s is +1.0 or -1.0, its sign the sign bit of output
+    number j of SplitMix64 started at state s: the weak Euler scheme's
+    two-point law (mean 0, variance 1), exact on every platform because it
+    needs no inverse CDF.  A trajectory's first `count` increments are
+    standard_normals(derive_seed(master_seed, i), np.arange(count)).
     """
-    return _uniform_normals(_splitmix64(_state(seeds, steps)) >> np.uint64(11))
+    return (_splitmix64(_state(seeds, steps)) & _SIGN | _ONE).view(np.float64)
 
 
 def noise_increment(xi, dt: float):
@@ -276,7 +272,7 @@ def _step(model: ModelSpec, t: float, z, dt: float, xi, drift_cap: float):
 
 
 def em_step(model: ModelSpec, t: float, z, dt: float, xi, drift_cap: float = 10.0):
-    """One Euler-Maruyama step from z at time t with normal draw xi.
+    """One Euler-Maruyama step from z at time t with standardised increment xi.
 
     The drift displacement is capped at drift_cap*sqrt(dt), and it is 0 where
     the drift's node mask is set, so a step from a node is pure diffusion.

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import AllOutOfRange, DegenerateVariance, EmptyResult, TimeNotRecorded
 from .sde import Ensemble
 from .wavefield import (
+    Eigenstate,
     classical_density,
     classical_density_binned,
     quantum_density_eigenstate,
@@ -89,6 +90,7 @@ class Reference:
 
 
 def eigenstate_reference(n: int) -> Reference:
+    n = Eigenstate(n).n  # rejects a bad n here, not at evaluation
     return Reference(f"quantum_eigenstate(n={n})", lambda x: quantum_density_eigenstate(n, x))
 
 
@@ -99,6 +101,7 @@ def gaussian_reference(p0: float, t: float) -> Reference:
 
 def classical_reference(n: int) -> Reference:
     """Classical sojourn density with the bin-averaged turning-point rule."""
+    n = Eigenstate(n).n  # rejects a bad n here, not at evaluation
     return Reference(f"classical(n={n})", lambda x: classical_density(n, x),
                      on_bins=lambda edges: classical_density_binned(n, edges))
 

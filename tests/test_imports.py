@@ -1,5 +1,6 @@
-"""Every module-level import in the package is used by its module, and every
-module-level UPPER_CASE constant is read somewhere in the package.
+"""Every module-level import in the package is used by its module, every
+module-level UPPER_CASE constant is read somewhere in the package, and
+importing the package and its command line loads no scipy module.
 
 `__init__.py` is exempt from the import check because its imports are the
 public re-exports, and `from __future__` imports change the compiler, not the
@@ -7,7 +8,10 @@ namespace.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -78,3 +82,13 @@ def test_checker_finds_an_unread_constant():
     sources = {"a.py": "import b\nLIMIT = 1\n_STEP: int = 2\nSCALE = 3\nprint(SCALE)\n",
                "b.py": "x = 1\nWIDTH = 4\n", "c.py": "import b\nprint(b.WIDTH + 1)\n"}
     assert unread_constants(sources) == ["a.py: LIMIT (line 2)", "a.py: _STEP (line 3)"]
+
+
+def test_package_and_cli_import_no_scipy():
+    # in a fresh interpreter, so no other test's imports count
+    code = ("import sys, cqrt, cqrt.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

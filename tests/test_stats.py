@@ -238,6 +238,13 @@ class TestDefaultRanges:
             with pytest.raises(ValueError, match=r"\[0, 70\]"):
                 classical_reference(n).evaluate(edges)
 
+    @pytest.mark.parametrize("make", [eigenstate_reference, classical_reference])
+    @pytest.mark.parametrize("n", [-1, 71])
+    def test_references_reject_n_when_built(self, make, n):
+        # before any density is evaluated
+        with pytest.raises(ValueError, match=r"\[0, 70\]"):
+            make(n)
+
     def test_gaussian_range(self):
         lo, hi = gaussian_bin_range(1.0, 1.0)
         assert (lo + hi) / 2 == pytest.approx(1.0)
