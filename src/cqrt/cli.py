@@ -38,7 +38,7 @@ from . import __version__
 from .errors import CqrtError, TimeNotRecorded
 from . import serialize
 from .fpe import (D_XX, D_YY, FpGrid, drift_field, fp_marginal_x, fp_solve,
-                  sample_initial_points)
+                  sample_eigenstate_positions, sample_initial_points)
 from .sde import SimulationConfig, simulate_ensemble
 from .stats import (
     Reference,
@@ -55,7 +55,7 @@ from .stats import (
     step_time,
 )
 from .svgplot import SvgPlot
-from .wavefield import Eigenstate, GaussianPacket, sample_eigenstate_positions
+from .wavefield import Eigenstate, GaussianPacket
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -101,8 +101,7 @@ def parse_initial_points(text: str, model, n_trajectories: int, seed: int):
         if not isinstance(model, Eigenstate):
             raise ValueError(f"--init {text} requires an eigenstate model")
         if text == "born":
-            xs = sample_eigenstate_positions(model.n, n_trajectories, seed)
-            return tuple(complex(x, 0.0) for x in xs)
+            return tuple(sample_eigenstate_positions(model.n, n_trajectories, seed) + 0j)
         return tuple(sample_initial_points(model.n, n_trajectories, seed))
     points = []
     for token in filter(None, (t.strip() for t in text.split(";"))):

@@ -32,9 +32,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InstabilityDetected, ZeroMass
-from .sde import check_step
+from .sde import check_step, uniforms
 from .stats import EmpiricalDensity
-from .wavefield import Eigenstate, ModelSpec, log_derivative_masked, turning_point
+from .wavefield import (Eigenstate, ModelSpec, log_derivative_masked,
+                        quantum_density_eigenstate, turning_point)
 from .hermite import hermite_log_abs
 
 #: diffusion coefficients along each axis; the cross coefficient is -1/4
@@ -294,28 +295,38 @@ def marginal_reference(solution: FpSolution):
     return lambda x: np.interp(x, centers, values)
 
 
-def sample_initial_points(n: int, count: int, seed: int) -> np.ndarray:
-    """Rejection-sample launch points from the fp_initial density.
+def sample_eigenstate_positions(n: int, count: int, seed: int) -> np.ndarray:
+    """Born launches: x-positions from |psi_n|^2 by inverse CDF on a fine
+    grid, position j from draw j of the launch stream (sde.uniforms)."""
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    a = turning_point(n)
+    grid = np.linspace(-(a + 3.0), a + 3.0, 200_001)
+    cdf = np.cumsum(quantum_density_eigenstate(n, grid))
+    cdf /= cdf[-1]
+    return np.interp(uniforms(seed, np.arange(count)), cdf, grid)
 
-    Gives the trajectory ensemble the same initial distribution the PDE
-    evolves, which is what makes the two solvers directly comparable.
-    Draws in the square |x|, |y| <= sqrt(2n + 1) + 2.5; deterministic per seed.
+
+def sample_initial_points(n: int, count: int, seed: int) -> np.ndarray:
+    """Rejection-sample launch points from the fp_initial density, so the
+    trajectories start from the distribution the PDE evolves.  Candidate k
+    is uniform in the square |x|, |y| <= sqrt(2n + 1) + 2.5, made of draws
+    3k, 3k + 1 and 3k + 2 of the launch stream (x, y and the acceptance
+    test; sde.uniforms); the first `count` accepted are returned, in order.
     """
     half_width = turning_point(n) + 2.5
     probe = np.linspace(-half_width, half_width, 401)
     px, py = np.meshgrid(probe, probe)
     fmax = float(_initial_density(n, px, py).max()) * 1.25
-    rng = np.random.Generator(np.random.PCG64(seed))
     out = np.empty(count, dtype=complex)
-    got = 0
+    got = start = 0
     while got < count:
         m = 3 * (count - got) + 1000
-        x = rng.uniform(-half_width, half_width, m)
-        y = rng.uniform(-half_width, half_width, m)
-        u = rng.uniform(0.0, fmax, m)
-        accept = u < _initial_density(n, x, y)
-        take = min(int(accept.sum()), count - got)
-        picked = x[accept][:take] + 1j * y[accept][:take]
-        out[got:got + take] = picked
-        got += take
+        x, y, u = uniforms(seed, np.arange(3 * start, 3 * (start + m))).reshape(m, 3).T
+        x, y = (2.0 * x - 1.0) * half_width, (2.0 * y - 1.0) * half_width
+        accept = u * fmax < _initial_density(n, x, y)
+        picked = (x + 1j * y)[accept][:count - got]
+        out[got:got + picked.size] = picked
+        got += picked.size
+        start += m
     return out

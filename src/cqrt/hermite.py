@@ -26,7 +26,7 @@ RESCALE_THRESHOLD = 2.0**333
 # largest double (about 690)
 _HEADROOM_BITS = math.log2(np.finfo(float).max / RESCALE_THRESHOLD) - 1.0
 
-# |H_n| below scale * NEAR_NODE_RTOL means the ratio has no correct digits.
+# |H_{n-1}/H_n| at or above 1/NEAR_NODE_RTOL means the ratio has no correct digits.
 NEAR_NODE_RTOL = 1e-12
 
 
@@ -77,20 +77,18 @@ def _recurrence_pair(n, z):
 def hermite_ratio_masked(n, z):
     """H_{n-1}(z)/H_n(z) without raising at nodes.
 
-    Returns (ratio, near_node) where near_node marks points at which H_n
-    underflows relative to the running scale; the ratio is 0 there and must
-    not be used.
+    Returns (ratio, near_node) where near_node marks points at which |H_n|
+    is below NEAR_NODE_RTOL |H_{n-1}|, taken from the quotient itself; the
+    ratio is 0 there and must not be used.  A NaN ratio is not near a node.
     """
     if n < 1:
         raise ValueError(f"hermite_ratio requires n >= 1, got {n}")
     h_prev, h_cur, _ = _recurrence_pair(n, z)
-    mag = np.abs(h_cur)
-    scale = np.maximum(np.abs(h_prev), mag)
-    scale *= NEAR_NODE_RTOL
-    near = mag <= scale
-    np.divide(h_prev, h_cur, out=h_prev, where=~near)
-    h_prev[near] = 0.0
-    return h_prev, near
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = np.divide(h_prev, h_cur, out=h_prev)
+        near = np.abs(ratio) >= 1 / NEAR_NODE_RTOL
+    ratio[near] = 0.0
+    return ratio, near
 
 
 def hermite_ratio(n: int, z):

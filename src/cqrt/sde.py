@@ -11,13 +11,14 @@ Reproducibility contract: an Ensemble is a pure function of its
 SimulationConfig.  Trajectory i owns an independent noise stream: SplitMix64
 started at state s_i = derive_seed(master_seed, i), itself SplitMix64 output
 number i of the stream started at master_seed.  Draw j (from 0) of the stream
-is xi = +1.0 or -1.0, its sign the top bit of _splitmix64(s_i + (j + 1) *
-gamma), gamma = 0x9E3779B97F4A7C15: the simplified weak Euler scheme's
-two-point law (Kloeden and Platen, 1992, section 14.1), with the weak order 1
-of Gaussian draws, which is all that ensemble statistics need, and no inverse
-CDF.  Every draw is a pure function of (s_i, j), so the integrator takes draw
-j of all of a chunk's streams at Euler step j (standard_normals), and results
-are bit-identical across runs, platforms, chunk sizes, and thread counts.
+is xi = +1.0 or -1.0, its sign the top bit of SplitMix64's output for the
+state s_i + (j + 1) * gamma, gamma = 0x9E3779B97F4A7C15: the simplified weak
+Euler scheme's two-point law (Kloeden and Platen, 1992, section 14.1), with
+the weak order 1 of Gaussian draws, which is all that ensemble statistics
+need, and no inverse CDF.  Every draw is a pure function of (s_i, j), so the
+integrator takes draw j of all of a chunk's streams at Euler step j
+(standard_normals), and results are bit-identical across runs, platforms,
+chunk sizes, and thread counts.  Launches draw from one more stream (uniforms).
 """
 
 from __future__ import annotations
@@ -54,21 +55,16 @@ _SIGN = np.uint64(1 << 63)
 _ONE = np.uint64(0x3FF0000000000000)
 
 
-def _splitmix64(x) -> np.ndarray:
-    """SplitMix64's output function (Steele, Lea and Flood, OOPSLA 2014): the
-    avalanche of the uint64 states x.  The ufuncs wrap modulo 2**64 without
-    the overflow warning of numpy's scalar operators."""
-    x = np.asarray(x, dtype=np.uint64)
+def _words(seeds, steps) -> np.ndarray:
+    """Output number `steps` (from 0) of SplitMix64 started at state `seeds`
+    (Steele, Lea and Flood, OOPSLA 2014): the avalanche of the state seeds +
+    (steps + 1) * gamma.  The ufuncs wrap modulo 2**64 without the overflow
+    warning of numpy's scalar operators."""
+    steps = np.add(np.asarray(steps, dtype=np.uint64), np.uint64(1))
+    x = np.add(np.multiply(steps, _GOLDEN), np.asarray(seeds, dtype=np.uint64))
     x = np.multiply(x ^ (x >> np.uint64(30)), np.uint64(0xBF58476D1CE4E5B9))
     x = np.multiply(x ^ (x >> np.uint64(27)), np.uint64(0x94D049BB133111EB))
     return x ^ (x >> np.uint64(31))
-
-
-def _state(seeds, steps) -> np.ndarray:
-    """The state seeds + (steps + 1) * gamma mod 2**64 from which SplitMix64,
-    started at state `seeds`, makes its output number `steps` (from 0)."""
-    steps = np.add(np.asarray(steps, dtype=np.uint64), np.uint64(1))
-    return np.add(np.multiply(steps, _GOLDEN), np.asarray(seeds, dtype=np.uint64))
 
 
 def derive_seeds(master_seed: int, indices) -> np.ndarray:
@@ -78,7 +74,7 @@ def derive_seeds(master_seed: int, indices) -> np.ndarray:
     The avalanche stage decorrelates adjacent indices, giving independent
     reproducible streams without any coordination between workers.
     """
-    return _splitmix64(_state(master_seed & _MASK64, indices))
+    return _words(master_seed & _MASK64, indices)
 
 
 def derive_seed(master_seed: int, index: int) -> int:
@@ -96,7 +92,15 @@ def standard_normals(seeds, steps) -> np.ndarray:
     needs no inverse CDF.  A trajectory's first `count` increments are
     standard_normals(derive_seed(master_seed, i), np.arange(count)).
     """
-    return (_splitmix64(_state(seeds, steps)) & _SIGN | _ONE).view(np.float64)
+    return (_words(seeds, steps) & _SIGN | _ONE).view(np.float64)
+
+
+def uniforms(seed: int, counters) -> np.ndarray:
+    """Draws `counters` (from 0) of the launch stream of `seed`: the exact
+    uniform doubles (word >> 11) * 2**-53 in [0, 1) of SplitMix64 started at
+    derive_seed(seed, 2**64 - 1).  derive_seed is a bijection in the index and
+    no ensemble reaches 2**64 - 1, so this is no trajectory's stream."""
+    return (_words(derive_seed(seed, _MASK64), counters) >> np.uint64(11)) * 2.0**-53
 
 
 def noise_increment(xi, dt: float):

@@ -176,16 +176,3 @@ def classical_density_binned(n: int, bin_edges) -> np.ndarray:
     straddle = ((lo < a) & (hi > a)) | ((lo < -a) & (hi > -a))
     return np.where(straddle | (point > avg), avg, point)
 
-
-def sample_eigenstate_positions(n: int, count: int, seed: int) -> np.ndarray:
-    """Draw x-positions from |psi_n|^2 by inverse CDF on a fine grid.
-
-    Deterministic for a given seed; used to launch Born-distributed ensembles.
-    """
-    a = turning_point(n)
-    grid = np.linspace(-(a + 3.0), a + 3.0, 200_001)
-    pdf = quantum_density_eigenstate(n, grid)
-    cdf = np.cumsum(pdf)
-    cdf /= cdf[-1]
-    rng = np.random.Generator(np.random.PCG64(seed))
-    return np.interp(rng.random(count), cdf, grid)

@@ -21,8 +21,11 @@ from cqrt import (
     fp_solve,
     fp_step,
     marginal_reference,
+    sample_eigenstate_positions,
     sample_initial_points,
+    turning_point,
 )
+from cqrt.sde import uniforms
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -385,5 +388,27 @@ def test_initial_point_sampler_matches_field():
     assert np.mean(np.abs(pts) ** 2) == pytest.approx(2.0, rel=0.02)
     assert abs(pts.real.mean()) < 0.02
     assert abs(pts.imag.mean()) < 0.02
-    # deterministic for a fixed (count, seed) pair
+    # deterministic, and a shorter draw is a prefix of a longer one
     np.testing.assert_array_equal(pts, sample_initial_points(1, 100_000, seed=4))
+    np.testing.assert_array_equal(sample_initial_points(1, 10, seed=4), pts[:10])
+
+
+def test_initial_points_are_the_accepted_candidates_in_order():
+    # candidate k is draws 3k and 3k + 1 of the launch stream, mapped to the
+    # square; 200 points take two rounds, and the second must go on from the
+    # first's last candidate, not repeat it
+    x, y, _ = uniforms(4, np.arange(3 * 6000)).reshape(6000, 3).T
+    half_width = turning_point(1) + 2.5
+    candidates = list((2.0 * x - 1.0) * half_width + 1j * ((2.0 * y - 1.0) * half_width))
+    index = [candidates.index(p) for p in sample_initial_points(1, 200, seed=4)]
+    assert index == sorted(set(index))
+
+
+@pytest.mark.parametrize("sampler", [sample_eigenstate_positions, sample_initial_points],
+                         ids=lambda f: f.__name__)
+def test_sampler_input_rules(sampler):
+    with pytest.raises(ValueError):
+        sampler(1, -1, seed=4)
+    assert sampler(1, 0, seed=4).shape == (0,)
+    # a negative seed is taken mod 2**64, as master_seed is
+    np.testing.assert_array_equal(sampler(1, 50, seed=-3), sampler(1, 50, seed=2**64 - 3))

@@ -101,8 +101,9 @@ def test_vectorized_matches_scalar():
 
 
 def _frozen_ratio_masked(n, z):
-    """hermite_ratio_masked as it was before the in-place rewrite: one
-    temporary per operation, and 0/1 at the nodes."""
+    """hermite_ratio_masked as it was before the in-place rewrite and before
+    the near-node mask was read off the quotient: one temporary per
+    operation, the mask from the magnitudes, and 0/1 at the nodes."""
     h_prev, h_cur, _ = _recurrence_pair(n, z)
     scale = np.maximum(np.abs(h_prev), np.abs(h_cur))
     near = np.abs(h_cur) <= scale * NEAR_NODE_RTOL
@@ -114,18 +115,42 @@ def _same_bits(new, old):
                and np.asarray(a).tobytes() == np.asarray(b).tobytes() for a, b in zip(new, old))
 
 
-@pytest.mark.parametrize("n", [1, 4, 70])
+def _mask_points(n):
+    """2e5 random points, the real roots of H_n and their neighbouring doubles,
+    points within 1e-13 of the roots, a ring of radius about 1e5, and three
+    points where |H_0/H_1| = 1/(2|z|) is exactly 1/NEAR_NODE_RTOL."""
+    rng = np.random.default_rng(n)
+    spread = np.sqrt(2.0 * n + 1.0) + 2.0
+    scattered = rng.normal(0.0, spread, 200_000) + 1j * rng.normal(0.0, 1.0, 200_000)
+    roots = hermite_real_roots(n)
+    jitter = rng.uniform(-1e-13, 1e-13, (2, 50, n))
+    near_roots = roots + jitter[0] + 1j * jitter[1]
+    ring = 1e5 * (1.0 + rng.random(1000)) * np.exp(2j * np.pi * rng.random(1000))
+    return np.concatenate([scattered, roots, np.nextafter(roots, -np.inf),
+                           np.nextafter(roots, np.inf), near_roots.ravel(), ring,
+                           [5e-13, -5e-13, 5e-13j]])
+
+
+@pytest.mark.parametrize("n", [*range(1, 12), 20, 40, 70])
 def test_ratio_matches_frozen_expression_bitwise(n):
     rng = np.random.default_rng(n)
     born = sample_eigenstate_positions(n, 3000, 13) + 1j * rng.normal(0.0, 0.7, 3000)
     roots = hermite_real_roots(n) + 0j
-    z = np.concatenate([born, roots, roots + 1e-9, _kernel_points()])
+    z = np.concatenate([born, roots, roots + 1e-9, _kernel_points(), _mask_points(n)])
     ratio, near = hermite_ratio_masked(n, z)
     assert near.any() and not near.all()
     assert _same_bits((ratio, near), _frozen_ratio_masked(n, z))
     for zi in (z[0], roots[0], roots[-1] + 1e-9):
         assert _same_bits(hermite_ratio_masked(n, zi), _frozen_ratio_masked(n, zi))
     assert _same_bits(hermite_ratio_masked(n, z[:9].tolist()), _frozen_ratio_masked(n, z[:9]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 70])
+def test_nan_is_not_near_a_node(n):
+    z = np.array([np.nan, complex(np.nan, 1.0), complex(1.0, np.nan), 0.5])
+    ratio, near = hermite_ratio_masked(n, z)
+    assert not near.any()
+    assert np.isnan(ratio[:3]).all() and np.isfinite(ratio[3])
 
 
 def _per_step_reference(n, z):

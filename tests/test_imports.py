@@ -1,6 +1,7 @@
 """Every module-level import in the package is used by its module, every
-module-level UPPER_CASE constant is read somewhere in the package, and
-importing the package and its command line loads no scipy module.
+module-level UPPER_CASE constant is read somewhere in the package, no module
+reads numpy's random module (sde's SplitMix64 streams are the one random
+source), and importing the package and its command line loads no scipy module.
 
 `__init__.py` is exempt from the import check because its imports are the
 public re-exports, and `from __future__` imports change the compiler, not the
@@ -82,6 +83,37 @@ def test_checker_finds_an_unread_constant():
     sources = {"a.py": "import b\nLIMIT = 1\n_STEP: int = 2\nSCALE = 3\nprint(SCALE)\n",
                "b.py": "x = 1\nWIDTH = 4\n", "c.py": "import b\nprint(b.WIDTH + 1)\n"}
     assert unread_constants(sources) == ["a.py: LIMIT (line 2)", "a.py: _STEP (line 3)"]
+
+
+def numpy_random_reads(source: str) -> list:
+    """Lines of source that read np.random or numpy.random, or import from it."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            read = (node.attr == "random" and isinstance(node.value, ast.Name)
+                    and node.value.id in ("np", "numpy"))
+        elif isinstance(node, ast.ImportFrom):
+            read = node.module == "numpy.random" or (
+                node.module == "numpy" and any(a.name == "random" for a in node.names))
+        elif isinstance(node, ast.Import):
+            read = any(a.name.startswith("numpy.random") for a in node.names)
+        else:
+            continue
+        if read:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_numpy_random(path):
+    assert numpy_random_reads(path.read_text()) == []
+
+
+def test_checker_finds_numpy_random():
+    source = ("import numpy as np\nimport numpy.random\nfrom numpy import random\n"
+              "from numpy.random import PCG64\nrng = np.random.Generator(PCG64(1))\n"
+              "x = numpy.random.random(3)\nrandom = 1\nnp.zeros(1).random\n")
+    assert numpy_random_reads(source) == [2, 3, 4, 5, 6]
 
 
 def test_package_and_cli_import_no_scipy():

@@ -30,6 +30,7 @@ from cqrt.sde import (
     CHUNK_SIZE,
     _step,
     derive_seeds,
+    uniforms,
 )
 from cqrt.wavefield import log_derivative_masked
 
@@ -338,6 +339,13 @@ class TestNoiseStreams:
         drawn = standard_normals(np.array(seeds, dtype=np.uint64)[:, None], steps)
         for row, seed in enumerate(seeds):
             assert drawn[row].tobytes() == _reference_normals(seed, first, count).tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
+    def test_launch_uniforms_match_reference(self, seed):
+        # draw j of the launch stream of seed: the top 53 bits of output j of
+        # SplitMix64 started at derive_seed(seed, 2**64 - 1), over 2**53
+        words = _reference_ints(derive_seed(seed, 2**64 - 1), 0, 300)
+        assert uniforms(seed, np.arange(300)).tolist() == [(w >> 11) / 2**53 for w in words]
 
     def test_draws_are_exactly_plus_or_minus_one(self, stream_block):
         assert stream_block.dtype == np.float64
