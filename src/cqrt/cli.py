@@ -11,7 +11,8 @@ reads one of the two tables and selects with the library's rule
 (stats.select_window); --t rounds to the dt grid as --snapshots does.
 `compare` correlates the --first file's densities with the --second file's
 interpolated at the first file's centres (stats.correlation): any strictly
-increasing centres will do, and a constant density in either file exits 2.
+increasing centres will do, a value that is not finite exits 1, and a constant
+density in either file exits 2.
 
 Every option is one typed argparse flag with its default.  An optional
 key=value config file (--config) is read as flags: each key is a flag name
@@ -19,9 +20,11 @@ key=value config file (--config) is read as flags: each key is a flag name
 the later flag wins, so a flag on the command line overrides the file.  An
 unknown key or a bad value is a usage error; a config file that cannot be
 read is an I/O error.  A reversed --range or --window (lo,hi with lo > hi) is
-rejected while parsing, before any file is read.  The manifest written next
-to the outputs records the typed options, so any run can be reproduced from
-its manifest alone, and the seconds from the command's start to its manifest.
+rejected while parsing, before any file is read.  simulate, analyze and fpe
+write their outputs and then a manifest through serialize.write_run.  The
+manifest records the typed options, so any run can be reproduced from it
+alone, the seconds from the command's start to its last output, and each
+output's digest.  `plot` draws every series with one svgplot.render call.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import numpy as np
 
 from . import __version__
 from .errors import CqrtError, TimeNotRecorded
-from . import serialize
+from . import serialize, svgplot
 from .fpe import (D_XX, D_YY, FpGrid, drift_field, fp_marginal_x, fp_solve,
                   sample_eigenstate_positions, sample_initial_points)
 from .sde import SimulationConfig, simulate_ensemble
@@ -54,7 +57,6 @@ from .stats import (
     select_window,
     step_time,
 )
-from .svgplot import SvgPlot
 from .wavefield import Eigenstate, GaussianPacket
 
 EXIT_OK = 0
@@ -172,16 +174,10 @@ def _with_config(argv: list) -> list:
 
 def _write_run(out_dir: str, outputs: dict, args: argparse.Namespace, started: float,
                diagnostics: dict, **extra) -> None:
-    """Make out_dir, write each output with its writer(path), then the manifest:
-    the typed options of args plus extra, the time since started, each digest."""
-    os.makedirs(out_dir, exist_ok=True)
-    files = {}
-    for name, write in outputs.items():
-        files[name] = os.path.join(out_dir, name)
-        write(files[name])
+    """serialize.write_run with the typed options of args plus extra as the config."""
     config = {key: value for key, value in vars(args).items() if key != "func"}
-    serialize.write_manifest(os.path.join(out_dir, "manifest.json"), dict(config, **extra),
-                             __version__, time.monotonic() - started, diagnostics, files)
+    serialize.write_run(out_dir, outputs, dict(config, **extra), __version__, started,
+                        diagnostics)
 
 
 #: reference name -> (the parameters it needs, its stats.Reference factory);
@@ -349,12 +345,11 @@ def cmd_fpe(args: argparse.Namespace) -> int:
 def cmd_plot(args: argparse.Namespace) -> int:
     if not args.density and not args.curve:
         raise ValueError("plot needs at least one --density or --curve")
-    plot = SvgPlot(title=args.title or "")
     x_lo, x_hi = np.inf, -np.inf
-    densities = []
+    points = []
     for path in args.density or []:
         centers, dens, _ = serialize.read_density(path)
-        densities.append((os.path.basename(path), centers, dens))
+        points.append(("points", centers, dens, os.path.basename(path)))
         x_lo = min(x_lo, centers.min())
         x_hi = max(x_hi, centers.max())
     if args.range:
@@ -362,19 +357,19 @@ def cmd_plot(args: argparse.Namespace) -> int:
     if not np.isfinite(x_lo):
         raise ValueError("--curve alone needs --range lo,hi")
     grid = np.linspace(x_lo, x_hi, 512)
+    lines = []
     for text in args.curve or []:
         name, _, rest = text.partition(":")
         if name not in REFERENCES:
             raise ValueError(f"unknown reference {name!r}")
         reference = _reference(name, _params(rest, REFERENCES[name][0]))
-        plot.add_line(grid, reference.at(grid), reference.name)
-    for label, centers, dens in densities:
-        plot.add_points(centers, dens, label)
+        lines.append(("line", grid, reference.at(grid), reference.name))
+    notes = []
     if args.report:
         report = serialize.read_manifest(args.report)
         if "gamma" in report:
-            plot.annotate(f"Gamma = {report['gamma']:.4f}")
-    serialize.atomic_write_text(args.out, plot.render())
+            notes.append(f"Gamma = {report['gamma']:.4f}")
+    serialize.atomic_write_text(args.out, svgplot.render(args.title, lines + points, notes))
     print(f"plot: wrote {args.out}")
     return EXIT_OK
 

@@ -123,8 +123,6 @@ def hermite_log_abs(n, z):
 
 def hermite_real_roots(n: int) -> np.ndarray:
     """The n real zeros of H_n, ascending."""
-    if n == 0:
-        return np.array([])
     coeffs = np.zeros(n + 1)
     coeffs[n] = 1.0
     return np.sort(np.polynomial.hermite.hermroots(coeffs))

@@ -234,9 +234,7 @@ class Ensemble:
         at adjusted_t_final (crossings_and_final), and its crossings.  Raises
         ValueError outside [0, n_trajectories), NumericalBlowup if it diverged.
         """
-        n = self.config.n_trajectories
-        if not 0 <= index < n:
-            raise ValueError(f"trajectory index {index} outside [0, {n})")
+        _check_index(self.config, index)
         return self._path(index, index)
 
     def _path(self, index: int, column: int) -> Trajectory:
@@ -312,8 +310,6 @@ def _integrate_chunk(ens: Ensemble, lo: int, hi: int, column: int):
     the drift is evaluated at 0 in its place.
     """
     config = ens.config
-    if not 0 <= lo < hi <= config.n_trajectories:
-        raise ValueError(f"trajectories [{lo}, {hi}) outside [0, {config.n_trajectories})")
     cols = slice(column, column + hi - lo)
     dt = config.dt
     ids = np.arange(lo, hi)
@@ -404,4 +400,12 @@ def simulate_trajectory(config: SimulationConfig, traj_index: int) -> Trajectory
     without the other paths.  Raises ValueError outside [0, n_trajectories)
     and NumericalBlowup if that path diverges.
     """
+    _check_index(config, traj_index)
     return _run(config, traj_index, traj_index + 1, 1)._path(traj_index, 0)
+
+
+def _check_index(config: SimulationConfig, index: int) -> None:
+    """Raise ValueError unless index is a trajectory of config."""
+    n = config.n_trajectories
+    if not 0 <= index < n:
+        raise ValueError(f"trajectory index {index} outside [0, {n})")

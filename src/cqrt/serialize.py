@@ -1,13 +1,16 @@
-"""On-disk formats: CSV tables, run manifests, atomic writes.
+"""On-disk formats: CSV tables, run directories, atomic writes.
 
 Every CSV file is a header row, then one row per record.  Integer columns are
 written as integers and all others with %.17g, which round-trips IEEE doubles
-exactly, so identical runs give byte-identical files.  Tables are streamed in
-fixed blocks of rows: the bytes of a row-by-row write, in memory that does not
-grow with the row count.  Readers check the header.  A pool's final.csv and
-points.csv share one points format, traj_id,t,x,y.  A field file's header row
-is y\\x and the x centres; each later row is a y centre and that row of the
-field.  Every file is written to a temporary name in the same directory and
+exactly, so identical runs give byte-identical files.  Tables are formatted in
+blocks of _BLOCK_ROWS rows: the bytes of a row-by-row write, with a text
+buffer that does not grow with the row count.  The columns themselves are
+whole arrays that the caller builds first.  Readers check the header.  A
+pool's final.csv and points.csv share one points format, traj_id,t,x,y.  A
+field file's header row is y\\x and the x centres; each later row is a y
+centre and that row of the field.  A run directory (write_run) holds the
+outputs and a manifest.json with their digests.  Every file is written to a
+temporary name in the same directory, given the mode open() would give it, and
 renamed into place.
 """
 
@@ -16,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
+import time
 import warnings
 from itertools import chain
 
@@ -28,14 +31,18 @@ CROSSINGS_HEADER = ["traj_id", "t", "x"]
 POINTS_HEADER = ["traj_id", "t", "x", "y"]
 DENSITY_HEADER = ["bin_center", "density", "stderr"]
 
-# rows formatted by one `%` call; bounds a table write's memory at any row count
+# rows formatted by one `%` call; bounds a table write's text buffer at any row count
 _BLOCK_ROWS = 4096
 
 
 def atomic_write_text(path: str, text) -> None:
-    """Write a str, or an iterable of str pieces, to path through a temporary file."""
+    """Write a str, or an iterable of str pieces, to path through a temporary
+    file, with the mode open() would give the file."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}.part")
+    # 0o666 less the umask, as open() creates a file; mkstemp's 0600 would
+    # survive the rename
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.writelines([text] if isinstance(text, str) else text)
@@ -105,10 +112,13 @@ def write_density(path: str, density: EmpiricalDensity) -> None:
 
 
 def read_density(path: str):
-    """Returns (centers, densities, stderr): 2 or more bins, centers increasing."""
+    """Returns (centers, densities, stderr): 2 or more bins, centers increasing,
+    every value finite."""
     columns = read_table(path, DENSITY_HEADER)[1]
     if columns[0].size < 2 or not np.all(np.diff(columns[0]) > 0):
         raise ValueError(f"{path}: a density needs 2 or more bins at strictly increasing centers")
+    if not all(np.isfinite(column).all() for column in columns):
+        raise ValueError(f"{path}: every value of a density must be finite")
     return tuple(columns)
 
 
@@ -145,25 +155,31 @@ def config_run_id(config_dict: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
 
-def write_manifest(path: str, config_dict: dict, version: str, duration_s: float,
-                   diagnostics: dict, files: dict) -> str:
-    """Write the run manifest; returns the run id.
+def write_run(out_dir: str, outputs: dict, config_dict: dict, version: str, started: float,
+              diagnostics: dict) -> None:
+    """Make out_dir, write each output with its writer(path), then manifest.json.
 
-    `files` maps file names (relative to the manifest) to their paths; the
-    manifest stores their SHA-256 digests under the run id, making every
-    output attributable and the run replayable from the recorded config.
+    `outputs` maps file names in out_dir to their writers.  The manifest holds
+    the run id of config_dict, the config, the seconds from `started` (a
+    time.monotonic() reading) to the last write, the diagnostics and each
+    output's SHA-256 digest, making every output attributable and the run
+    replayable from the recorded config.
     """
-    run_id = config_run_id(config_dict)
+    os.makedirs(out_dir, exist_ok=True)
+    paths = {name: os.path.join(out_dir, name) for name in outputs}
+    for name, write in outputs.items():
+        write(paths[name])
+    duration_s = time.monotonic() - started
     manifest = {
-        "run_id": run_id,
+        "run_id": config_run_id(config_dict),
         "tool_version": version,
         "config": config_dict,
         "duration_s": duration_s,
         "diagnostics": diagnostics,
-        "files": {name: sha256_file(p) for name, p in files.items()},
+        "files": {name: sha256_file(path) for name, path in paths.items()},
     }
-    atomic_write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return run_id
+    atomic_write_text(os.path.join(out_dir, "manifest.json"),
+                      json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def read_manifest(path: str) -> dict:

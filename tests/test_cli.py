@@ -1,6 +1,7 @@
 """End-to-end command-line checks: file formats, reproducibility, round trips,
 exit codes."""
 
+import hashlib
 import json
 import os
 import shlex
@@ -416,6 +417,25 @@ class TestPlotCommand:
         texts = [el.text for el in ElementTree.parse(svg).iter("{http://www.w3.org/2000/svg}text")]
         assert "n<2 & t=1" in texts and "a<b&c.csv" in texts
 
+    def test_svg_bytes_are_pinned(self, tmp_path):
+        # the classical density needs only sqrt, so no platform libm moves a byte
+        density = tmp_path / "set_a.csv"
+        write_table(str(density), serialize.DENSITY_HEADER,
+                    [[-1.5, -0.5, 0.5, 1.5], [0.125, 0.375, 0.3125, 0.1875],
+                     [0.01, 0.02, 0.02, 0.01]])
+        report = tmp_path / "report.json"
+        report.write_text('{"gamma": 0.912345}\n')
+        one, two = tmp_path / "one.svg", tmp_path / "two.svg"
+        assert main(["plot", "--density", str(density), "--curve", "classical:n=3",
+                     "--title", "set A & n=3", "--report", str(report),
+                     "--out", str(one)]) == 0
+        assert main(["plot", "--curve", "classical:n=25", "--range=-9,9",
+                     "--out", str(two)]) == 0
+        digests = [hashlib.sha256(path.read_bytes()).hexdigest() for path in (one, two)]
+        assert digests == [
+            "e3795544ef06e98ee18eba90983aa490a8799bb51672e3c371e24dc907a1647c",
+            "e9ee6da608d2dc5dcf460e24cb5eb99006e12a9c69945141825c8eeefc260766"]
+
     def test_single_series_renders_without_annotation(self, tmp_path):
         svg = tmp_path / "one.svg"
         rc = main(["plot", "--curve", "classical:n=3", "--range=-4,4",
@@ -482,12 +502,21 @@ class TestExitCodes:
         ["plot", "--curve", "nosuch:n=1", "--range=-3,3"],
         # plot has no --gamma; --report annotates the analysis' gamma
         ["plot", "--curve", "quantum_eigenstate:n=1", "--range=-3,3", "--gamma", "0.9"],
+        # every value of a density file is finite: a NaN density, an infinite centre
+        ["compare", "--first", "nan-density", "--second", "nan-density"],
+        ["compare", "--first", "inf-density", "--second", "inf-density"],
+        ["plot", "--density", "nan-density"],
+        ["plot", "--density", "inf-density"],
     ])
     def test_bad_values_are_usage_errors(self, tmp_path, capsys, argv):
         if "snapshot-pool" in argv:
             assert _run_simulate(tmp_path / "snapshot-pool", extra=("--snapshots", "0.5")) == 0
-        argv = [str(tmp_path / arg) if arg in ("missing-pool", "snapshot-pool") else arg
-                for arg in argv]
+        densities = {"nan-density": [[-1.0, 0.0, 1.0], [0.25, np.nan, 0.25]],
+                     "inf-density": [[-np.inf, 0.0, 1.0], [0.25, 0.5, 0.25]]}
+        for name, columns in densities.items():
+            write_table(str(tmp_path / name), serialize.DENSITY_HEADER, [*columns, np.zeros(3)])
+        argv = [str(tmp_path / arg) if arg in ("missing-pool", "snapshot-pool", *densities)
+                else arg for arg in argv]
         assert main(argv + ["--out", str(tmp_path / "o")]) == 1
         assert not (tmp_path / "o").exists()
         err = capsys.readouterr().err
@@ -713,6 +742,18 @@ class TestStreamedTables:
         with pytest.raises(RuntimeError, match="stopped"):
             serialize.atomic_write_text(str(path), pieces())
         assert os.listdir(tmp_path) == []
+
+    def test_files_get_the_mode_open_gives(self, tmp_path):
+        umask = os.umask(0o027)
+        try:
+            serialize.write_run(
+                str(tmp_path / "run"),
+                {"t.csv": lambda path: write_table(path, ["t"], [np.arange(3.0)])},
+                {"seed": 1}, "0", time.monotonic(), {})
+        finally:
+            os.umask(umask)
+        for name in ("t.csv", "manifest.json"):
+            assert (tmp_path / "run" / name).stat().st_mode & 0o777 == 0o640
 
     def test_unequal_columns_rejected_before_any_file(self, tmp_path):
         path = tmp_path / "t.csv"

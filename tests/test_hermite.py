@@ -56,6 +56,11 @@ def test_matches_bigfloat_oracle():
         checked += 1
 
 
+def test_h0_has_no_roots():
+    roots = hermite_real_roots(0)
+    assert roots.shape == (0,) and roots.dtype == np.float64
+
+
 @pytest.mark.parametrize("n", range(1, 11))
 def test_near_node_raised_exactly_at_real_roots(n):
     roots = hermite_real_roots(n)

@@ -1,7 +1,8 @@
 """Every module-level import in the package is used by its module, every
-module-level UPPER_CASE constant is read somewhere in the package, no module
-reads numpy's random module (sde's SplitMix64 streams are the one random
-source), and importing the package and its command line loads no scipy module.
+module-level UPPER_CASE constant and every module-level _private function or
+class is read somewhere in the package, no module reads numpy's random module
+(sde's SplitMix64 streams are the one random source), and importing the
+package and its command line loads no scipy module.
 
 `__init__.py` is exempt from the import check because its imports are the
 public re-exports, and `from __future__` imports change the compiler, not the
@@ -47,17 +48,23 @@ def test_checker_finds_an_unused_import():
     assert unused_imports(source) == ["os (line 2)"]
 
 
-def unread_constants(sources: dict) -> list:
-    """Module-level UPPER_CASE names assigned in sources (file name -> text)
-    that no source reads, as a name or as an attribute."""
-    trees = {name: ast.parse(text) for name, text in sources.items()}
+def names_read(trees) -> set:
+    """The names that the parsed modules trees read, as a name or as an attribute."""
     read = set()
-    for tree in trees.values():
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
+    return read
+
+
+def unread_constants(sources: dict) -> list:
+    """Module-level UPPER_CASE names assigned in sources (file name -> text)
+    that no source reads, as a name or as an attribute."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    read = names_read(trees.values())
     unread = []
     for name, tree in trees.items():
         for node in tree.body:
@@ -83,6 +90,32 @@ def test_checker_finds_an_unread_constant():
     sources = {"a.py": "import b\nLIMIT = 1\n_STEP: int = 2\nSCALE = 3\nprint(SCALE)\n",
                "b.py": "x = 1\nWIDTH = 4\n", "c.py": "import b\nprint(b.WIDTH + 1)\n"}
     assert unread_constants(sources) == ["a.py: LIMIT (line 2)", "a.py: _STEP (line 3)"]
+
+
+def orphaned_helpers(sources: dict) -> list:
+    """Module-level _private functions and classes defined in sources (file
+    name -> text) that no source reads, as a name or as an attribute."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    read = names_read(trees.values())
+    return [f"{name}: {node.name} (line {node.lineno})"
+            for name, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")
+            and node.name not in read]
+
+
+def test_no_orphaned_helpers():
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert orphaned_helpers(sources) == []
+
+
+def test_checker_finds_an_orphaned_helper():
+    sources = {"a.py": "import b\ndef _lost():\n    pass\n"
+                       "class _Gone:\n    pass\ndef _kept():\n    pass\n"
+                       "def __getattr__(name):\n    pass\ndef public():\n    pass\n",
+               "b.py": "def _used():\n    pass\nvalue = _used()\n",
+               "c.py": "import a\na._kept()\n"}
+    assert orphaned_helpers(sources) == ["a.py: _lost (line 2)", "a.py: _Gone (line 4)"]
 
 
 def numpy_random_reads(source: str) -> list:

@@ -2,6 +2,7 @@
 identity, one-step moments, reproducibility, and divergence accounting."""
 
 import math
+import re
 import sys
 
 import numpy as np
@@ -24,6 +25,7 @@ from cqrt import (
     split_step,
     standard_normals,
 )
+from cqrt import sde
 from cqrt.hermite import hermite_ratio_masked
 from cqrt.sde import (
     BLOWUP_THRESHOLD,
@@ -431,12 +433,19 @@ class TestSimulate:
             np.testing.assert_array_equal(view.times, expected_times)
 
     @pytest.mark.parametrize("index", [-1, 50])
-    def test_index_outside_ensemble_rejected(self, index):
+    def test_index_outside_ensemble_rejected(self, index, monkeypatch):
         cfg = _config(n_trajectories=50, t_final=0.1)
-        with pytest.raises(ValueError, match="outside"):
+        message = re.escape(f"trajectory index {index} outside [0, 50)")
+        ensemble = simulate_ensemble(cfg)
+        with pytest.raises(ValueError, match=message):
+            ensemble.trajectory(index)
+
+        def integrate(*args):
+            raise AssertionError("integrated before the index check")
+
+        monkeypatch.setattr(sde, "_integrate_chunk", integrate)
+        with pytest.raises(ValueError, match=message):
             simulate_trajectory(cfg, index)
-        with pytest.raises(ValueError, match="outside"):
-            simulate_ensemble(cfg).trajectory(index)
 
     def test_round_robin_initial_points(self):
         cfg = _config(n_trajectories=5)
