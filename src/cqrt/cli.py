@@ -228,8 +228,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     }
     if ensemble.x is not None:  # time-major, as extract_point_set_b reads the rows
         outputs["points.csv"] = lambda path: serialize.write_points(
-            path, np.tile(ids, ensemble.times.size), np.repeat(ensemble.times, ids.size),
-            ensemble.x[:, alive].ravel(), ensemble.y[:, alive].ravel())
+            path, ids, ensemble.times[:, None], ensemble.x[:, alive], ensemble.y[:, alive])
 
     diagnostics = {
         "capped_steps": ensemble.capped_steps,

@@ -24,6 +24,7 @@ chunk sizes, and thread counts.  Launches draw from one more stream (uniforms).
 from __future__ import annotations
 
 import math
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -232,21 +233,21 @@ class Ensemble:
     def trajectory(self, index: int) -> Trajectory:
         """One path: its recorded rows (full_path, snapshots) or its end point
         at adjusted_t_final (crossings_and_final), and its crossings.  Raises
+        TypeError for an index that is not an integer (operator.index),
         ValueError outside [0, n_trajectories), NumericalBlowup if it diverged.
         """
-        _check_index(self.config, index)
-        return self._path(index, index)
-
-    def _path(self, index: int, column: int) -> Trajectory:
-        """Trajectory `index`, whose records are column `column` of this result."""
-        if not self.alive[column]:
+        index = operator.index(index)
+        n = self.config.n_trajectories
+        if not 0 <= index < n:
+            raise ValueError(f"trajectory index {index} outside [0, {n})")
+        if not self.alive[index]:
             raise NumericalBlowup(f"trajectory {index} diverged")
         if self.x is None:
             times = np.array([self.config.adjusted_t_final])
-            points = np.array([self.final_x[column] + 1j * self.final_y[column]])
+            points = np.array([self.final_x[index] + 1j * self.final_y[index]])
         else:
             times = self.times
-            points = self.x[:, column] + 1j * self.y[:, column]
+            points = self.x[:, index] + 1j * self.y[:, index]
         sel = self.crossing_ids == index
         crossings = np.column_stack([self.crossing_times[sel], self.crossing_x[sel]])
         return Trajectory(id=index, times=times, points=points, crossings=crossings)
@@ -300,9 +301,9 @@ def split_step(model: ModelSpec, t: float, x, y, dt: float, xi, drift_cap: float
     return (float(out.real), float(out.imag)) if scalar else (out.real, out.imag)
 
 
-def _integrate_chunk(ens: Ensemble, lo: int, hi: int, column: int):
-    """Integrate trajectories [lo, hi) of ens.config into columns [column,
-    column + hi - lo) of ens's records, final_x, final_y and alive.
+def _integrate_chunk(ens: Ensemble, lo: int, hi: int):
+    """Integrate trajectories [lo, hi) of ens.config into columns [lo, hi) of
+    ens's records, final_x, final_y and alive.
 
     Returns (crossings, capped, near_node): crossings is [times, x, ids] of
     the axis points (set A) of the paths still alive at the end.  A diverged
@@ -310,7 +311,7 @@ def _integrate_chunk(ens: Ensemble, lo: int, hi: int, column: int):
     the drift is evaluated at 0 in its place.
     """
     config = ens.config
-    cols = slice(column, column + hi - lo)
+    cols = slice(lo, hi)
     dt = config.dt
     ids = np.arange(lo, hi)
     z = np.asarray(config.initial_points, dtype=complex)[ids % len(config.initial_points)]
@@ -352,60 +353,37 @@ def _integrate_chunk(ens: Ensemble, lo: int, hi: int, column: int):
     return [c[keep] for c in crossings], capped, near_nodes
 
 
-def _run(config: SimulationConfig, lo: int, hi: int, threads: int) -> Ensemble:
-    """The Ensemble of trajectories [lo, hi), run in chunks of CHUNK_SIZE on
-    `threads` threads (0: one per core): column c holds trajectory lo + c,
-    and the crossings join in chunk order."""
-    bounds = [(a, min(a + CHUNK_SIZE, hi)) for a in range(lo, hi, CHUNK_SIZE)]
+def simulate_ensemble(config: SimulationConfig, threads: int = 1) -> Ensemble:
+    """Run every trajectory of the configuration into one Ensemble.
+
+    Trajectories are integrated in fixed-size chunks that may execute on any
+    number of threads (0: one per core, below 0: ValueError).  Each chunk
+    writes its own columns of the Ensemble's arrays, and the crossings join
+    in chunk order, so the output is bit-identical for every thread count.
+    Serial is the default because the chunks hold the interpreter lock for
+    most of their time.  Fails with NumericalBlowup if more than
+    MAX_DIVERGED_FRACTION of the paths diverge.  Ensemble.trajectory(i) is path i.
+    """
+    if threads < 0:
+        raise ValueError(f"threads must be >= 0 (0: one per core), got {threads}")
+    n = config.n_trajectories
+    bounds = [(a, min(a + CHUNK_SIZE, n)) for a in range(0, n, CHUNK_SIZE)]
     threads = threads or min(len(bounds), os.cpu_count() or 1)
-    n = hi - lo
     times = config.record_times
     x, y = np.empty((2, times.size, n)) if times.size else (None, None)
     ens = Ensemble(config=config, times=times, x=x, y=y, crossing_times=None, crossing_x=None,
                    crossing_ids=None, final_x=np.empty(n), final_y=np.empty(n),
                    alive=np.ones(n, dtype=bool), capped_steps=0, near_node_steps=0)
     if threads <= 1 or len(bounds) == 1:
-        parts = [_integrate_chunk(ens, a, b, a - lo) for a, b in bounds]
+        parts = [_integrate_chunk(ens, a, b) for a, b in bounds]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda b: _integrate_chunk(ens, *b, b[0] - lo), bounds))
+            parts = list(pool.map(lambda b: _integrate_chunk(ens, *b), bounds))
     crossings, capped, near = zip(*parts)
     ens.crossing_times, ens.crossing_x, ens.crossing_ids = map(np.concatenate, zip(*crossings))
     ens.capped_steps, ens.near_node_steps = sum(capped), sum(near)
-    return ens
-
-
-def simulate_ensemble(config: SimulationConfig, threads: int = 1) -> Ensemble:
-    """Run every trajectory of the configuration into one Ensemble.
-
-    Trajectories are integrated in fixed-size chunks that may execute on any
-    number of threads (0: one per core).  Each chunk writes its own columns
-    of the Ensemble's arrays, and the crossings join in chunk order, so the
-    output is bit-identical for every thread count.  Serial is the default
-    because the chunks hold the interpreter lock for most of their time.
-    Fails with NumericalBlowup if more than MAX_DIVERGED_FRACTION of the
-    paths diverge.
-    """
-    n = config.n_trajectories
-    ens = _run(config, 0, n, threads)
     if ens.n_diverged > MAX_DIVERGED_FRACTION * n:
         raise NumericalBlowup(
             f"{ens.n_diverged}/{n} trajectories diverged (>{MAX_DIVERGED_FRACTION:.0%})"
         )
     return ens
-
-
-def simulate_trajectory(config: SimulationConfig, traj_index: int) -> Trajectory:
-    """Integrate one trajectory: simulate_ensemble(config).trajectory(traj_index)
-    without the other paths.  Raises ValueError outside [0, n_trajectories)
-    and NumericalBlowup if that path diverges.
-    """
-    _check_index(config, traj_index)
-    return _run(config, traj_index, traj_index + 1, 1)._path(traj_index, 0)
-
-
-def _check_index(config: SimulationConfig, index: int) -> None:
-    """Raise ValueError unless index is a trajectory of config."""
-    n = config.n_trajectories
-    if not 0 <= index < n:
-        raise ValueError(f"trajectory index {index} outside [0, {n})")

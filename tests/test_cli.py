@@ -21,6 +21,7 @@ from cqrt import (
     extract_point_set_b,
     fp_solve,
     gaussian_bin_range,
+    sample_initial_points,
     simulate_ensemble,
     snapshot_positions,
 )
@@ -120,6 +121,15 @@ class TestSimulateCommand:
         ids, times, _, _ = read_points(tmp_path / "run" / "points.csv")
         np.testing.assert_array_equal(ids, np.tile(np.arange(100), 2))
         np.testing.assert_array_equal(times, np.repeat([10 * 0.01, 30 * 0.01], 100))
+
+    def test_fp_launches_are_the_samplers_points(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["simulate", "--model", "eigenstate:1", "--init", "fp", "--n", "50",
+                     "--t", "0.1", "--snapshots", "0", "--seed", "7", "--out", str(out)]) == 0
+        ids, times, xs, ys = read_points(out / "points.csv")
+        np.testing.assert_array_equal(ids, np.arange(50))
+        np.testing.assert_array_equal(times, np.zeros(50))
+        np.testing.assert_array_equal(xs + 1j * ys, sample_initial_points(1, 50, 7))
 
     def test_duration_covers_the_writes(self, tmp_path, monkeypatch):
         write_table = serialize.write_table
@@ -230,6 +240,15 @@ class TestAnalyzeCommand:
         assert centers.size == 100
         width = centers[1] - centers[0]
         assert np.sum(densities) * width == pytest.approx(1.0, abs=1e-9)
+
+    def test_explicit_range_sets_the_bins(self, tmp_path):
+        pool, out = tmp_path / "pool", tmp_path / "ana"
+        assert _run_simulate(pool) == 0
+        assert main(["analyze", "--pool", str(pool), "--range=-2,3", "--bins", "10",
+                     "--out", str(out)]) == 0
+        centers = read_density(out / "density.csv")[0]
+        # ten bins of width 0.5 on [-2, 3]: the centres sit half a bin inside
+        np.testing.assert_allclose(centers, np.linspace(-1.75, 2.75, 10), rtol=0, atol=1e-12)
 
     def test_run_id_follows_the_pool(self, tmp_path):
         pool = tmp_path / "pool"
@@ -371,6 +390,13 @@ class TestFpeCommand:
         assert diagnostics["courant"] == pytest.approx(1.5 * 0.5 / 1 + 1.5 * 0.5 / 1)
         assert diagnostics["cell_peclet"] == pytest.approx(1.5 * 1 / (2 * 0.25))
 
+    def test_clipping_warning(self, tmp_path, capsys):
+        assert main(["fpe", "--n", "3", "--grid", "21", "--t", "1",
+                     "--out", str(tmp_path / "fpe")]) == 0
+        out, err = capsys.readouterr()
+        assert "clipped=11.460%" in out
+        assert "warning: clipped mass exceeds 5%" in err
+
     def test_t_zero_marginal(self, tmp_path):
         out = tmp_path / "fpe0"
         rc = main(["fpe", "--n", "1", "--grid", "81", "--t", "0", "--out", str(out)])
@@ -507,21 +533,43 @@ class TestExitCodes:
         ["compare", "--first", "inf-density", "--second", "inf-density"],
         ["plot", "--density", "nan-density"],
         ["plot", "--density", "inf-density"],
+        # a thread count is 0 (one per core) or more
+        ["simulate", "--model", "eigenstate:1", "--threads", "-2"],
+        # launches and models that do not parse
+        ["simulate", "--model", "gaussian:p0=1", "--init", "born"],
+        ["simulate", "--model", "eigenstate:1", "--init", "1,2,3"],
+        ["simulate", "--model", "eigenstate:1", "--init", "a,1"],
+        ["simulate", "--model", "eigenstate:1", "--init", ";"],
+        ["simulate", "--model", "eigenstate:x"],
+        ["simulate", "--model", "gaussian:form=exact"],
+        # a window is a pair; a snapshot needs its time, a Gaussian pool a time or range
+        ["analyze", "--pool", "missing-pool", "--window", "1"],
+        ["analyze", "--pool", "snapshot-pool", "--set", "snapshot"],
+        ["analyze", "--pool", "gaussian-pool"],
+        ["fpe", "--grid", "3"],
+        # a plot needs a series, and a curve alone needs its range
+        ["plot"],
+        ["plot", "--curve", "classical:n=3"],
     ])
     def test_bad_values_are_usage_errors(self, tmp_path, capsys, argv):
         if "snapshot-pool" in argv:
             assert _run_simulate(tmp_path / "snapshot-pool", extra=("--snapshots", "0.5")) == 0
+        if "gaussian-pool" in argv:
+            assert main(["simulate", "--model", "gaussian:p0=1", "--n", "10", "--t", "0.1",
+                         "--out", str(tmp_path / "gaussian-pool")]) == 0
         densities = {"nan-density": [[-1.0, 0.0, 1.0], [0.25, np.nan, 0.25]],
                      "inf-density": [[-np.inf, 0.0, 1.0], [0.25, 0.5, 0.25]]}
         for name, columns in densities.items():
             write_table(str(tmp_path / name), serialize.DENSITY_HEADER, [*columns, np.zeros(3)])
-        argv = [str(tmp_path / arg) if arg in ("missing-pool", "snapshot-pool", *densities)
-                else arg for arg in argv]
+        pools = ("missing-pool", "snapshot-pool", "gaussian-pool")
+        argv = [str(tmp_path / arg) if arg in (*pools, *densities) else arg for arg in argv]
         assert main(argv + ["--out", str(tmp_path / "o")]) == 1
         assert not (tmp_path / "o").exists()
         err = capsys.readouterr().err
         named = {"quantum_eigenstate:n=1,bogus=3": "'bogus'",
-                 "nosuch:n=1": "unknown reference 'nosuch'"}
+                 "nosuch:n=1": "unknown reference 'nosuch'",
+                 "-2": "threads must be >= 0", "1,2,3": "bad point '1,2,3'",
+                 ";": "no initial points", "gaussian:form=exact": "requires p0"}
         for arg in argv:
             assert named.get(arg, "") in err
 
@@ -727,6 +775,39 @@ class TestStreamedTables:
                             ["y\\x", *("%.17g" % x for x in x_centers)], [y_centers, *rho.T])
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
         assert (tmp_path / "new.csv").read_text().count("\n") == 401
+
+    def test_record_rows_match_the_frozen_formatter(self, tmp_path):
+        # points.csv as simulate writes it: ids per column, a time per row,
+        # the live paths' x and y rows; 3 rows of 3000 live paths put both
+        # block boundaries inside a row, and path 17 is dead
+        rng = np.random.default_rng(4)
+        times, (x, y) = np.array([0.0, 0.5, 1.0]), rng.normal(size=(2, 3, 3001))
+        alive = np.arange(3001) != 17
+        ids = np.flatnonzero(alive)
+        write_points(str(tmp_path / "new.csv"), ids, times[:, None], x[:, alive], y[:, alive])
+        _frozen_write_table(str(tmp_path / "old.csv"), serialize.POINTS_HEADER,
+                            [np.tile(ids, 3), np.repeat(times, ids.size),
+                             x[:, alive].ravel(), y[:, alive].ravel()])
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_full_record_pool_is_written_from_the_record_rows(self, tmp_path, monkeypatch):
+        # the write phase may copy the live paths' x and y rows (record_mb),
+        # but must not build whole points.csv columns (twice as much again)
+        write_run, peaks = serialize.write_run, []
+
+        def traced_write_run(*args):
+            tracemalloc.start()
+            try:
+                write_run(*args)
+                peaks.append(tracemalloc.get_traced_memory()[1] / 1e6)
+            finally:
+                tracemalloc.stop()
+
+        monkeypatch.setattr(serialize, "write_run", traced_write_run)
+        assert main(["simulate", "--model", "eigenstate:1", "--init", "+-0.95,0", "--n", "5000",
+                     "--t", "1", "--record", "full", "--out", str(tmp_path / "pool")]) == 0
+        record_mb = 2 * 101 * 5000 * 8 / 1e6
+        assert peaks[0] < 1.5 * record_mb
 
     def test_failure_mid_stream_leaves_no_file(self, tmp_path):
         path = tmp_path / "t.csv"

@@ -21,11 +21,9 @@ from cqrt import (
     noise_increment,
     sample_eigenstate_positions,
     simulate_ensemble,
-    simulate_trajectory,
     split_step,
     standard_normals,
 )
-from cqrt import sde
 from cqrt.hermite import hermite_ratio_masked
 from cqrt.sde import (
     BLOWUP_THRESHOLD,
@@ -367,15 +365,19 @@ class TestNoiseStreams:
         cfg = _config(n_trajectories=n, t_final=0.05)
         ens = simulate_ensemble(cfg)
         for index in (0, CHUNK_SIZE - 1, CHUNK_SIZE, n - 1):
-            traj = simulate_trajectory(cfg, index)
-            np.testing.assert_array_equal(traj.points, ens.trajectory(index).points)
-            np.testing.assert_array_equal(traj.crossings, ens.trajectory(index).crossings)
-            # the same path stepped by em_step on the per-path reference stream
+            view = ens.trajectory(index)
+            # the same path stepped by em_step on the per-path reference
+            # stream, with its axis points by the crossing rule
             z = cfg.initial_points[index % 2]
+            crossings = [[0.0, z.real]] if z.imag == 0.0 else []
             xis = standard_normals(derive_seed(cfg.master_seed, index), np.arange(cfg.n_steps))
             for j, xi in enumerate(xis):
-                z = em_step(cfg.model, j * cfg.dt, z, cfg.dt, xi)
-                assert z == ens.trajectory(index).points[j + 1]
+                z_prev, z = z, em_step(cfg.model, j * cfg.dt, z, cfg.dt, xi)
+                assert z == view.points[j + 1]
+                if z_prev.imag != 0.0 and np.sign(z_prev.imag) * z.imag <= 0.0:
+                    x, frac = crossing_interpolation(z_prev.real, z_prev.imag, z.real, z.imag)
+                    crossings.append([j * cfg.dt + cfg.dt * frac, x])
+            assert view.crossings.tolist() == crossings
 
 
 def _config(**kw):
@@ -388,7 +390,8 @@ def _config(**kw):
 
 class TestSimulate:
     def test_recorded_point_count(self):
-        traj = simulate_trajectory(_config(n_trajectories=1, initial_points=(0.5 + 0.5j,)), 0)
+        ens = simulate_ensemble(_config(n_trajectories=1, initial_points=(0.5 + 0.5j,)))
+        traj = ens.trajectory(0)
         assert len(traj.times) == 101
         assert len(traj.points) == 101
         assert traj.points[0] == 0.5 + 0.5j
@@ -415,37 +418,62 @@ class TestSimulate:
                      "final_x", "final_y", "alive", "capped_steps", "near_node_steps"):
             np.testing.assert_array_equal(getattr(serial, name), getattr(threaded, name))
 
+    def test_negative_thread_count_rejected(self, monkeypatch):
+        def integrate(*args):
+            raise AssertionError("integrated before the thread count check")
+
+        monkeypatch.setattr("cqrt.sde._integrate_chunk", integrate)
+        with pytest.raises(ValueError, match="threads must be >= 0"):
+            simulate_ensemble(_config(), threads=-3)
+
     def test_single_trajectory_matches_ensemble_slice(self):
         for mode in ("full_path", "crossings_and_final", "snapshots"):
             times = (0.25, 1.0) if mode == "snapshots" else ()
             cfg = _config(n_trajectories=50, record_mode=mode, snapshot_times=times)
             ens = simulate_ensemble(cfg)
             for index in (0, 13, 49):
-                traj = simulate_trajectory(cfg, index)
                 view = ens.trajectory(index)
-                assert traj.id == view.id == index
-                np.testing.assert_array_equal(traj.times, view.times)
-                np.testing.assert_array_equal(traj.points, view.points)
-                np.testing.assert_array_equal(traj.crossings, view.crossings)
+                assert view.id == index and type(view.id) is int
+                if ens.x is None:
+                    expected = [ens.final_x[index] + 1j * ens.final_y[index]]
+                else:
+                    expected = ens.x[:, index] + 1j * ens.y[:, index]
+                np.testing.assert_array_equal(view.points, expected)
                 assert view.points[-1] == complex(ens.final_x[index], ens.final_y[index])
+                sel = ens.crossing_ids == index
+                assert sel.any()
+                np.testing.assert_array_equal(view.crossings[:, 0], ens.crossing_times[sel])
+                np.testing.assert_array_equal(view.crossings[:, 1], ens.crossing_x[sel])
             expected_times = {"full_path": cfg.record_times, "snapshots": [0.25, 1.0],
                               "crossings_and_final": [cfg.adjusted_t_final]}[mode]
             np.testing.assert_array_equal(view.times, expected_times)
 
     @pytest.mark.parametrize("index", [-1, 50])
-    def test_index_outside_ensemble_rejected(self, index, monkeypatch):
+    def test_index_outside_ensemble_rejected(self, index):
         cfg = _config(n_trajectories=50, t_final=0.1)
         message = re.escape(f"trajectory index {index} outside [0, 50)")
-        ensemble = simulate_ensemble(cfg)
         with pytest.raises(ValueError, match=message):
-            ensemble.trajectory(index)
+            simulate_ensemble(cfg).trajectory(index)
 
-        def integrate(*args):
-            raise AssertionError("integrated before the index check")
-
-        monkeypatch.setattr(sde, "_integrate_chunk", integrate)
-        with pytest.raises(ValueError, match=message):
-            simulate_trajectory(cfg, index)
+    @pytest.mark.parametrize("mode", ["full_path", "crossings_and_final"])
+    def test_index_rule(self, mode):
+        # path 0 of 200 diverges; the checks run in order: the index is an
+        # integer, then in range, then a path that did not diverge
+        points = tuple([2e6 + 0j] + [0.1 + 0.1j] * 199)
+        ens = simulate_ensemble(_config(model=Eigenstate(0), n_trajectories=200,
+                                        initial_points=points, record_mode=mode))
+        for index in (1.5, np.float64(2.0), "3", 0.0, 200.0, None):
+            with pytest.raises(TypeError):
+                ens.trajectory(index)
+        for index in (-1, 200, np.int64(200)):
+            with pytest.raises(ValueError, match=re.escape(f"index {index} outside [0, 200)")):
+                ens.trajectory(index)
+        with pytest.raises(NumericalBlowup, match="trajectory 0 diverged"):
+            ens.trajectory(np.int64(0))
+        for index in (np.int64(3), np.uint8(3)):
+            view = ens.trajectory(index)
+            assert view.id == 3 and type(view.id) is int
+            np.testing.assert_array_equal(view.points, ens.trajectory(3).points)
 
     def test_round_robin_initial_points(self):
         cfg = _config(n_trajectories=5)
@@ -499,7 +527,7 @@ class TestSimulate:
         assert not ens.alive[0]
         assert not np.any(ens.crossing_ids == 0)
         with pytest.raises(NumericalBlowup):
-            simulate_trajectory(cfg, 0)
+            ens.trajectory(0)
 
     def test_nan_position_counts_as_diverged(self, monkeypatch):
         # from t = 0.5 on, path 0's drift is NaN, as an overflowing kernel gives
