@@ -4,11 +4,13 @@ Exit codes: 0 success, 1 usage error (a bad flag or value, or a snapshot time
 the pool did not record), 2 numerical failure (an empty selection among
 them), 3 I/O error (a file that cannot be read or written).
 
-A simulate pool holds crossings.csv (point set A), final.csv (the end points)
-and, where the record mode keeps rows (--record full, --snapshots), points.csv:
-every recorded row of the live paths, time-major with ids ascending.  `analyze`
-reads one of the two tables and selects with the library's rule
-(stats.select_window); --t rounds to the dt grid as --snapshots does.
+A simulate pool holds point set A as crossings.csv (the export) and as
+crossings.npy (what analyze reads, with no text to parse), final.csv (the end
+points) and, where the record mode keeps rows (--record full, --snapshots),
+points.csv: every recorded row of the live paths, time-major with ids
+ascending.  `analyze` reads crossings.npy (crossings.csv in a pool without
+it) or points.csv and selects with the library's rule (stats.select_window);
+--t rounds to the dt grid as --snapshots does.
 `compare` correlates the --first file's densities with the --second file's
 interpolated at the first file's centres (stats.correlation): any strictly
 increasing centres will do, a value that is not finite exits 1, and a constant
@@ -220,12 +222,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     alive = ensemble.alive
     ids = np.arange(config.n_trajectories)[alive]
-    outputs = {
-        "crossings.csv": lambda path: serialize.write_crossings(
-            path, ensemble.crossing_ids, ensemble.crossing_times, ensemble.crossing_x),
-        "final.csv": lambda path: serialize.write_points(
-            path, ids, config.adjusted_t_final, ensemble.final_x[alive], ensemble.final_y[alive]),
-    }
+    outputs = dict.fromkeys(("crossings.csv", "crossings.npy"), lambda path: (
+        serialize.write_crossings(path, ensemble.crossing_ids, ensemble.crossing_times,
+                                  ensemble.crossing_x)))
+    outputs["final.csv"] = lambda path: serialize.write_points(
+        path, ids, config.adjusted_t_final, ensemble.final_x[alive], ensemble.final_y[alive])
     if ensemble.x is not None:  # time-major, as extract_point_set_b reads the rows
         outputs["points.csv"] = lambda path: serialize.write_points(
             path, ids, ensemble.times[:, None], ensemble.x[:, alive], ensemble.y[:, alive])
@@ -248,9 +249,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def _pool_samples(pool_dir: str, which: str, window, t, dt: float):
     """The requested sample pool (set a, b or snapshot) of a simulate output
     directory, selected by the library's rule (stats.select_window) from
-    crossings.csv (set a) or points.csv (sets b and snapshot)."""
+    crossings.npy or, lacking it, crossings.csv (set a) or points.csv (b, snapshot)."""
     if which == "a":
-        _, times, xs = serialize.read_crossings(os.path.join(pool_dir, "crossings.csv"))
+        npy = os.path.join(pool_dir, "crossings.npy")
+        _, times, xs = serialize.read_crossings(npy if os.path.exists(npy) else npy[:-3] + "csv")
         return select_window(times, xs, window)
     if which == "snapshot" and t is None:
         raise ValueError("--set snapshot requires --t")

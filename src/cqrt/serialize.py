@@ -1,23 +1,27 @@
-"""On-disk formats: CSV tables, run directories, atomic writes.
+"""On-disk formats: tables as CSV or .npy, run directories, atomic writes.
 
-Every CSV file is a header row, then one row per record.  Integer columns are
-written as integers and all others with %.17g, which round-trips IEEE doubles
-exactly, so identical runs give byte-identical files.  Tables are formatted in
-blocks of _BLOCK_ROWS rows: the bytes of a row-by-row write, with a text
-buffer that does not grow with the row count.  A 2-D column's rows follow one
-another, so points.csv is written from the record rows (a 20,000-path full
-record traces 71 MB, 32 MB of it x and y).  Readers check the header.  A
-pool's final.csv and points.csv share one points format, traj_id,t,x,y.  A
-field file's header row is y\\x and the x centres; each later row is a y
-centre and that row of the field.  A run directory (write_run) holds the
-outputs and a manifest.json with their digests.  Every file is written to a
-temporary name in the same directory, given the mode open() would give it, and
-renamed into place.
+write_table and read_table are one table codec that picks its encoding by the
+file's suffix.  Every CSV file is a header row, then one row per record.
+Integer columns are written as integers and all others with %.17g, which
+round-trips IEEE doubles exactly, so identical runs give byte-identical files.
+A .npy table is a 1-D structured array, one int64 or float64 field per column,
+read with allow_pickle=False, so no object array is unpickled (not .npz: its
+zip headers carry the write time).  Tables are written in blocks of
+_BLOCK_ROWS rows, with a buffer that does not grow with the row count.  A 2-D
+column's rows follow one another, so points.csv is written from the record
+rows (a 20,000-path full record traces 71 MB, 32 MB of it x and y).  Readers
+check the header.  A pool's final.csv and points.csv share one points format,
+traj_id,t,x,y.  A field file's header row is y\\x and the x centres; each
+later row is a y centre and that row of the field.  A run directory
+(write_run) holds the outputs and a manifest.json with their digests.  Every
+file is written to a temporary name in the same directory, given the mode
+open() would give it, and renamed into place.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import time
@@ -32,20 +36,20 @@ CROSSINGS_HEADER = ["traj_id", "t", "x"]
 POINTS_HEADER = ["traj_id", "t", "x", "y"]
 DENSITY_HEADER = ["bin_center", "density", "stderr"]
 
-# rows formatted by one `%` call; bounds a table write's text buffer at any row count
+# rows per block of a table write; bounds the write's buffer at any row count
 _BLOCK_ROWS = 4096
 
 
-def atomic_write_text(path: str, text) -> None:
-    """Write a str, or an iterable of str pieces, to path through a temporary
-    file, with the mode open() would give the file."""
+def atomic_write_text(path: str, text, mode: str = "w") -> None:
+    """Write a str, or an iterable of str (or, for mode "wb", bytes) pieces,
+    to path through a temporary file, with the mode open() would give it."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}.part")
     # 0o666 less the umask, as open() creates a file; mkstemp's 0600 would
     # survive the rename
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w") as handle:
+        with os.fdopen(fd, mode) as handle:
             handle.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
@@ -55,36 +59,60 @@ def atomic_write_text(path: str, text) -> None:
 
 
 def write_table(path: str, header, columns) -> None:
-    """Write equal-shape columns as CSV with a one-line header, in blocks of
-    rows.  A column is 1-D, one value per row, or 2-D, its rows one after
-    another (row-major)."""
+    """Write equal-shape columns with a one-line header, in blocks of rows, as
+    CSV or, to a .npy path, as fields named by the header.  A column is 1-D,
+    one value per row, or 2-D, its rows one after another (row-major)."""
     columns = [np.asarray(c) for c in columns]
     shapes = {c.shape for c in columns}
     if len(shapes) > 1:
         raise ValueError(f"{path}: columns differ in length: {sorted(shapes)}")
-    row = ",".join("%d" if np.issubdtype(c.dtype, np.integer) else "%.17g" for c in columns) + "\n"
+    rows = max((c.size for c in columns), default=0)
+    integer = [np.issubdtype(c.dtype, np.integer) for c in columns]
+    if os.fspath(path).endswith(".npy"):
+        dtype = np.dtype([(name, "<i8" if i else "<f8")
+                          for name, i in zip(header, integer, strict=True)])
+        head = io.BytesIO()
+        np.lib.format.write_array_header_1_0(head, {"descr": np.lib.format.dtype_to_descr(dtype),
+                                                    "fortran_order": False, "shape": (rows,)})
+        atomic_write_text(path, chain([head.getvalue()], (
+            np.rec.fromarrays([c.flat[start:start + _BLOCK_ROWS] for c in columns], dtype=dtype)
+            .tobytes() for start in range(0, rows, _BLOCK_ROWS))), "wb")
+        return
+    row = ",".join("%d" if i else "%.17g" for i in integer) + "\n"
 
     def pieces():
         yield ",".join(header) + "\n"
-        for start in range(0, max((c.size for c in columns), default=0), _BLOCK_ROWS):
+        for start in range(0, rows, _BLOCK_ROWS):
             block = [c.flat[start:start + _BLOCK_ROWS].tolist() for c in columns]
             yield row * len(block[0]) % tuple(chain.from_iterable(zip(*block)))
     atomic_write_text(path, pieces())
 
 
 def read_table(path: str, header=None):
-    """Read a CSV table; returns (header list, list of float column arrays).
-
-    If header is given, the file's header row must equal it."""
-    with open(path) as handle, warnings.catch_warnings():
-        found = handle.readline().strip().split(",")
-        if header is not None and found != header:
-            raise ValueError(f"{path}: expected header {','.join(header)}, got {found}")
-        warnings.simplefilter("ignore", UserWarning)  # loadtxt warns on no rows
-        rows = np.loadtxt(handle, delimiter=",", ndmin=2)
-    if rows.size == 0:
-        return found, [np.empty(0) for _ in found]
-    return found, [np.ascontiguousarray(col) for col in rows.T]
+    """Read a CSV or .npy table; returns (header list, list of float column
+    arrays).  If header is given, the file's header (field names) must equal it."""
+    if os.fspath(path).endswith(".npy"):
+        with open(path, "rb") as handle:
+            try:
+                rows = np.load(handle, allow_pickle=False)
+            except (EOFError, ValueError):  # empty, truncated, pickled: refused below
+                rows = None
+        names = rows.dtype.names if isinstance(rows, np.ndarray) and rows.ndim == 1 else None
+        if not names or any(rows.dtype[name].kind not in "iuf" for name in names):
+            raise ValueError(f"{path}: not a .npy 1-D structured array of int and float fields")
+        found = list(names)
+        columns = [np.ascontiguousarray(rows[name], dtype=float) for name in found]
+    else:
+        with open(path) as handle, warnings.catch_warnings():
+            found = handle.readline().strip().split(",")
+            warnings.simplefilter("ignore", UserWarning)  # loadtxt warns on no rows
+            # a file with another header is refused below, unparsed
+            rows = np.loadtxt(handle, delimiter=",", ndmin=2) if header in (None, found) else []
+        columns = ([np.ascontiguousarray(col) for col in rows.T] if np.size(rows)
+                   else [np.empty(0) for _ in found])
+    if header is not None and found != header:
+        raise ValueError(f"{path}: expected header {','.join(header)}, got {found}")
+    return found, columns
 
 
 def write_crossings(path: str, traj_ids, times, xs) -> None:
@@ -150,7 +178,7 @@ def sha256_file(path: str) -> str:
 
 
 # keys that do not change the produced data and are excluded from the run id
-NON_IDENTITY_KEYS = ("out", "threads", "config")
+NON_IDENTITY_KEYS = ("out", "threads", "config", "pool")
 
 
 def config_run_id(config_dict: dict) -> str:

@@ -313,11 +313,16 @@ class TestCriterion3PointSetAVsQuantum:
         assert elapsed <= 120.0
 
     def test_node_filling_falls_with_dt(self):
-        """Set A's node bins fill at finite dt and empty as dt -> 0, about as
-        sqrt(dt).  n = 4 with criterion 3's launches and window, 4e4 paths and
-        100 bins; the node density is set A's mean density over the 4 bins
-        that hold H_4's roots.  It must fall by at least 1.25x at each 4x
-        refinement of dt, a bound fixed before the run.
+        """Set A's node bins fill at finite dt, and the filling falls with dt
+        but does not vanish.  n = 4 with criterion 3's launches and window,
+        4e4 paths and 100 bins; the node density is set A's mean density over
+        the 4 bins that hold H_4's roots.  It must fall by at least 1.25x at
+        each 4x refinement of dt, a bound fixed before the run, which holds
+        on these three dt values only.  At seed 42 it reads 0.0202, 0.0141 and
+        0.0119 at dt = 0.0025, 0.000625 and 0.00015625 (1.43x, then 1.18x) and
+        tends to about 0.011, some 5x the bin-averaged |psi_4|^2 over the same
+        bins (0.0020): the dt -> 0 limit of set A is not |psi_4|^2 at the
+        nodes (ROADMAP direction 4).
         """
         rows = []
         for dt in (0.01, 0.0025, 0.000625):

@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import shlex
+import shutil
 import time
 import tracemalloc
 from pathlib import Path
@@ -117,7 +118,7 @@ class TestSimulateCommand:
                    "--snapshots", "0.1,0.3", "--out", str(tmp_path / "run")])
         assert rc == 0
         assert sorted(os.listdir(tmp_path / "run")) == [
-            "crossings.csv", "final.csv", "manifest.json", "points.csv"]
+            "crossings.csv", "crossings.npy", "final.csv", "manifest.json", "points.csv"]
         ids, times, _, _ = read_points(tmp_path / "run" / "points.csv")
         np.testing.assert_array_equal(ids, np.tile(np.arange(100), 2))
         np.testing.assert_array_equal(times, np.repeat([10 * 0.01, 30 * 0.01], 100))
@@ -263,6 +264,52 @@ class TestAnalyzeCommand:
         _run_simulate(pool, seed="7321")
         assert run_id("a3") != first
 
+    def test_copied_pool_keeps_the_run_id(self, tmp_path):
+        # the pool's own run id (pool_run_id) names its data, not the path it is read from
+        def run_id(pool, out):
+            assert main(["analyze", "--pool", str(pool), "--out", str(tmp_path / out)]) == 0
+            return read_manifest(tmp_path / out / "manifest.json")["run_id"]
+
+        _run_simulate(tmp_path / "pool", seed="42")
+        shutil.copytree(tmp_path / "pool", tmp_path / "copy")
+        _run_simulate(tmp_path / "other", seed="7321")
+        first = run_id(tmp_path / "pool", "a1")
+        assert run_id(tmp_path / "copy", "a2") == first
+        assert run_id(tmp_path / "other", "a3") != first
+
+    def test_set_a_falls_back_to_the_csv(self, tmp_path):
+        pool = tmp_path / "pool"
+        assert _run_simulate(pool) == 0
+
+        def analyze(out):
+            assert main(["analyze", "--pool", str(pool), "--set", "a", "--window", "0.1,0.5",
+                         "--reference", "quantum_eigenstate", "--out", str(tmp_path / out)]) == 0
+            return [(tmp_path / out / f).read_bytes() for f in ("density.csv", "report.json")]
+
+        from_npy = analyze("npy")
+        (pool / "crossings.npy").unlink()  # as in a pool written before crossings.npy
+        assert analyze("csv") == from_npy
+
+    @pytest.mark.parametrize("table", [
+        np.zeros(3, [("traj_id", "<i8"), ("t", "<f8"), ("y", "<f8")]),
+        np.zeros(3),
+        np.zeros((3, 1), [("traj_id", "<i8"), ("t", "<f8"), ("x", "<f8")]),
+        np.zeros(3, [("traj_id", "<i8"), ("t", "<c16"), ("x", "<f8")]),
+        np.zeros(3, [("traj_id", "<i8"), ("t", "<f8"), ("x", "O")]),
+        np.array([None, {"x": 1}, [0.5]], dtype=object),
+        None,
+    ], ids=["field-names", "not-structured", "2-d", "complex-field", "object-field",
+            "object-array", "empty-file"])
+    def test_bad_crossings_npy_is_usage_error(self, tmp_path, capsys, table):
+        pool = tmp_path / "pool"
+        assert _run_simulate(pool) == 0
+        with open(pool / "crossings.npy", "wb") as handle:
+            if table is not None:
+                np.save(handle, table, allow_pickle=True)
+        assert main(["analyze", "--pool", str(pool), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {pool / 'crossings.npy'}: ")
+        assert not (tmp_path / "o").exists()
+
     def test_self_comparison_gamma_one(self, tmp_path):
         # a density compared against itself through the compare command
         centers = np.linspace(-3, 3, 60)
@@ -337,7 +384,8 @@ class TestAnalyzeCommand:
     def test_crossings_pool_has_no_points(self, tmp_path):
         pool = tmp_path / "pool"
         assert _run_simulate(pool) == 0
-        assert sorted(os.listdir(pool)) == ["crossings.csv", "final.csv", "manifest.json"]
+        assert sorted(os.listdir(pool)) == ["crossings.csv", "crossings.npy", "final.csv",
+                                            "manifest.json"]
         for flags in (("--set", "b"), ("--set", "snapshot", "--t", "0.5")):
             assert main(["analyze", "--pool", str(pool), *flags,
                          "--out", str(tmp_path / "o")]) == 1
@@ -600,20 +648,28 @@ class TestRoundTrip:
         assert times.size == xs.size == ids.size
         assert times.size > 0
 
-    @pytest.mark.parametrize("rows", [0, 1, 5])
-    def test_table_round_trip_row_counts(self, tmp_path, rows):
+    @pytest.mark.parametrize("rows, suffix", [(rows, suffix) for suffix in (".csv", ".npy")
+                                              for rows in (0, 1, 5)],
+                             ids=["0", "1", "5", "0-npy", "1-npy", "5-npy"])
+    def test_table_round_trip_row_counts(self, tmp_path, rows, suffix):
         rng = np.random.default_rng(rows)
         ids = np.arange(rows) * 7
         times, xs = rng.random(rows), rng.normal(size=rows) * 1e-300
-        path = tmp_path / "crossings.csv"
-        write_crossings(str(path), ids, times, xs)
-        header, cols = read_table(str(path))
+        path = tmp_path / f"crossings{suffix}"
+        write_crossings(path, ids, times, xs)
+        written = path.read_bytes()
+        assert written.startswith(b"\x93NUMPY") == (suffix == ".npy")
+        header, cols = read_table(path)
         assert header == ["traj_id", "t", "x"]
-        assert [c.shape for c in cols] == [(rows,)] * 3
+        assert [(c.shape, c.dtype) for c in cols] == [((rows,), np.float64)] * 3
         back_ids, back_times, back_xs = read_crossings(path)
+        assert back_ids.dtype.kind == "i"
         np.testing.assert_array_equal(back_ids, ids)
         np.testing.assert_array_equal(back_times, times)
         np.testing.assert_array_equal(back_xs, xs)
+        # and back: the values read write the same bytes
+        write_crossings(path, back_ids, back_times, back_xs)
+        assert path.read_bytes() == written
         write_table(str(path), ["t"], [times])
         assert read_table(str(path))[1][0].tolist() == times.tolist()
 

@@ -1,8 +1,9 @@
 """Every module-level import in the package is used by its module, every
 module-level UPPER_CASE constant and every module-level _private function or
 class is read somewhere in the package, no module reads numpy's random module
-(sde's SplitMix64 streams are the one random source), and importing the
-package and its command line loads no scipy module.
+(sde's SplitMix64 streams are the one random source), every np.load call
+passes allow_pickle=False, so no file is unpickled, and importing the package
+and its command line loads no scipy module.
 
 `__init__.py` is exempt from the import check because its imports are the
 public re-exports, and `from __future__` imports change the compiler, not the
@@ -147,6 +148,33 @@ def test_checker_finds_numpy_random():
               "from numpy.random import PCG64\nrng = np.random.Generator(PCG64(1))\n"
               "x = numpy.random.random(3)\nrandom = 1\nnp.zeros(1).random\n")
     assert numpy_random_reads(source) == [2, 3, 4, 5, 6]
+
+
+def pickling_loads(source: str) -> list:
+    """Lines of source that call np.load or numpy.load without an explicit
+    allow_pickle=False."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "load" and isinstance(node.func.value, ast.Name)
+                and node.func.value.id in ("np", "numpy")
+                and not any(k.arg == "allow_pickle" and isinstance(k.value, ast.Constant)
+                            and k.value.value is False for k in node.keywords)):
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_np_load_refuses_pickles(path):
+    assert pickling_loads(path.read_text()) == []
+
+
+def test_checker_finds_a_pickling_load():
+    source = ("import numpy as np\nimport numpy\nnp.load('a.npy')\n"
+              "np.load('b.npy', allow_pickle=True)\nnumpy.load('c.npy', mmap_mode='r')\n"
+              "np.load('d.npy', allow_pickle=False)\nnp.load('e.npy', allow_pickle=0)\n"
+              "json.load(handle)\n")
+    assert pickling_loads(source) == [3, 4, 5, 7]
 
 
 def test_package_and_cli_import_no_scipy():
