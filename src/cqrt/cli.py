@@ -214,7 +214,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         initial_points=parse_initial_points(args.init, model, args.n, args.seed),
         n_trajectories=args.n, master_seed=args.seed,
         record_mode="snapshots" if args.snapshots else RECORD_FLAGS[args.record or "crossings"],
-        snapshot_times=args.snapshots or (), drift_cap=args.drift_cap,
+        snapshot_times=args.snapshots or (),
     )
     integrating = time.monotonic()
     ensemble = simulate_ensemble(config, threads=args.threads)
@@ -232,7 +232,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             path, ids, ensemble.times[:, None], ensemble.x[:, alive], ensemble.y[:, alive])
 
     diagnostics = {
-        "capped_steps": ensemble.capped_steps,
         "near_node_steps": ensemble.near_node_steps,
         "diverged": ensemble.n_diverged,
     }
@@ -310,9 +309,9 @@ def cmd_fpe(args: argparse.Namespace) -> int:
         raise ValueError("--grid must be at least 4 grid lines")
     # --grid counts grid lines per axis; cells are one fewer
     grid = FpGrid(L=args.L, nx=args.grid - 1, ny=args.grid - 1, dt_pde=args.dt_pde)
-    solution = fp_solve(model, grid, args.t, drift_cap=args.drift_cap)
+    solution = fp_solve(model, grid, args.t)
     marginal = fp_marginal_x(solution)
-    ux, uy = drift_field(model, grid, drift_cap=args.drift_cap)
+    ux, uy = drift_field(model, grid)
     speed_x, speed_y = float(np.abs(ux).max()), float(np.abs(uy).max())
 
     diagnostics = {
@@ -410,7 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     recording = sim.add_mutually_exclusive_group()
     recording.add_argument("--snapshots", type=_floats)
     recording.add_argument("--record", choices=RECORD_FLAGS)
-    sim.add_argument("--drift-cap", type=float, default=10.0)
     sim.add_argument("--threads", type=int, default=1)
     sim.add_argument("--out", required=True)
     sim.add_argument("--config")
@@ -434,7 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
     fpe.add_argument("--grid", type=int, default=201)
     fpe.add_argument("--dt-pde", type=float)
     fpe.add_argument("--t", type=float, default=1.0)
-    fpe.add_argument("--drift-cap", type=float, default=10.0)
     fpe.add_argument("--out", required=True)
     fpe.add_argument("--config")
     fpe.set_defaults(func=cmd_fpe)

@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InstabilityDetected, ZeroMass
-from .sde import check_step, uniforms
+from .sde import uniforms
 from .stats import EmpiricalDensity
 from .wavefield import (Eigenstate, ModelSpec, log_derivative_masked,
                         quantum_density_eigenstate, turning_point)
@@ -44,9 +44,6 @@ D_YY = 0.25
 
 #: one-step growth factor that triggers InstabilityDetected
 MAX_STEP_GROWTH = 10.0
-
-#: trajectory time step whose displacement cap drift_field turns into a speed cap
-DT_REF = 0.01
 
 
 @dataclass(frozen=True)
@@ -126,26 +123,19 @@ class FpSolution:
         return self.total_mass / self.initial_mass - 1.0
 
 
-def drift_field(model: ModelSpec, grid: FpGrid, drift_cap: float = 10.0):
-    """Drift components (u_x, u_y) at every cell center, magnitude-capped.
+def drift_field(model: ModelSpec, grid: FpGrid):
+    """Drift components (u_x, u_y) at every cell center, uncapped.
 
     u_x = Im(d ln psi/dz) and u_y = -Re(d ln psi/dz), 0 at a node of psi
-    as the drift's node rule gives (log_derivative_masked).  The cap is the
-    trajectory integrator's rule at dt = DT_REF: displacement drift_cap*sqrt(dt)
-    per step is speed drift_cap/sqrt(DT_REF), 100 for the default cap.  The two
-    solvers treat the same regularized problem only when the trajectories also
-    step at DT_REF; at dt = 0.0025 the integrator's cap is a speed of 200.
+    as the drift's node rule gives (log_derivative_masked): the field the
+    trajectory integrator steps in.  Near a node the speed grows as one over
+    the distance; fp_step's InstabilityDetected guards the march against it.
     """
     if not isinstance(model, Eigenstate):
         raise TypeError("drift_field supports eigenstate models only")
-    check_step(DT_REF, drift_cap)
     x, y = grid.meshgrid()
     g = log_derivative_masked(model, 0.0, x + 1j * y)[0]
-    ux, uy = np.imag(g), -np.real(g)
-    speed = np.hypot(ux, uy)
-    cap = drift_cap / math.sqrt(DT_REF)
-    scale = np.where(speed > cap, cap / np.where(speed == 0.0, 1.0, speed), 1.0)
-    return ux * scale, uy * scale
+    return np.imag(g), -np.real(g)
 
 
 def fp_initial(n: int, grid: FpGrid) -> np.ndarray:
@@ -243,9 +233,8 @@ def fp_step(solution: FpSolution, drift) -> FpSolution:
     )
 
 
-def fp_solve(model: ModelSpec, grid: FpGrid, t_final: float,
-             drift_cap: float = 10.0) -> FpSolution:
-    """March the initial eigenstate density to t_final.
+def fp_solve(model: ModelSpec, grid: FpGrid, t_final: float) -> FpSolution:
+    """March the initial eigenstate density to t_final in the uncapped drift_field.
 
     Returns the solution with mass and clipping diagnostics.  Callers should
     reject fields whose clipped_mass is a sizable fraction of the initial
@@ -255,14 +244,13 @@ def fp_solve(model: ModelSpec, grid: FpGrid, t_final: float,
         raise TypeError("fp_solve supports eigenstate models only")
     if not 0 <= t_final < math.inf:
         raise ValueError("t_final must be finite and >= 0")
-    check_step(DT_REF, drift_cap)
     rho0 = fp_initial(model.n, grid)
     mass0 = float(np.sum(rho0) * grid.hx * grid.hy)
     solution = FpSolution(grid=grid, t=0.0, rho=rho0, total_mass=mass0, initial_mass=mass0)
     n_steps = int(round(t_final / grid.dt_pde))
     if n_steps == 0:
         return solution
-    drift = drift_field(model, grid, drift_cap=drift_cap)
+    drift = drift_field(model, grid)
     for _ in range(n_steps):
         solution = fp_step(solution, drift)
     return solution

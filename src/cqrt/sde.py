@@ -3,9 +3,10 @@
 The dynamics is dz = -i (d ln psi / dz) dt + sqrt(-i) dW with the square root
 taken as (-1+i)/sqrt(2), so one real increment xi per step feeds both
 coordinates with perfectly anticorrelated increments of variance dt/2 each.
-The drift displacement of a step is capped at drift_cap*sqrt(dt), and it is 0
-at a node of psi, where the drift is 0.  Set A holds the on-axis launches and
-the points where steps from off the axis reach or pass it.
+The drift displacement -i*g*dt of a step is uncapped, and 0 at a node of psi.
+A launch d off a node moves about dt/d on its first step, so one that close
+to a node can leave |z| <= BLOWUP_THRESHOLD and diverge.  Set A holds the
+on-axis launches and the points where steps from off the axis reach or pass it.
 
 Reproducibility contract: an Ensemble is a pure function of its
 SimulationConfig.  Trajectory i owns an independent noise stream: SplitMix64
@@ -121,13 +122,10 @@ def crossing_interpolation(x_prev, y_prev, x_new, y_new):
     return x_prev + (x_new - x_prev) * frac, frac
 
 
-def check_step(dt: float, drift_cap: float) -> None:
-    """A time step and a drift cap must each be finite and > 0; a NaN cap
-    would cap nothing, and a negative one would reverse the drift."""
+def check_step(dt: float) -> None:
+    """A time step must be finite and > 0."""
     if not 0 < dt < math.inf:
         raise ValueError("dt must be finite and > 0")
-    if not 0 < drift_cap < math.inf:
-        raise ValueError("drift_cap must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -142,10 +140,9 @@ class SimulationConfig:
     master_seed: int = 42
     record_mode: str = "full_path"
     snapshot_times: tuple = ()
-    drift_cap: float = 10.0
 
     def __post_init__(self):
-        check_step(self.dt, self.drift_cap)
+        check_step(self.dt)
         if not self.dt <= self.t_final < math.inf:
             raise ValueError("t_final must be finite and >= dt")
         if self.n_trajectories < 1:
@@ -223,8 +220,9 @@ class Ensemble:
     final_x: np.ndarray
     final_y: np.ndarray
     alive: np.ndarray
-    capped_steps: int
     near_node_steps: int
+    #: always 0; perfbench/child.py reads it until the benchmark drops step.capped_steps
+    capped_steps = 0
 
     @property
     def n_diverged(self) -> int:
@@ -253,51 +251,44 @@ class Ensemble:
         return Trajectory(id=index, times=times, points=points, crossings=crossings)
 
 
-def _step(model: ModelSpec, t: float, z, dt: float, xi, drift_cap: float):
-    """The Euler-Maruyama step kernel on 1-d arrays; returns (z_new, over, near).
+def _step(model: ModelSpec, t: float, z, dt: float, xi):
+    """The Euler-Maruyama step kernel on 1-d arrays; returns (z_new, near).
 
-    The drift displacement -i*g*dt is capped at drift_cap*sqrt(dt) where it is
-    larger (`over`).  Where the drift's node mask is set (`near`) the drift is
-    0, so the step is pure diffusion and never capped.
+    The drift displacement is -i*g*dt.  Where the drift's node mask is set
+    (`near`) the drift is 0, so the step is pure diffusion.
     """
     g, near = log_derivative_masked(model, t, z)
     disp = -1j * g
     disp *= dt
-    mag = np.abs(disp)
-    lim = drift_cap * math.sqrt(dt)
-    over = mag > lim
-    # mag becomes the cap factor lim/mag where the step is capped
-    np.divide(lim, mag, out=mag, where=over)
-    np.multiply(disp, mag, out=disp, where=over)
     disp += z
     disp += noise_increment(xi, dt)
-    return disp, over, near
+    return disp, near
 
 
-def em_step(model: ModelSpec, t: float, z, dt: float, xi, drift_cap: float = 10.0):
+def em_step(model: ModelSpec, t: float, z, dt: float, xi):
     """One Euler-Maruyama step from z at time t with standardised increment xi.
 
-    The drift displacement is capped at drift_cap*sqrt(dt), and it is 0 where
-    the drift's node mask is set, so a step from a node is pure diffusion.
-    Accepts scalars or broadcastable arrays, and checks dt and drift_cap.
+    The drift displacement is -i*g*dt, and it is 0 where the drift's node mask
+    is set, so a step from a node is pure diffusion.  Accepts scalars or
+    broadcastable arrays, and checks dt.
     """
-    check_step(dt, drift_cap)
+    check_step(dt)
     scalar = np.isscalar(z) and np.isscalar(xi)
     z, xi = np.broadcast_arrays(np.asarray(z, dtype=complex), np.asarray(xi, dtype=float))
-    out = _step(model, t, z.ravel(), dt, xi.ravel(), drift_cap)[0].reshape(z.shape)[()]
+    out = _step(model, t, z.ravel(), dt, xi.ravel())[0].reshape(z.shape)[()]
     return complex(out) if scalar else out
 
 
-def split_step(model: ModelSpec, t: float, x, y, dt: float, xi, drift_cap: float = 10.0):
+def split_step(model: ModelSpec, t: float, x, y, dt: float, xi):
     """em_step written on the real and imaginary parts: returns (x', y').
 
     x' = x + Im(g) dt - xi sqrt(dt)/sqrt(2) and y' = y - Re(g) dt
-    + xi sqrt(dt)/sqrt(2), with the identical cap; complex addition is
-    componentwise, so the result equals em_step's parts to the last bit.
+    + xi sqrt(dt)/sqrt(2); complex addition is componentwise, so the result
+    equals em_step's parts to the last bit.
     """
     scalar = np.isscalar(x) and np.isscalar(y) and np.isscalar(xi)
     z = np.asarray(x, dtype=float) + 1j * np.asarray(y, dtype=float)
-    out = em_step(model, t, z, dt, xi, drift_cap)
+    out = em_step(model, t, z, dt, xi)
     return (float(out.real), float(out.imag)) if scalar else (out.real, out.imag)
 
 
@@ -305,7 +296,7 @@ def _integrate_chunk(ens: Ensemble, lo: int, hi: int):
     """Integrate trajectories [lo, hi) of ens.config into columns [lo, hi) of
     ens's records, final_x, final_y and alive.
 
-    Returns (crossings, capped, near_node): crossings is [times, x, ids] of
+    Returns (crossings, near_node): crossings is [times, x, ids] of
     the axis points (set A) of the paths still alive at the end.  A diverged
     path stays frozen where it left the threshold, so it crosses no more, and
     the drift is evaluated at 0 in its place.
@@ -323,13 +314,12 @@ def _integrate_chunk(ens: Ensemble, lo: int, hi: int):
     on_axis = z.imag == 0.0
     crossings = [(np.zeros(int(on_axis.sum())), z.real[on_axis], ids[on_axis])]
     alive = ens.alive[cols]
-    capped = near_nodes = 0
+    near_nodes = 0
 
     for j in range(config.n_steps):
         t = j * dt
-        z_new, over, near = _step(config.model, t, np.where(alive, z, 0.0), dt,
-                                  standard_normals(seeds, j), config.drift_cap)
-        capped += int(np.count_nonzero(over & alive))
+        z_new, near = _step(config.model, t, np.where(alive, z, 0.0), dt,
+                            standard_normals(seeds, j))
         near_nodes += int(np.count_nonzero(near & alive))
         z_prev, z = z, np.where(alive, z_new, z)
         # a path lives while |z| is within the threshold, so NaN diverges too
@@ -350,7 +340,7 @@ def _integrate_chunk(ens: Ensemble, lo: int, hi: int):
     # pools exclude paths that later diverged
     crossings = [np.concatenate(c) for c in zip(*crossings)]
     keep = alive[crossings[2] - lo]
-    return [c[keep] for c in crossings], capped, near_nodes
+    return [c[keep] for c in crossings], near_nodes
 
 
 def simulate_ensemble(config: SimulationConfig, threads: int = 1) -> Ensemble:
@@ -373,15 +363,15 @@ def simulate_ensemble(config: SimulationConfig, threads: int = 1) -> Ensemble:
     x, y = np.empty((2, times.size, n)) if times.size else (None, None)
     ens = Ensemble(config=config, times=times, x=x, y=y, crossing_times=None, crossing_x=None,
                    crossing_ids=None, final_x=np.empty(n), final_y=np.empty(n),
-                   alive=np.ones(n, dtype=bool), capped_steps=0, near_node_steps=0)
+                   alive=np.ones(n, dtype=bool), near_node_steps=0)
     if threads <= 1 or len(bounds) == 1:
         parts = [_integrate_chunk(ens, a, b) for a, b in bounds]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(lambda b: _integrate_chunk(ens, *b), bounds))
-    crossings, capped, near = zip(*parts)
+    crossings, near = zip(*parts)
     ens.crossing_times, ens.crossing_x, ens.crossing_ids = map(np.concatenate, zip(*crossings))
-    ens.capped_steps, ens.near_node_steps = sum(capped), sum(near)
+    ens.near_node_steps = sum(near)
     if ens.n_diverged > MAX_DIVERGED_FRACTION * n:
         raise NumericalBlowup(
             f"{ens.n_diverged}/{n} trajectories diverged (>{MAX_DIVERGED_FRACTION:.0%})"

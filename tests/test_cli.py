@@ -163,21 +163,21 @@ class TestConfigFile:
         return main(["simulate", "--model", "eigenstate:1", "--init", "+-0.015,0",
                      "--n", "50", "--t", "0.2", "--out", str(out), *flags])
 
-    def test_drift_cap_reaches_run_and_manifest_as_float(self, tmp_path):
+    def test_dt_reaches_run_and_manifest_as_float(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("# launches close to the node, where the cap bites\ndrift_cap=5\n")
+        cfg.write_text("# half the default time step\ndt=0.005\n")
         assert self._simulate(tmp_path / "file", "--config", str(cfg)) == 0
-        assert self._simulate(tmp_path / "flag", "--drift-cap", "5") == 0
+        assert self._simulate(tmp_path / "flag", "--dt", "0.005") == 0
         assert self._simulate(tmp_path / "default") == 0
         file_run, flag_run, default_run = (read_manifest(tmp_path / name / "manifest.json")
                                            for name in ("file", "flag", "default"))
-        assert file_run["config"]["drift_cap"] == 5.0
-        assert isinstance(file_run["config"]["drift_cap"], float)
+        assert file_run["config"]["dt"] == 0.005
+        assert isinstance(file_run["config"]["dt"], float)
+        assert file_run["config"]["n_steps"] == 2 * default_run["config"]["n_steps"] == 40
         assert file_run["run_id"] == flag_run["run_id"]
         assert file_run["files"] == flag_run["files"]
         assert file_run["diagnostics"] == flag_run["diagnostics"]
-        assert file_run["diagnostics"]["capped_steps"] > 0
-        assert default_run["diagnostics"] != file_run["diagnostics"]
+        assert default_run["files"] != file_run["files"]
 
     def test_fpe_keys_with_underscores(self, tmp_path):
         cfg = tmp_path / "fpe.cfg"
@@ -428,7 +428,7 @@ class TestFpeCommand:
     def test_resolution_numbers_in_manifest(self, tmp_path):
         # 5 lines on [-2, 2]: 4 cells of width 1, centers at +-0.5 and +-1.5,
         # dt_pde = 0.5 * 1 / (2 (1/4 + 1/4)) = 0.5.  The n = 0 drift is the
-        # rotation (-y, x), so max|ux| = max|uy| = 1.5, under the speed cap
+        # rotation (-y, x), so max|ux| = max|uy| = 1.5
         out = tmp_path / "fpe"
         rc = main(["fpe", "--n", "0", "--L", "2", "--grid", "5", "--t", "0.5",
                    "--out", str(out)])
@@ -556,13 +556,13 @@ class TestExitCodes:
         ["simulate", "--model", "eigenstate:1", "--snapshots", "inf"],
         # non-finite numbers are rejected before any step count is rounded
         ["simulate", "--model", "eigenstate:1", "--t", "inf"],
-        ["simulate", "--model", "eigenstate:1", "--drift-cap", "nan"],
         ["fpe", "--n", "1", "--t", "inf"],
         ["analyze", "--pool", "snapshot-pool", "--set", "snapshot", "--t", "inf"],
-        # a NaN cap would cap nothing; the FPE takes the integrator's rule
-        ["fpe", "--drift-cap", "nan", "--t", "0.5", "--grid", "21"],
-        ["fpe", "--drift-cap", "0", "--t", "0.5", "--grid", "21"],
-        ["fpe", "--drift-cap", "inf", "--t", "0.5", "--grid", "21"],
+        # the drift has no cap: an old flag or config file fails loudly
+        ["simulate", "--model", "eigenstate:1", "--drift-cap", "10"],
+        ["simulate", "--model", "eigenstate:1", "--config", "drift-cap-config"],
+        ["fpe", "--drift-cap", "10", "--t", "0.5", "--grid", "21"],
+        ["fpe", "--config", "drift-cap-config", "--t", "0.5", "--grid", "21"],
         # an infinite half-width gives NaN cells, a NaN one no grid at all
         ["fpe", "--L", "inf", "--t", "0.5", "--grid", "21"],
         ["fpe", "--L", "nan", "--t", "0.5", "--grid", "21"],
@@ -609,15 +609,18 @@ class TestExitCodes:
                      "inf-density": [[-np.inf, 0.0, 1.0], [0.25, 0.5, 0.25]]}
         for name, columns in densities.items():
             write_table(str(tmp_path / name), serialize.DENSITY_HEADER, [*columns, np.zeros(3)])
-        pools = ("missing-pool", "snapshot-pool", "gaussian-pool")
-        argv = [str(tmp_path / arg) if arg in (*pools, *densities) else arg for arg in argv]
+        (tmp_path / "drift-cap-config").write_text("drift_cap=10\n")
+        files = ("missing-pool", "snapshot-pool", "gaussian-pool", "drift-cap-config")
+        argv = [str(tmp_path / arg) if arg in (*files, *densities) else arg for arg in argv]
         assert main(argv + ["--out", str(tmp_path / "o")]) == 1
         assert not (tmp_path / "o").exists()
         err = capsys.readouterr().err
         named = {"quantum_eigenstate:n=1,bogus=3": "'bogus'",
                  "nosuch:n=1": "unknown reference 'nosuch'",
                  "-2": "threads must be >= 0", "1,2,3": "bad point '1,2,3'",
-                 ";": "no initial points", "gaussian:form=exact": "requires p0"}
+                 ";": "no initial points", "gaussian:form=exact": "requires p0",
+                 "10": "unrecognized arguments: --drift-cap 10",
+                 str(tmp_path / "drift-cap-config"): "unrecognized arguments: --drift-cap=10"}
         for arg in argv:
             assert named.get(arg, "") in err
 

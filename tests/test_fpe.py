@@ -26,6 +26,7 @@ from cqrt import (
     turning_point,
 )
 from cqrt.sde import uniforms
+from cqrt.wavefield import log_derivative_masked
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -112,7 +113,7 @@ class TestDriftField:
         # -u_x = (x^2 y + y^3 + y)/(x^2+y^2) and -u_y = (x - x y^2 - x^3)/(x^2+y^2)
         grid = FpGrid(L=5.0, nx=200, ny=200)
         rng = np.random.default_rng(12)
-        ux, uy = drift_field(Eigenstate(1), grid, drift_cap=1e9)
+        ux, uy = drift_field(Eigenstate(1), grid)
         x, y = grid.meshgrid()
         for _ in range(10):
             j = rng.integers(0, 200)
@@ -139,24 +140,19 @@ class TestDriftField:
             expected = 4 * x * y / (x * x + y * y) ** 2
             assert div == pytest.approx(expected, rel=1e-6, abs=1e-9)
 
-    def test_speed_cap(self):
-        grid = FpGrid(L=5.0, nx=200, ny=200)
-        ux, uy = drift_field(Eigenstate(3), grid, drift_cap=10.0)
-        assert np.hypot(ux, uy).max() <= 10.0 / math.sqrt(0.01) + 1e-9
+    def test_field_is_the_integrators_drift(self):
+        # no cap: the field is (Im g, -Re g) of the drift the trajectories
+        # step in, to the last bit, and above a speed of 100 next to the node
+        grid = FpGrid(L=0.5, nx=80, ny=80)
+        x, y = grid.meshgrid()
+        g = log_derivative_masked(Eigenstate(3), 0.0, x + 1j * y)[0]
+        ux, uy = drift_field(Eigenstate(3), grid)
+        assert ux.tobytes() == g.imag.tobytes() and uy.tobytes() == (-g.real).tobytes()
+        assert np.hypot(ux, uy).max() > 100.0
 
     def test_gaussian_model_rejected(self):
         with pytest.raises(TypeError):
             drift_field(GaussianPacket(1.0), FpGrid(L=2.0, nx=8, ny=8))
-
-    @pytest.mark.parametrize("cap", [math.nan, 0.0, -1.0, math.inf])
-    def test_bad_cap_rejected(self, cap):
-        # a NaN cap would cap nothing: speed > nan is False everywhere
-        grid = FpGrid(L=2.0, nx=8, ny=8)
-        with pytest.raises(ValueError, match="drift_cap"):
-            drift_field(Eigenstate(1), grid, drift_cap=cap)
-        for t_final in (0.0, 0.1):
-            with pytest.raises(ValueError, match="drift_cap"):
-                fp_solve(Eigenstate(1), grid, t_final, drift_cap=cap)
 
 
 class TestInitialCondition:

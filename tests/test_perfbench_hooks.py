@@ -2,9 +2,11 @@
 
 perfbench/tracing.py wraps cqrt functions by module and attribute name and
 silently skips a name it cannot find, which would leave that layer's metrics
-at 0.  These checks read its hook tables without changing them.
+at 0, and perfbench/child.py reads attributes of the Ensemble, where a missing
+one fails the workload.  These checks read both files without changing them.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -14,7 +16,8 @@ import pytest
 import cqrt
 from cqrt import Eigenstate, FpGrid, SimulationConfig, fp_solve, simulate_ensemble
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def _tracing():
@@ -77,3 +80,25 @@ def test_solver_calls_the_step_hook_once_per_step(monkeypatch):
     t_final = 0.3
     solution = fp_solve(Eigenstate(1), grid, t_final)
     assert len(calls) == round(t_final / grid.dt_pde) == solution.steps
+
+
+def _unresolved_ensemble_reads(source):
+    """The attributes read as `ens.<attr>` in source that a small
+    simulate_ensemble result lacks."""
+    ens = simulate_ensemble(SimulationConfig(model=Eigenstate(1), dt=0.01, t_final=0.02,
+                                             initial_points=(0.5 + 0j,), n_trajectories=2))
+    reads = {node.attr for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+             and node.value.id == "ens"}
+    assert reads, "no ens.<attr> read found"
+    return sorted(attr for attr in reads if not hasattr(ens, attr))
+
+
+def test_child_reads_only_ensemble_attributes_that_exist():
+    # the readme_pipeline and ladder_n70 workloads read these off the ensemble
+    assert _unresolved_ensemble_reads((PERFBENCH / "child.py").read_text()) == []
+
+
+def test_unresolved_ensemble_read_is_caught():
+    snippet = "def run(ens):\n    return ens.crossing_x.size, ens.no_such_count\n"
+    assert _unresolved_ensemble_reads(snippet) == ["no_such_count"]

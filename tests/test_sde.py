@@ -73,26 +73,26 @@ class TestEmStep:
         b = em_step(model, 0.5, z, 0.01, 0.0)
         assert a == b
 
-    def test_cap_limits_displacement(self):
-        # close to the psi_1 node the raw drift displacement would be huge
-        z = 1e-9 + 0j
-        out = em_step(Eigenstate(1), 0.0, z, 0.01, 0.0, drift_cap=10.0)
-        assert abs(out - z) <= 10.0 * math.sqrt(0.01) * (1 + 1e-12)
+    def test_drift_displacement_is_exact(self):
+        # 1e-3 off the psi_1 node the drift displacement -i g dt is about 10,
+        # and the step takes all of it
+        z = 1e-3 + 0j
+        g = log_derivative_masked(Eigenstate(1), 0.0, z)[0]
+        out = em_step(Eigenstate(1), 0.0, z, 0.01, 0.0)
+        assert out == complex(z + -1j * g * 0.01)
+        assert abs(out - z) > 9.9
 
     def test_near_node_without_direction_is_pure_noise(self):
         out = em_step(Eigenstate(1), 0.0, 0j, 0.01, 1.0)
         assert out == noise_increment(1.0, 0.01)
 
-    @pytest.mark.parametrize("dt, cap", [(0.01, cap) for cap in (-1.0, 0.0, math.nan, math.inf)]
-                             + [(dt, 10.0) for dt in (0.0, -0.01, math.nan, math.inf)])
-    def test_bad_step_rejected(self, dt, cap):
-        # a cap of -1 would reverse the drift and a NaN one cap nothing; a NaN
-        # dt would give a NaN step and a negative one no sqrt(dt)
-        name = "drift_cap" if dt == 0.01 else "dt"
-        with pytest.raises(ValueError, match=f"^{name} must be finite and > 0"):
-            em_step(Eigenstate(1), 0.0, 1j, dt, 0.0, drift_cap=cap)
-        with pytest.raises(ValueError, match=f"^{name} must be finite and > 0"):
-            split_step(Eigenstate(1), 0.0, 0.0, 1.0, dt, 0.0, drift_cap=cap)
+    @pytest.mark.parametrize("dt", [0.0, -0.01, math.nan, math.inf])
+    def test_bad_step_rejected(self, dt):
+        # a NaN dt would give a NaN step and a negative one no sqrt(dt)
+        with pytest.raises(ValueError, match="^dt must be finite and > 0"):
+            em_step(Eigenstate(1), 0.0, 1j, dt, 0.0)
+        with pytest.raises(ValueError, match="^dt must be finite and > 0"):
+            split_step(Eigenstate(1), 0.0, 0.0, 1.0, dt, 0.0)
 
     def test_zero_drift_at_node(self):
         # a node's drift displacement is 0, so with no noise the step stays put
@@ -111,23 +111,17 @@ def _frozen_drift(model, t, z):
     return log_derivative_masked(model, t, z)
 
 
-def _frozen_step(model, t, z, dt, xi, drift_cap):
-    """The step kernel as it was before the in-place rewrite, with its
-    fallback direction at 0, which it was at every node step observed."""
-    last_dir = np.zeros(np.broadcast(z, xi).shape, dtype=complex)
+def _frozen_step(model, t, z, dt, xi):
+    """The step kernel as it was before the in-place rewrite, one temporary
+    per operation, with a zero drift displacement at a node."""
     g, near = _frozen_drift(model, t, z)
-    disp = -1j * g * dt
-    mag = np.abs(disp)
-    lim = drift_cap * math.sqrt(dt)
-    over = (mag > lim) & ~near
-    disp = np.where(over, disp * (lim / np.where(mag == 0.0, 1.0, mag)), disp)
-    disp = np.where(near, lim * last_dir, disp)
-    return z + disp + noise_increment(xi, dt), over, near
+    disp = np.where(near, 0j, -1j * g * dt)
+    return z + disp + noise_increment(xi, dt), near
 
 
 def _kernel_points(n, count=3000):
     """Born launches of psi_n with diffused imaginary parts, the real nodes of
-    H_n, points 1e-9 off them (far over the cap), and a far ring."""
+    H_n, points 1e-9 off them (a drift of about 1e9), and a far ring."""
     rng = np.random.default_rng(n)
     born = sample_eigenstate_positions(n, count, 11) + 1j * rng.normal(0.0, 0.7, count)
     roots = hermite_real_roots(n) + 0j
@@ -150,10 +144,9 @@ class TestStepKernelBits:
     def test_eigenstates(self, n, dt):
         z = _kernel_points(max(n, 1))
         xi = np.random.default_rng(7).normal(size=z.size)
-        new = _step(Eigenstate(n), 0.0, z, dt, xi, 10.0)
-        _assert_same_bits(new, _frozen_step(Eigenstate(n), 0.0, z, dt, xi, 10.0))
-        z_new, over, near = new
-        assert over.any() and not over.all()
+        new = _step(Eigenstate(n), 0.0, z, dt, xi)
+        _assert_same_bits(new, _frozen_step(Eigenstate(n), 0.0, z, dt, xi))
+        z_new, near = new
         assert near.any() == (n > 0)
         if n == 0:
             # a zero drift: psi_0's log-derivative vanishes at 0
@@ -163,33 +156,34 @@ class TestStepKernelBits:
     def test_packets(self, model):
         z = _kernel_points(3)
         xi = np.random.default_rng(8).normal(size=z.size)
-        new = _step(model, 0.3, z, 0.01, xi, 10.0)
-        _assert_same_bits(new, _frozen_step(model, 0.3, z, 0.01, xi, 10.0))
-        assert new[1].any() and not new[1].all() and not new[2].any()
+        new = _step(model, 0.3, z, 0.01, xi)
+        _assert_same_bits(new, _frozen_step(model, 0.3, z, 0.01, xi))
+        assert not new[1].any()
 
     @pytest.mark.parametrize("model", [Eigenstate(1), Eigenstate(70), GaussianPacket(1.0)])
     def test_em_step_on_scalar_zero_d_and_list_input(self, model):
         z = _kernel_points(70)[::400]
         xi = np.linspace(-2.0, 2.0, z.size)
         for zi, x in zip(z, xi):
-            old = _frozen_step(model, 0.2, np.asarray(zi), 0.01, np.asarray(x), 10.0)[0]
+            old = _frozen_step(model, 0.2, np.asarray(zi), 0.01, np.asarray(x))[0]
             _assert_same_bits([em_step(model, 0.2, np.asarray(zi), 0.01, np.asarray(x))], [old])
             assert em_step(model, 0.2, complex(zi), 0.01, float(x)) == complex(old)
-        old = _frozen_step(model, 0.2, z, 0.01, xi, 10.0)[0]
+        old = _frozen_step(model, 0.2, z, 0.01, xi)[0]
         _assert_same_bits([em_step(model, 0.2, z.tolist(), 0.01, xi.tolist())], [old])
         # one point broadcast against many draws
-        old = _frozen_step(model, 0.2, np.asarray(z[1]), 0.01, xi, 10.0)[0]
+        old = _frozen_step(model, 0.2, np.asarray(z[1]), 0.01, xi)[0]
         _assert_same_bits([em_step(model, 0.2, z[1], 0.01, xi)], [old])
 
     def test_ensemble_with_node_launches(self, monkeypatch):
-        # launches on psi_1's node take a node step at step 0
-        cfg = _config(n_trajectories=200, t_final=0.3, initial_points=(0j, 0.95 + 0j, 1e-9 + 0j))
+        # launches on psi_1's node take a node step at step 0, and launches
+        # 1e-3 off it a drift displacement of about 10
+        cfg = _config(n_trajectories=200, t_final=0.3, initial_points=(0j, 0.95 + 0j, 1e-3 + 0j))
         ens = simulate_ensemble(cfg)
-        assert ens.near_node_steps > 0 and ens.capped_steps > 0
+        assert ens.near_node_steps > 0 and ens.n_diverged == 0
         monkeypatch.setattr("cqrt.sde._step", _frozen_step)
         frozen = simulate_ensemble(cfg)
         for name in ("x", "y", "crossing_times", "crossing_x", "crossing_ids",
-                     "final_x", "final_y", "alive", "capped_steps", "near_node_steps"):
+                     "final_x", "final_y", "alive", "near_node_steps"):
             _assert_same_bits([getattr(ens, name)], [getattr(frozen, name)])
 
 
@@ -415,7 +409,7 @@ class TestSimulate:
         finally:
             sys.setswitchinterval(interval)
         for name in ("x", "y", "crossing_times", "crossing_x", "crossing_ids",
-                     "final_x", "final_y", "alive", "capped_steps", "near_node_steps"):
+                     "final_x", "final_y", "alive", "near_node_steps"):
             np.testing.assert_array_equal(getattr(serial, name), getattr(threaded, name))
 
     def test_negative_thread_count_rejected(self, monkeypatch):
@@ -542,8 +536,8 @@ class TestSimulate:
         clean = simulate_ensemble(cfg)
         assert np.any(clean.crossing_ids == 0)
         monkeypatch.setattr("cqrt.sde.log_derivative_masked", poisoned)
-        # the NaN displacement is never divided (a NaN is not over the cap),
-        # so the step raises no RuntimeWarning
+        # the step divides nothing, so the NaN displacement raises no
+        # RuntimeWarning
         ens = simulate_ensemble(cfg)
         assert ens.n_diverged == 1
         assert not ens.alive[0]
@@ -614,12 +608,27 @@ class TestSimulate:
             with pytest.raises(ValueError, match="snapshot_times"):
                 _config(record_mode=mode, snapshot_times=(0.5,))
 
-    def test_capped_steps_reported(self):
-        # trajectories forced through the node region get capped at least once
+    def test_node_launches_do_not_diverge(self):
+        # launches 0.02 off psi_1's node first move by about dt/0.02 = 0.5
         cfg = _config(model=Eigenstate(1), n_trajectories=2000, t_final=0.5,
                       initial_points=(0.02 + 0j, -0.02 + 0j))
         ens = simulate_ensemble(cfg)
-        assert ens.capped_steps > 0
+        assert ens.n_diverged == 0
+        assert np.all(np.isfinite(ens.x)) and np.all(np.isfinite(ens.y))
+
+    def test_launches_a_hair_off_a_node_diverge(self):
+        # uncapped, a launch 1e-9 off psi_1's node moves dt/1e-9 = 1e7 on its
+        # first step, past BLOWUP_THRESHOLD: a third of the paths diverge
+        cfg = _config(n_trajectories=200, t_final=0.3, initial_points=(0j, 0.95 + 0j, 1e-9 + 0j))
+        with pytest.raises(NumericalBlowup, match="^66/200 trajectories diverged"):
+            simulate_ensemble(cfg)
+        # a launch on the node takes the pure-diffusion node step
+        cfg = _config(n_trajectories=4, t_final=0.01, initial_points=(0j,))
+        ens = simulate_ensemble(cfg)
+        step = noise_increment(standard_normals(derive_seeds(42, np.arange(4)), 0), cfg.dt)
+        assert ens.near_node_steps == 4
+        assert ens.x[1].tolist() == step.real.tolist()
+        assert ens.y[1].tolist() == step.imag.tolist()
 
     def test_zero_noise_rotation_invariance(self):
         # pure drift for n=0 is the rotation dz/dt = i z; the Euler step
@@ -654,7 +663,6 @@ class TestSimulate:
         cfg = _config(n_trajectories=100, t_final=0.3)
         ens = simulate_ensemble(cfg)
         dt = cfg.dt
-        cap_step = cfg.drift_cap * math.sqrt(dt)
         for t_c, x_c, i in zip(ens.crossing_times[:500], ens.crossing_x[:500],
                                ens.crossing_ids[:500]):
             if t_c == 0.0:
@@ -685,8 +693,8 @@ class TestSimulate:
             _config(record_mode="sometimes")
         with pytest.raises(ValueError):
             _config(record_mode="snapshots", snapshot_times=())
-        for bad in (dict(dt=math.nan), dict(t_final=math.inf), dict(t_final=math.nan),
-                    dict(drift_cap=math.nan), dict(drift_cap=math.inf), dict(drift_cap=0.0)):
+        for bad in (dict(dt=math.nan), dict(dt=math.inf), dict(t_final=math.inf),
+                    dict(t_final=math.nan)):
             with pytest.raises(ValueError, match="finite"):
                 _config(**bad)
 
@@ -759,7 +767,6 @@ class TestGroundStateMomentOracle:
 
     def test_mean_z_squared_follows_recursion(self, run):
         dt, ens = run
-        assert ens.capped_steps == 0
         assert ens.n_diverged == 0
         self._assert_moment(run, 2, 0.5, dt)
 
