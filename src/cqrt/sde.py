@@ -5,7 +5,10 @@ taken as (-1+i)/sqrt(2), so one real increment xi per step feeds both
 coordinates with perfectly anticorrelated increments of variance dt/2 each.
 The drift displacement -i*g*dt of a step is uncapped, and 0 at a node of psi.
 A launch d off a node moves about dt/d on its first step, so one that close
-to a node can leave |z| <= BLOWUP_THRESHOLD and diverge.  Set A holds the
+to a node can leave |z| <= BLOWUP_THRESHOLD and diverge.  A run fails with
+NumericalBlowup when more than MAX_DIVERGED_FRACTION of its paths diverge,
+and fails fast: a chunk raises it after the first step at which its own
+diverged paths pass that share of the whole ensemble.  Set A holds the
 on-axis launches and the points where steps from off the axis reach or pass it.
 
 Reproducibility contract: an Ensemble is a pure function of its
@@ -299,7 +302,9 @@ def _integrate_chunk(ens: Ensemble, lo: int, hi: int):
     Returns (crossings, near_node): crossings is [times, x, ids] of
     the axis points (set A) of the paths still alive at the end.  A diverged
     path stays frozen where it left the threshold, so it crosses no more, and
-    the drift is evaluated at 0 in its place.
+    the drift is evaluated at 0 in its place.  Raises NumericalBlowup at the
+    first step after which the chunk's own diverged paths exceed
+    MAX_DIVERGED_FRACTION of the whole ensemble.
     """
     config = ens.config
     cols = slice(lo, hi)
@@ -324,6 +329,8 @@ def _integrate_chunk(ens: Ensemble, lo: int, hi: int):
         z_prev, z = z, np.where(alive, z_new, z)
         # a path lives while |z| is within the threshold, so NaN diverges too
         alive &= np.abs(z) <= BLOWUP_THRESHOLD
+        # diverged counts only grow, so the whole run's check would fail too
+        _check_diverged(alive.size - int(np.count_nonzero(alive)), config.n_trajectories)
 
         # a step from off the axis that ends on it or past it; the sign keeps
         # the test exact where y_prev * y_new would underflow
@@ -352,7 +359,10 @@ def simulate_ensemble(config: SimulationConfig, threads: int = 1) -> Ensemble:
     in chunk order, so the output is bit-identical for every thread count.
     Serial is the default because the chunks hold the interpreter lock for
     most of their time.  Fails with NumericalBlowup if more than
-    MAX_DIVERGED_FRACTION of the paths diverge.  Ensemble.trajectory(i) is path i.
+    MAX_DIVERGED_FRACTION of the paths diverge, as soon as one chunk's own
+    diverged paths are that many (diverged counts only grow, so the run
+    would fail anyway), else after the last chunk.  Ensemble.trajectory(i)
+    is path i.
     """
     if threads < 0:
         raise ValueError(f"threads must be >= 0 (0: one per core), got {threads}")
@@ -372,8 +382,13 @@ def simulate_ensemble(config: SimulationConfig, threads: int = 1) -> Ensemble:
     crossings, near = zip(*parts)
     ens.crossing_times, ens.crossing_x, ens.crossing_ids = map(np.concatenate, zip(*crossings))
     ens.near_node_steps = sum(near)
-    if ens.n_diverged > MAX_DIVERGED_FRACTION * n:
-        raise NumericalBlowup(
-            f"{ens.n_diverged}/{n} trajectories diverged (>{MAX_DIVERGED_FRACTION:.0%})"
-        )
+    _check_diverged(ens.n_diverged, n)
     return ens
+
+
+def _check_diverged(diverged: int, n: int):
+    """NumericalBlowup if more than MAX_DIVERGED_FRACTION of n paths diverged."""
+    if diverged > MAX_DIVERGED_FRACTION * n:
+        raise NumericalBlowup(
+            f"{diverged}/{n} trajectories diverged (>{MAX_DIVERGED_FRACTION:.0%})"
+        )

@@ -2,6 +2,7 @@
 anisotropic heat kernel, symmetry preservation, and marginals."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -25,6 +26,7 @@ from cqrt import (
     sample_initial_points,
     turning_point,
 )
+from cqrt import fpe
 from cqrt.sde import uniforms
 from cqrt.wavefield import log_derivative_masked
 
@@ -312,6 +314,73 @@ class TestStepIsBitExact:
         uy[30:35, :] = 0.0
         solution = FpSolution(grid=grid, t=0.0, rho=rho, total_mass=1.0, initial_mass=1.0)
         self.assert_marches_agree(solution, (ux, uy), 20)
+
+
+class TestStepBands:
+    """fp_step's band sweep against reference_step at band boundaries: bands
+    of one cell (narrower than a row, so one row each), of 13 rows (a count
+    that divides none of the grids' row counts) and of the default size (one
+    band on these grids)."""
+
+    BANDS = pytest.mark.parametrize("cells", [lambda nx: 1, lambda nx: 13 * nx, None],
+                                    ids=["one-row", "13-row", "default"])
+
+    @staticmethod
+    def use_bands(monkeypatch, cells, nx):
+        if cells is not None:
+            monkeypatch.setattr(fpe, "_BAND_CELLS", cells(nx))
+
+    @BANDS
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("nx, ny", [(60, 60), (80, 50), (81, 100)],
+                             ids=["square", "non-square", "odd-axis"])
+    def test_eigenstate_drift(self, monkeypatch, cells, n, nx, ny):
+        self.use_bands(monkeypatch, cells, nx)
+        TestStepIsBitExact().test_eigenstate_drift(n, nx, ny)
+
+    @BANDS
+    def test_clipping_heavy_march(self, monkeypatch, cells):
+        # n = 3 on 0.5-wide cells clips in nearly every row from the first
+        # step on, so most bands carry negatives into the clipped-mass sum
+        self.use_bands(monkeypatch, cells, 20)
+        grid = FpGrid(L=5.0, nx=20, ny=21)
+        solution = FpSolution(grid=grid, t=0.0, rho=fp_initial(3, grid),
+                              total_mass=1.0, initial_mass=1.0)
+        TestStepIsBitExact.assert_marches_agree(solution, drift_field(Eigenstate(3), grid), 12)
+
+    @BANDS
+    def test_random_field_with_exact_zeros(self, monkeypatch, cells):
+        self.use_bands(monkeypatch, cells, 50)
+        TestStepIsBitExact().test_random_field_with_exact_zeros()
+
+    @pytest.mark.parametrize("where", ["rho", "drift"])
+    def test_non_finite_cell_in_a_late_band_detected(self, monkeypatch, where):
+        # row 17 lies in the last of four 5-row bands: a NaN there must reach
+        # the growth check through the merge of the bands' extremes
+        monkeypatch.setattr(fpe, "_BAND_CELLS", 100)
+        grid = FpGrid(L=2.0, nx=20, ny=20)
+        rho = fp_initial(1, grid)
+        ux, uy = drift_field(Eigenstate(1), grid)
+        (rho if where == "rho" else ux)[17, 12] = math.nan
+        solution = FpSolution(grid=grid, t=0.0, rho=rho, total_mass=1.0, initial_mass=1.0)
+        with pytest.raises(InstabilityDetected):
+            fp_step(solution, (ux, uy))
+
+    def test_one_step_allocates_under_three_fields(self):
+        # the sweep allocates the new field and one band's buffers, not a
+        # padded copy, a flux array and full-size temporaries per term
+        grid = FpGrid(L=5.0, nx=400, ny=400)
+        solution = FpSolution(grid=grid, t=0.0, rho=fp_initial(3, grid),
+                              total_mass=1.0, initial_mass=1.0)
+        drift = drift_field(Eigenstate(3), grid)
+        fp_step(solution, drift)
+        tracemalloc.start()
+        try:
+            fp_step(solution, drift)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * solution.rho.nbytes
 
 
 class TestSolve:

@@ -630,6 +630,22 @@ class TestSimulate:
         assert ens.x[1].tolist() == step.real.tolist()
         assert ens.y[1].tolist() == step.imag.tolist()
 
+    def test_divergence_fails_fast(self, monkeypatch):
+        # half the launches sit 1e-9 off psi_1's node and leave on step 1, so
+        # the first chunk alone holds more than 1% of the ensemble diverged
+        calls = []
+
+        def counting(seeds, steps):
+            calls.append(steps)
+            return standard_normals(seeds, steps)
+
+        monkeypatch.setattr("cqrt.sde.standard_normals", counting)
+        cfg = _config(n_trajectories=30_000, initial_points=(0.95 + 0j, 1e-9 + 0j),
+                      record_mode="crossings_and_final")
+        with pytest.raises(NumericalBlowup, match=f"^{CHUNK_SIZE // 2}/30000 trajectories diverged"):
+            simulate_ensemble(cfg)
+        assert calls == [0]
+
     def test_zero_noise_rotation_invariance(self):
         # pure drift for n=0 is the rotation dz/dt = i z; the Euler step
         # multiplies |z| by exactly sqrt(1 + dt^2) each step
