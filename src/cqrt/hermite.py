@@ -43,8 +43,9 @@ def _recurrence_pair(n, z):
     maximum over the finite z.  So cadence = floor(690 / log2 g) steps from
     m <= 2**333 keep m, and every product of the step, below 2**1023.  The
     cadence is at least 1, so the values are finite for log2 g < 690, that
-    is |z| < 2**689 (about 2e207).  At |z| <= 20 and n <= 70 the cadence
-    exceeds n, and the pair is tested once, at the start.
+    is |z| < 2**689 (about 2e207).  The first test, of (1, 2z), is skipped if
+    max|z| <= RESCALE_THRESHOLD / 4 (a factor 2 spare for abs's rounding; a
+    NaN max is tested), so at |z| <= 20 and n <= 70 the pair is never tested.
     """
     z = np.asarray(z, dtype=complex)
     h_prev = np.ones(z.shape, dtype=complex)
@@ -55,10 +56,11 @@ def _recurrence_pair(n, z):
     size = np.abs(z)
     growth = 2.0 * np.max(size, initial=0.0, where=np.isfinite(size)) + 2.0 * n
     cadence = max(1, int(_HEADROOM_BITS // math.log2(growth)))
+    first = 2 if np.max(size, initial=0.0) <= RESCALE_THRESHOLD / 4 else 1
     two_z = h_cur.copy()
     step = np.empty(z.shape, dtype=complex)
     for k in range(1, n):
-        if (k - 1) % cadence == 0:
+        if (k - 1) % cadence == 0 and k >= first:
             mag = np.maximum(np.abs(h_prev), np.abs(h_cur))
             big = mag > RESCALE_THRESHOLD
             if np.any(big):

@@ -8,8 +8,9 @@ A launch d off a node moves about dt/d on its first step, so one that close
 to a node can leave |z| <= BLOWUP_THRESHOLD and diverge.  A run fails with
 NumericalBlowup when more than MAX_DIVERGED_FRACTION of its paths diverge,
 and fails fast: a chunk raises it after the first step at which its own
-diverged paths pass that share of the whole ensemble.  Set A holds the
-on-axis launches and the points where steps from off the axis reach or pass it.
+diverged paths pass that share of the whole ensemble.  A chunk steps without
+the alive masks until its first path diverges.  Set A holds the on-axis
+launches and the points where steps from off the axis reach or pass it.
 
 Reproducibility contract: an Ensemble is a pure function of its
 SimulationConfig.  Trajectory i owns an independent noise stream: SplitMix64
@@ -299,11 +300,12 @@ def _integrate_chunk(ens: Ensemble, lo: int, hi: int):
     """Integrate trajectories [lo, hi) of ens.config into columns [lo, hi) of
     ens's records, final_x, final_y and alive.
 
-    Returns (crossings, near_node): crossings is [times, x, ids] of
-    the axis points (set A) of the paths still alive at the end.  A diverged
-    path stays frozen where it left the threshold, so it crosses no more, and
-    the drift is evaluated at 0 in its place.  Raises NumericalBlowup at the
-    first step after which the chunk's own diverged paths exceed
+    Returns (crossings, near_node): crossings is [times, x, ids] of the axis
+    points (set A) of the paths still alive at the end.  A diverged path stays
+    frozen where it left the threshold, so it crosses no more, and the drift
+    is evaluated at 0 in its place; while none has diverged the step runs
+    unmasked, as the masks would select every path.  Raises NumericalBlowup
+    at the first step after which the chunk's own diverged paths exceed
     MAX_DIVERGED_FRACTION of the whole ensemble.
     """
     config = ens.config
@@ -319,25 +321,26 @@ def _integrate_chunk(ens: Ensemble, lo: int, hi: int):
     on_axis = z.imag == 0.0
     crossings = [(np.zeros(int(on_axis.sum())), z.real[on_axis], ids[on_axis])]
     alive = ens.alive[cols]
-    near_nodes = 0
+    near_nodes = diverged = 0
 
     for j in range(config.n_steps):
         t = j * dt
-        z_new, near = _step(config.model, t, np.where(alive, z, 0.0), dt,
+        z_new, near = _step(config.model, t, np.where(alive, z, 0.0) if diverged else z, dt,
                             standard_normals(seeds, j))
-        near_nodes += int(np.count_nonzero(near & alive))
-        z_prev, z = z, np.where(alive, z_new, z)
+        near_nodes += int(np.count_nonzero(near & alive if diverged else near))
+        z_prev, z = z, np.where(alive, z_new, z) if diverged else z_new
         # a path lives while |z| is within the threshold, so NaN diverges too
         alive &= np.abs(z) <= BLOWUP_THRESHOLD
         # diverged counts only grow, so the whole run's check would fail too
-        _check_diverged(alive.size - int(np.count_nonzero(alive)), config.n_trajectories)
+        diverged = alive.size - int(np.count_nonzero(alive))
+        _check_diverged(diverged, config.n_trajectories)
 
         # a step from off the axis that ends on it or past it; the sign keeps
         # the test exact where y_prev * y_new would underflow
-        hit = (np.sign(z_prev.imag) * z.imag <= 0.0) & (z_prev.imag != 0.0)
-        if np.any(hit):
-            x_cross, frac = crossing_interpolation(z_prev.real[hit], z_prev.imag[hit],
-                                                   z.real[hit], z.imag[hit])
+        hit = np.flatnonzero((np.sign(z_prev.imag) * z.imag <= 0.0) & (z_prev.imag != 0.0))
+        if hit.size:
+            z0, z1 = z_prev[hit], z[hit]
+            x_cross, frac = crossing_interpolation(z0.real, z0.imag, z1.real, z1.imag)
             crossings.append((t + dt * frac, x_cross, ids[hit]))
         row = rows.get(j + 1)
         if row is not None:
@@ -361,8 +364,8 @@ def simulate_ensemble(config: SimulationConfig, threads: int = 1) -> Ensemble:
     most of their time.  Fails with NumericalBlowup if more than
     MAX_DIVERGED_FRACTION of the paths diverge, as soon as one chunk's own
     diverged paths are that many (diverged counts only grow, so the run
-    would fail anyway), else after the last chunk.  Ensemble.trajectory(i)
-    is path i.
+    would fail anyway), else after the last chunk; the chunks not started
+    when one fails are skipped.  Ensemble.trajectory(i) is path i.
     """
     if threads < 0:
         raise ValueError(f"threads must be >= 0 (0: one per core), got {threads}")
@@ -377,8 +380,18 @@ def simulate_ensemble(config: SimulationConfig, threads: int = 1) -> Ensemble:
     if threads <= 1 or len(bounds) == 1:
         parts = [_integrate_chunk(ens, a, b) for a, b in bounds]
     else:
+        failed = []
+
+        def run(chunk):
+            # map raises at the first failure in chunk order, so no skipped None is read
+            try:
+                return None if failed else _integrate_chunk(ens, *chunk)
+            except Exception:
+                failed.append(chunk)
+                raise
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda b: _integrate_chunk(ens, *b), bounds))
+            parts = list(pool.map(run, bounds))
     crossings, near = zip(*parts)
     ens.crossing_times, ens.crossing_x, ens.crossing_ids = map(np.concatenate, zip(*crossings))
     ens.near_node_steps = sum(near)

@@ -1,6 +1,9 @@
 """Hermite recurrence: exact small cases, a frozen big-float value, node
-detection, overflow headroom at n = 70, and the power-of-two rescaling against
-the per-step rescaling recurrence it replaced."""
+detection, overflow headroom at n = 70, the power-of-two rescaling against
+the per-step rescaling recurrence it replaced, and the skipped first rescale
+test against the pair that always took it."""
+
+import math
 
 import numpy as np
 import pytest
@@ -15,7 +18,13 @@ from cqrt import (
     sample_eigenstate_positions,
     simulate_ensemble,
 )
-from cqrt.hermite import NEAR_NODE_RTOL, _recurrence_pair, hermite_ratio_masked
+from cqrt.hermite import (
+    _HEADROOM_BITS,
+    NEAR_NODE_RTOL,
+    RESCALE_THRESHOLD,
+    _recurrence_pair,
+    hermite_ratio_masked,
+)
 from cqrt.sde import BLOWUP_THRESHOLD
 
 EPS = np.finfo(float).eps
@@ -241,3 +250,58 @@ def test_far_launch_still_diverges_at_n70():
         n_trajectories=200, master_seed=42, record_mode="crossings_and_final"))
     assert ens.n_diverged == 1
     assert not ens.alive[0]
+
+
+def _frozen_recurrence_pair(n, z):
+    """_recurrence_pair as it was before it skipped the first rescale test:
+    the pair (1, 2z) is tested at k = 1 whatever max|z| is."""
+    z = np.asarray(z, dtype=complex)
+    h_prev = np.ones(z.shape, dtype=complex)
+    h_cur = np.multiply(z, 2.0, out=np.empty(z.shape, dtype=complex))
+    exp2 = np.zeros(z.shape, dtype=int)
+    if n < 2:
+        return h_prev, h_cur, exp2
+    size = np.abs(z)
+    growth = 2.0 * np.max(size, initial=0.0, where=np.isfinite(size)) + 2.0 * n
+    cadence = max(1, int(_HEADROOM_BITS // math.log2(growth)))
+    two_z = h_cur.copy()
+    step = np.empty(z.shape, dtype=complex)
+    for k in range(1, n):
+        if (k - 1) % cadence == 0:
+            mag = np.maximum(np.abs(h_prev), np.abs(h_cur))
+            big = mag > RESCALE_THRESHOLD
+            if np.any(big):
+                e = np.frexp(mag)[1]
+                scale = np.ldexp(1.0, -e)
+                np.multiply(h_prev, scale, out=h_prev, where=big)
+                np.multiply(h_cur, scale, out=h_cur, where=big)
+                np.add(exp2, e, out=exp2, where=big)
+        np.multiply(two_z, h_cur, out=step)
+        np.multiply(h_prev, 2.0 * k, out=h_prev)
+        np.subtract(step, h_prev, out=h_prev)
+        h_prev, h_cur = h_cur, h_prev
+    return h_prev, h_cur, exp2
+
+
+def _rescale_edge_points():
+    """|z| at and one double either side of 2**331 ... 2**335 on 8 phases,
+    and every pairing of a finite part with +-inf and NaN."""
+    phases = np.exp(2j * np.pi * np.arange(8) / 8)
+    radii = 2.0 ** np.arange(331, 336)
+    radii = np.concatenate([radii, np.nextafter(radii, 0.0), np.nextafter(radii, np.inf)])
+    specials = [complex(a, b) for a in (0.7, np.inf, -np.inf, np.nan)
+                for b in (0.3, np.inf, -np.inf, np.nan)][1:]
+    return np.concatenate([np.outer(radii, phases).ravel(), radii + 0j, specials])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 70])
+def test_skipped_first_rescale_test_matches_frozen_pair(n):
+    rng = np.random.default_rng(n)
+    born = sample_eigenstate_positions(n, 2000, 3) + 1j * rng.normal(0.0, 0.7, 2000)
+    edge = _rescale_edge_points()
+    with np.errstate(all="ignore"):
+        # the Born points alone skip the test, each edge point takes it
+        for z in (born, edge, np.concatenate([born, edge]), *edge[:, None], born[:1], born[:0]):
+            assert _same_bits(_recurrence_pair(n, z), _frozen_recurrence_pair(n, z)), z
+        for zi in (born[0], edge[0], edge[-1]):
+            assert _same_bits(_recurrence_pair(n, zi), _frozen_recurrence_pair(n, zi))

@@ -28,6 +28,8 @@ from cqrt.hermite import hermite_ratio_masked
 from cqrt.sde import (
     BLOWUP_THRESHOLD,
     CHUNK_SIZE,
+    _check_diverged,
+    _integrate_chunk,
     _step,
     derive_seeds,
     uniforms,
@@ -382,6 +384,92 @@ def _config(**kw):
     return SimulationConfig(**base)
 
 
+def _frozen_integrate_chunk(ens, lo, hi):
+    """The chunk loop as it was before it skipped the alive masks while every
+    path lives: both np.where copies and the near & alive count on every step,
+    and the crossings gathered by a boolean mask over the .real/.imag views."""
+    config = ens.config
+    cols = slice(lo, hi)
+    dt = config.dt
+    ids = np.arange(lo, hi)
+    z = np.asarray(config.initial_points, dtype=complex)[ids % len(config.initial_points)]
+    seeds = derive_seeds(config.master_seed, ids)
+    rows = {step: row for row, step in enumerate(config.record_steps())}
+    if 0 in rows:
+        ens.x[0, cols], ens.y[0, cols] = z.real, z.imag
+    on_axis = z.imag == 0.0
+    crossings = [(np.zeros(int(on_axis.sum())), z.real[on_axis], ids[on_axis])]
+    alive = ens.alive[cols]
+    near_nodes = 0
+    for j in range(config.n_steps):
+        t = j * dt
+        z_new, near = _step(config.model, t, np.where(alive, z, 0.0), dt,
+                            standard_normals(seeds, j))
+        near_nodes += int(np.count_nonzero(near & alive))
+        z_prev, z = z, np.where(alive, z_new, z)
+        alive &= np.abs(z) <= BLOWUP_THRESHOLD
+        _check_diverged(alive.size - int(np.count_nonzero(alive)), config.n_trajectories)
+        hit = (np.sign(z_prev.imag) * z.imag <= 0.0) & (z_prev.imag != 0.0)
+        if np.any(hit):
+            x_cross, frac = crossing_interpolation(z_prev.real[hit], z_prev.imag[hit],
+                                                   z.real[hit], z.imag[hit])
+            crossings.append((t + dt * frac, x_cross, ids[hit]))
+        row = rows.get(j + 1)
+        if row is not None:
+            ens.x[row, cols], ens.y[row, cols] = z.real, z.imag
+    ens.final_x[cols], ens.final_y[cols] = z.real, z.imag
+    crossings = [np.concatenate(c) for c in zip(*crossings)]
+    keep = alive[crossings[2] - lo]
+    return [c[keep] for c in crossings], near_nodes
+
+
+ENSEMBLE_FIELDS = ("times", "x", "y", "crossing_times", "crossing_x", "crossing_ids",
+                   "final_x", "final_y", "alive", "near_node_steps")
+
+# 248 launches 0.3 above the axis, one 1e-9 off psi_1's node that leaves on
+# its first step, and one at 999,000 whose |z| grows by sqrt(1 + dt**2) a step
+# and passes BLOWUP_THRESHOLD after about 20: 0.8% of the paths diverge
+_DIVERGING = tuple(np.linspace(-2.0, 2.0, 248) + 0.3j) + (1e-9 + 0j, 999_000 + 0j)
+
+
+class TestChunkLoopBits:
+    """simulate_ensemble against the frozen chunk loop, every Ensemble field
+    byte for byte."""
+
+    @pytest.mark.parametrize("case, threads, kw", [
+        ("chunks", 1, dict(n_trajectories=700)),
+        ("chunks", 2, dict(n_trajectories=700)),
+        ("on_axis", 1, dict(initial_points=(0.95 + 0j, -0.3 + 0j, 0.5 + 0.5j, 0j))),
+        ("crossings_and_final", 1, dict(n_trajectories=700, record_mode="crossings_and_final")),
+        ("snapshots", 2, dict(n_trajectories=700, record_mode="snapshots",
+                              snapshot_times=(0.0, 0.33, 1.0))),
+        ("full_path", 1, dict(record_mode="full_path", t_final=0.5)),
+        ("packet", 1, dict(model=GaussianPacket(1.0), t_final=2.0,
+                           initial_points=tuple(np.linspace(-2.0, 2.0, 40) + 0j))),
+        ("n70", 1, dict(model=Eigenstate(70), dt=0.05 / 141, t_final=0.05,
+                        initial_points=tuple(sample_eigenstate_positions(70, 300, 5) + 0j))),
+        ("diverging", 1, dict(n_trajectories=1000, initial_points=_DIVERGING)),
+        ("diverging", 2, dict(n_trajectories=1000, initial_points=_DIVERGING,
+                              record_mode="crossings_and_final")),
+    ])
+    def test_matches_frozen_loop(self, monkeypatch, case, threads, kw):
+        monkeypatch.setattr("cqrt.sde.CHUNK_SIZE", 256)
+        cfg = _config(**kw)
+        ens = simulate_ensemble(cfg, threads=threads)
+        monkeypatch.setattr("cqrt.sde._integrate_chunk", _frozen_integrate_chunk)
+        frozen = simulate_ensemble(cfg, threads=threads)
+        for name in ENSEMBLE_FIELDS:
+            _assert_same_bits([getattr(ens, name)], [getattr(frozen, name)])
+        assert ens.crossing_x.size > 0
+        if case == "diverging":
+            # the far launches (ids 249, 499, ...) are alive 10 steps in, so
+            # every chunk ran unmasked before it ran masked
+            assert ens.n_diverged == 8 and not ens.alive[249::250].any()
+            if ens.x is not None:
+                assert np.all(np.abs(ens.x[10, 249::250] + 1j * ens.y[10, 249::250])
+                              <= BLOWUP_THRESHOLD)
+
+
 class TestSimulate:
     def test_recorded_point_count(self):
         ens = simulate_ensemble(_config(n_trajectories=1, initial_points=(0.5 + 0.5j,)))
@@ -645,6 +733,34 @@ class TestSimulate:
         with pytest.raises(NumericalBlowup, match=f"^{CHUNK_SIZE // 2}/30000 trajectories diverged"):
             simulate_ensemble(cfg)
         assert calls == [0]
+
+    @pytest.mark.parametrize("bad_chunk", [0, 1])
+    def test_failure_skips_chunks_not_started(self, monkeypatch, bad_chunk):
+        # 20 chunks of 100 paths; half of one chunk's launches sit 1e-9 off
+        # psi_1's node, so it fails on its first step, while the others run
+        # 1000 steps (about 80 ms, many switch intervals of the interpreter
+        # lock): the chunk in flight beside the failing one cannot finish first
+        calls = []
+
+        def counting(ens, lo, hi):
+            calls.append(lo)
+            return _integrate_chunk(ens, lo, hi)
+
+        monkeypatch.setattr("cqrt.sde.CHUNK_SIZE", 100)
+        monkeypatch.setattr("cqrt.sde._integrate_chunk", counting)
+        points = [0.95 + 0j, -0.95 + 0j] * 1000
+        points[100 * bad_chunk:100 * (bad_chunk + 1):2] = [1e-9 + 0j] * 50
+        cfg = _config(n_trajectories=2000, t_final=10.0, initial_points=tuple(points),
+                      record_mode="crossings_and_final")
+        message = "^50/2000 trajectories diverged"
+        with pytest.raises(NumericalBlowup, match=message):
+            simulate_ensemble(cfg, threads=1)
+        assert calls == list(range(0, 100 * bad_chunk + 1, 100))
+        calls.clear()
+        with pytest.raises(NumericalBlowup, match=message):
+            simulate_ensemble(cfg, threads=2)
+        # only the chunks in flight with the failing one ran
+        assert calls[0] == 0 and set(calls) <= {0, 100} and 100 * bad_chunk in calls
 
     def test_zero_noise_rotation_invariance(self):
         # pure drift for n=0 is the rotation dz/dt = i z; the Euler step
