@@ -220,7 +220,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     ensemble = simulate_ensemble(config, threads=args.threads)
     integration_s = time.monotonic() - integrating
 
-    alive = ensemble.alive
+    alive = slice(None) if ensemble.alive.all() else ensemble.alive  # views while all live
     ids = np.arange(config.n_trajectories)[alive]
     outputs = dict.fromkeys(("crossings.csv", "crossings.npy"), lambda path: (
         serialize.write_crossings(path, ensemble.crossing_ids, ensemble.crossing_times,

@@ -347,10 +347,10 @@ def _integrate_chunk(ens: Ensemble, lo: int, hi: int):
             ens.x[row, cols], ens.y[row, cols] = z.real, z.imag
 
     ens.final_x[cols], ens.final_y[cols] = z.real, z.imag
-    # pools exclude paths that later diverged
     crossings = [np.concatenate(c) for c in zip(*crossings)]
-    keep = alive[crossings[2] - lo]
-    return [c[keep] for c in crossings], near_nodes
+    if diverged:  # pools exclude paths that later diverged
+        crossings = [c[alive[crossings[2] - lo]] for c in crossings]
+    return crossings, near_nodes
 
 
 def simulate_ensemble(config: SimulationConfig, threads: int = 1) -> Ensemble:
@@ -392,8 +392,11 @@ def simulate_ensemble(config: SimulationConfig, threads: int = 1) -> Ensemble:
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(run, bounds))
-    crossings, near = zip(*parts)
-    ens.crossing_times, ens.crossing_x, ens.crossing_ids = map(np.concatenate, zip(*crossings))
+    chunks, near = zip(*parts)
+    for col, name in enumerate(("crossing_times", "crossing_x", "crossing_ids")):
+        setattr(ens, name, np.concatenate([chunk[col] for chunk in chunks]))
+        for chunk in chunks:  # released once joined: the pool plus one column at most
+            chunk[col] = None
     ens.near_node_steps = sum(near)
     _check_diverged(ens.n_diverged, n)
     return ens

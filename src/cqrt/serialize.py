@@ -2,24 +2,25 @@
 
 write_table and read_table are one table codec that picks its encoding by the
 file's suffix.  Every CSV file is a header row, then one row per record.
-Integer columns are written as integers and all others with %.17g, which
-round-trips IEEE doubles exactly, so identical runs give byte-identical files.
-A .npy table is a 1-D structured array, one int64 or float64 field per column,
-read with allow_pickle=False, so no object array is unpickled (not .npz: its
-zip headers carry the write time).  Tables are written in blocks of
-_BLOCK_ROWS rows, with a buffer that does not grow with the row count.  A 2-D
-column's rows follow one another, so points.csv is written from the record
-rows (a 20,000-path full record traces 71 MB, 32 MB of it x and y).  Readers
-check the header.  A pool's final.csv and points.csv share one points format,
-traj_id,t,x,y.  A field file's header row is y\\x and the x centres; each
-later row is a y centre and that row of the field.  A run directory
-(write_run) holds the outputs and a manifest.json with their digests.  Every
-file is written to a temporary name in the same directory, given the mode
-open() would give it, and renamed into place.
+Integer columns are written as %d and all others as %.17g, which round-trips
+IEEE doubles exactly, so identical runs give byte-identical files; numpy
+formats each block of _BLOCK_ROWS rows to the bytes that % gives, with a
+buffer that does not grow with the row count.  A .npy table is a 1-D
+structured array, one int64 or float64 field per column, read with
+allow_pickle=False, so no object array is unpickled (not .npz: its zip
+headers carry the write time).  A 2-D column's rows follow one another, so
+points.csv is written from the record rows (a 20,000-path full record traces
+40 MB, 32 MB of it x and y).  Readers check the header.  A pool's final.csv
+and points.csv share one points format, traj_id,t,x,y.  A field file's header
+row is y\\x and the x centres; each later row is a y centre and that row of
+the field.  A run directory (write_run) holds the outputs and a manifest.json
+with their digests.  Every file is written to a temporary name in the same
+directory, given the mode open() would give it, and renamed into place.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
 import json
@@ -78,19 +79,95 @@ def write_table(path: str, header, columns) -> None:
             np.rec.fromarrays([c.flat[start:start + _BLOCK_ROWS] for c in columns], dtype=dtype)
             .tobytes() for start in range(0, rows, _BLOCK_ROWS))), "wb")
         return
-    row = ",".join("%d" if i else "%.17g" for i in integer) + "\n"
 
     def pieces():
-        yield ",".join(header) + "\n"
+        yield (",".join(header) + "\n").encode()
         for start in range(0, rows, _BLOCK_ROWS):
-            block = [c.flat[start:start + _BLOCK_ROWS].tolist() for c in columns]
-            yield row * len(block[0]) % tuple(chain.from_iterable(zip(*block)))
-    atomic_write_text(path, pieces())
+            block = [_column_text(c.flat[start:start + _BLOCK_ROWS], i)
+                     for c, i in zip(columns, integer)]
+            comma = np.full((block[0].shape[0], 1), ord(","), np.uint8)
+            text = np.hstack([part for field in block for part in (field, comma)])
+            text[:, -1] = ord("\n")  # and translate drops the NULs padding each field
+            yield text.tobytes().translate(None, b"\0")
+    atomic_write_text(path, pieces(), "wb")
+
+
+# 10**e for e in -4..20, correctly rounded: exact for e >= 0, just above 10**e for e < 0
+_POW10 = np.array([float(f"1e{e}") for e in range(-4, 21)])
+
+
+@functools.cache
+def _digit_words():
+    """The ASCII digits of 0000 to 9999, a 4-byte word each; built on first use."""
+    return (np.arange(10000)[:, None] // 10 ** np.arange(3, -1, -1) % 10
+            + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+
+
+def _digits(v, groups: int):
+    """The 4 * groups ASCII digits, zero-filled, of int64 v in [0, 10**(4 * groups))."""
+    parts = np.empty((groups, v.size), np.int64)
+    for g in range(groups - 1, -1, -1):
+        parts[g], v = v - v // 10000 * 10000, v // 10000
+    return np.ascontiguousarray(_digit_words()[parts.T]).view(np.uint8)
+
+
+def _float_text(x):
+    """%.17g of the float64 values x with 1e-4 <= |x| < 1e16, a NUL-padded row
+    each, and the mask of the other values: the 17 digits of D = round(|x| *
+    10**(16 - k)), 10**k <= |x|, a point after digit k ("0." and -k-1 zeros
+    first if k < 0), the fraction's trailing zeros and bare point dropped."""
+    a = np.abs(x)
+    fast = (a >= 1e-4) & (a < 1e16)
+    a = np.where(fast, a, 1.0)
+    k = np.searchsorted(_POW10[:20], a, side="right") - 5  # 10**k <= a < 10**(k + 1)
+    # D exactly, half to even: Dekker's product (Veltkamp splits by 2**27 + 1) is p + err,
+    # p >= 2**53 even; D < 10**17, no double here being 5e-18 relative below 10**(k + 1)
+    b = _POW10[20 - k]
+    p, sa, sb = a * b, a * 134217729.0, b * 134217729.0
+    ah, bh = sa - (sa - a), sb - (sb - b)
+    err = ((ah * bh - p) + ah * (b - bh) + (a - ah) * bh) + (a - ah) * (b - bh)
+    d = p.astype(np.int64) + np.rint(err).astype(np.int64)
+    # sig digits precede D's trailing zeros; those in the fraction become NULs
+    digits, sig = _digits(d, 5)[:, 3:], np.full(x.size, 17)
+    z = np.flatnonzero((digits[:, -1] == ord("0")) & fast)
+    sig[z] = 17 - np.argmax(digits[z, ::-1] != ord("0"), axis=1)
+    digits[z] *= np.arange(17) < np.maximum(sig[z], k[z] + 1)[:, None]
+    # "-0.000" cut by sign and k, then the digits, a point slot after each of the first m
+    m = 1 + int(np.max(k, where=fast, initial=-1))
+    text = np.empty((x.size, 23 + m), np.uint8)
+    for c, shown in enumerate((np.signbit(x), k < 0, k < 0, k < -1, k < -2, k < -3)):
+        text[:, c] = shown * b"-0.000"[c]
+    body = text[:, 6:]
+    body[:, :2 * m:2], body[:, 2 * m:] = digits[:, :m], digits[:, m:]
+    for c in range(m):
+        body[:, 2 * c + 1] = ((k == c) & (sig > c + 1)) * ord(".")
+    return text, ~fast
+
+
+def _column_text(values, integer: bool):
+    """Each value's text, %d (integer) or %.17g, a NUL-padded row each: b"%d" % v or
+    b"%.17g" % v outside [0, 10**16) or _float_text's range, or in a column of another kind."""
+    if values.dtype.kind not in "biuf":
+        text, rest = np.empty((values.size, 0), np.uint8), np.ones(values.size, bool)
+    elif integer:
+        rest = (values < 0) | (values >= 10**16)
+        v = np.where(rest, 0, values).astype(np.int64)
+        text = _digits(v, -(-len(str(v.max(initial=0))) // 4))
+        for j in range(1, text.shape[1]):  # the leading zeros dropped
+            text[:, -1 - j] *= v >= 10**j
+    else:
+        text, rest = _float_text(values.astype(float))
+    if not rest.any():
+        return text
+    slow = np.array([(b"%d" if integer else b"%.17g") % v for v in values[rest].tolist()])
+    out = np.pad(text, ((0, 0), (0, max(0, slow.itemsize - text.shape[1]))))
+    out[rest] = slow.astype(f"S{out.shape[1]}").view(np.uint8).reshape(-1, out.shape[1])
+    return out
 
 
 def read_table(path: str, header=None):
-    """Read a CSV or .npy table; returns (header list, list of float column
-    arrays).  If header is given, the file's header (field names) must equal it."""
+    """Read a CSV or .npy table; returns (header list, list of column arrays), float64 from
+    a CSV, a .npy table's fields as stored (views).  A given header must equal the file's."""
     if os.fspath(path).endswith(".npy"):
         with open(path, "rb") as handle:
             try:
@@ -101,7 +178,7 @@ def read_table(path: str, header=None):
         if not names or any(rows.dtype[name].kind not in "iuf" for name in names):
             raise ValueError(f"{path}: not a .npy 1-D structured array of int and float fields")
         found = list(names)
-        columns = [np.ascontiguousarray(rows[name], dtype=float) for name in found]
+        columns = [rows[name] for name in found]
     else:
         with open(path) as handle, warnings.catch_warnings():
             found = handle.readline().strip().split(",")
@@ -122,7 +199,7 @@ def write_crossings(path: str, traj_ids, times, xs) -> None:
 def read_crossings(path: str):
     """Returns (traj_ids, times, xs)."""
     ids, times, xs = read_table(path, CROSSINGS_HEADER)[1]
-    return ids.astype(int), times, xs
+    return ids.astype(int, copy=False), times, xs
 
 
 def write_points(path: str, traj_ids, t, xs, ys) -> None:

@@ -4,6 +4,7 @@ identity, one-step moments, reproducibility, and divergence accounting."""
 import math
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -507,6 +508,24 @@ class TestSimulate:
         monkeypatch.setattr("cqrt.sde._integrate_chunk", integrate)
         with pytest.raises(ValueError, match="threads must be >= 0"):
             simulate_ensemble(_config(), threads=-3)
+
+    def test_crossing_join_holds_one_column_beyond_the_pool(self):
+        # the join copies one column at a time and drops its chunk pieces, so
+        # the traced peak is the pool, one joined column (a third of it) and
+        # the Ensemble's own arrays; joining all three columns while every
+        # chunk's pieces are held peaks at twice the pool
+        config = SimulationConfig(model=Eigenstate(1), dt=0.01, t_final=1.0,
+                                  initial_points=(0.95, -0.95), n_trajectories=30000,
+                                  master_seed=7, record_mode="crossings_and_final")
+        tracemalloc.start()
+        try:
+            ens = simulate_ensemble(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        pool = sum(a.nbytes for a in (ens.crossing_times, ens.crossing_x, ens.crossing_ids))
+        assert pool > 5e6
+        assert peak < 1.5 * pool
 
     def test_single_trajectory_matches_ensemble_slice(self):
         for mode in ("full_path", "crossings_and_final", "snapshots"):
