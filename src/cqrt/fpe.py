@@ -28,6 +28,15 @@ a whole-grid pass per term is bound by memory traffic at 400^2 cells.  The
 sweep is exact: every cell's operations are unchanged, the bands' maxima and
 minima merge exactly, and the negatives are concatenated in row-major order,
 so the clipped-mass sum sees the same array as a whole-grid sweep would.
+The setup fields go through the same row bands (_row_bands): fp_initial,
+drift_field and sample_initial_points run the Hermite recurrence on one band
+of points at a time, so their temporaries are a band's, not a dozen whole
+fields.  Each cell's operations are again unchanged.  The recurrence times
+its power-of-two rescales by its input's max|z|, beyond about 440; the ratio
+in drift_field is exact under any rescale, and fp_initial passes the whole
+grid's max|z| so that log|H_n| rescales as in one whole-grid call.  fp_solve
+marches in two field buffers that fp_step fills in turn, so a step allocates
+only its band's buffers.
 """
 
 from __future__ import annotations
@@ -40,7 +49,8 @@ import numpy as np
 from .errors import InstabilityDetected, ZeroMass
 from .sde import uniforms
 from .stats import EmpiricalDensity
-from .wavefield import (Eigenstate, ModelSpec, log_derivative_masked,
+# _BAND_CELLS: cells per band of fp_step's sweep and of the setup fields
+from .wavefield import (_BAND_CELLS, Eigenstate, ModelSpec, log_derivative_masked,
                         quantum_density_eigenstate, turning_point)
 from .hermite import hermite_log_abs
 
@@ -51,8 +61,19 @@ D_YY = 0.25
 #: one-step growth factor that triggers InstabilityDetected
 MAX_STEP_GROWTH = 10.0
 
-#: cells per band of fp_step's sweep: a band's slabs and terms fit in L2
-_BAND_CELLS = 32768
+
+def _row_bands(ny: int, nx: int) -> list[slice]:
+    """Consecutive slices of ny rows, each about _BAND_CELLS cells of nx
+    (at least one row); the last may be shorter."""
+    rows = min(ny, max(1, _BAND_CELLS // nx))
+    return [slice(j0, min(j0 + rows, ny)) for j0 in range(0, ny, rows)]
+
+
+def _band_centers(x, y):
+    """(rows, x, y) per band of _row_bands over the points (x_i, y_j): x as
+    a row and the band's y as a column, which broadcast to its points."""
+    for band in _row_bands(y.size, x.size):
+        yield band, x, y[band, None]
 
 
 @dataclass(frozen=True)
@@ -139,12 +160,16 @@ def drift_field(model: ModelSpec, grid: FpGrid):
     as the drift's node rule gives (log_derivative_masked): the field the
     trajectory integrator steps in.  Near a node the speed grows as one over
     the distance; fp_step's InstabilityDetected guards the march against it.
+    Both are C-contiguous real arrays, computed band by band (_row_bands).
     """
     if not isinstance(model, Eigenstate):
         raise TypeError("drift_field supports eigenstate models only")
-    x, y = grid.meshgrid()
-    g = log_derivative_masked(model, 0.0, x + 1j * y)[0]
-    return np.imag(g), -np.real(g)
+    ux, uy = np.empty((grid.ny, grid.nx)), np.empty((grid.ny, grid.nx))
+    for band, x, y in _band_centers(grid.x_centers, grid.y_centers):
+        g = log_derivative_masked(model, 0.0, x + 1j * y)[0]
+        ux[band] = g.imag
+        np.negative(g.real, out=uy[band])
+    return ux, uy
 
 
 def fp_initial(n: int, grid: FpGrid) -> np.ndarray:
@@ -153,19 +178,30 @@ def fp_initial(n: int, grid: FpGrid) -> np.ndarray:
     For n = 1 this is exactly (2/sqrt(pi)) (x^2+y^2) exp(-x^2-y^2).  The
     normalization follows the eigenfunction convention; the field's plane
     integral is not 1 (recorded as a diagnostic, and immaterial for the
-    affine-invariant comparisons downstream).
+    affine-invariant comparisons downstream).  Computed band by band
+    (_row_bands).
     """
-    return _initial_density(Eigenstate(n).n, *grid.meshgrid())
+    n = Eigenstate(n).n
+    centers = grid.x_centers, grid.y_centers
+    # log|H_n|'s rescale cadence follows the largest |z|: the whole grid's
+    # gives every band the values of one whole-grid call
+    size = max(float(np.abs(x + 1j * y).max()) for _, x, y in _band_centers(*centers))
+    rho = np.empty((grid.ny, grid.nx))
+    for band, x, y in _band_centers(*centers):
+        rho[band] = _initial_density(n, x, y, size)
+    return rho
 
 
-def _initial_density(n: int, x, y):
-    """fp_initial's density at the points (x, y), through log|H_n|."""
+def _initial_density(n: int, x, y, size=None):
+    """fp_initial's density at the points (x, y), through log|H_n|; size is
+    hermite_log_abs's _size."""
     log_norm = n * math.log(2.0) + math.lgamma(n + 1) + 0.5 * math.log(math.pi)
     with np.errstate(over="ignore"):
-        return np.exp(2.0 * hermite_log_abs(n, x + 1j * y) - x * x - y * y - log_norm)
+        return np.exp(2.0 * hermite_log_abs(n, x + 1j * y, _size=size) - x * x - y * y
+                      - log_norm)
 
 
-def fp_step(solution: FpSolution, drift) -> FpSolution:
+def fp_step(solution: FpSolution, drift, _out=None) -> FpSolution:
     """One explicit conservative FTCS update of the density field.
 
     Central differences throughout, 4-corner stencil for the cross
@@ -200,24 +236,28 @@ def fp_step(solution: FpSolution, drift) -> FpSolution:
     values are never read.  Band extremes merge exactly (np.max and np.min,
     which propagate a NaN), and the negatives are collected in row-major
     order, so the clipped mass sums the same array as whole-grid clipping.
+
+    The new field is a fresh array, unless fp_solve passes its spare march
+    buffer as _out (of rho's shape, and not rho itself), which it fills.
     """
     grid = solution.grid
     hx, hy, dt = grid.hx, grid.hy, grid.dt_pde
     rho = solution.rho
     ux, uy = drift
     ny, nx = rho.shape
-    rows = min(ny, max(1, _BAND_CELLS // nx))
+    bands = _row_bands(ny, nx)
+    rows = bands[0].stop
     w = nx + 2
 
-    new = np.empty_like(rho)
+    new = np.empty_like(rho) if _out is None else _out
     # slab row r holds grid row j0 - 1 + r; columns 0 and w - 1 stay zero
     p_slab = np.zeros((rows + 2, w))
     f_slab = np.zeros((rows + 2, w))
     acc_buf, term_buf, two_buf = np.empty((3, rows * w))
     rho_highs, rho_lows, highs, lows, negatives = [], [], [], [], []
 
-    for j0 in range(0, ny, rows):
-        j1 = min(j0 + rows, ny)
+    for band in bands:
+        j0, j1 = band.start, band.stop
         b = j1 - j0
         lo, hi = max(j0 - 1, 0), min(j1 + 1, ny)
         halo = slice(lo - j0 + 1, hi - j0 + 1)
@@ -289,9 +329,14 @@ def fp_step(solution: FpSolution, drift) -> FpSolution:
 def fp_solve(model: ModelSpec, grid: FpGrid, t_final: float) -> FpSolution:
     """March the initial eigenstate density to t_final in the uncapped drift_field.
 
-    Returns the solution with mass and clipping diagnostics.  Callers should
-    reject fields whose clipped_mass is a sizable fraction of the initial
-    mass; that signals an under-resolved grid rather than a usable solution.
+    It takes round(t_final / dt_pde) steps, so the solution's t can differ
+    from t_final by up to dt_pde / 2 (t_final = 1 on a 50^2 grid with L = 6
+    ends at t = 1.008); compare it with an oracle at solution.t, not at
+    t_final.  Returns the solution with mass and clipping diagnostics.
+    Callers should reject fields whose clipped_mass is a sizable fraction of
+    the initial mass; that signals an under-resolved grid rather than a
+    usable solution.  The march fills two field buffers in turn, so a step
+    allocates no new field.
     """
     if not isinstance(model, Eigenstate):
         raise TypeError("fp_solve supports eigenstate models only")
@@ -304,8 +349,11 @@ def fp_solve(model: ModelSpec, grid: FpGrid, t_final: float) -> FpSolution:
     if n_steps == 0:
         return solution
     drift = drift_field(model, grid)
+    spare = np.empty_like(rho0)
     for _ in range(n_steps):
-        solution = fp_step(solution, drift)
+        rho = solution.rho
+        solution = fp_step(solution, drift, _out=spare)
+        spare = rho
     return solution
 
 
@@ -354,20 +402,24 @@ def sample_initial_points(n: int, count: int, seed: int) -> np.ndarray:
     is uniform in the square |x|, |y| <= sqrt(2n + 1) + 2.5, made of draws
     3k, 3k + 1 and 3k + 2 of the launch stream (x, y and the acceptance
     test; sde.uniforms); the first `count` accepted are returned, in order.
+    The probe grid that bounds the density, and the candidates, go band by
+    band: _BAND_CELLS candidates at a time.
     """
     half_width = turning_point(n) + 2.5
     probe = np.linspace(-half_width, half_width, 401)
-    px, py = np.meshgrid(probe, probe)
-    fmax = float(_initial_density(n, px, py).max()) * 1.25
+    # |z| < 21 here, far below the 440 from which a recurrence pair can be
+    # tested for a rescale, so the bands and batches need no common _size
+    fmax = max(float(_initial_density(n, x, y).max())
+               for _, x, y in _band_centers(probe, probe)) * 1.25
     out = np.empty(count, dtype=complex)
     got = start = 0
     while got < count:
-        m = 3 * (count - got) + 1000
-        x, y, u = uniforms(seed, np.arange(3 * start, 3 * (start + m))).reshape(m, 3).T
+        stop = start + _BAND_CELLS
+        x, y, u = uniforms(seed, np.arange(3 * start, 3 * stop)).reshape(-1, 3).T
         x, y = (2.0 * x - 1.0) * half_width, (2.0 * y - 1.0) * half_width
         accept = u * fmax < _initial_density(n, x, y)
         picked = (x + 1j * y)[accept][:count - got]
         out[got:got + picked.size] = picked
         got += picked.size
-        start += m
+        start = stop
     return out

@@ -30,7 +30,7 @@ _HEADROOM_BITS = math.log2(np.finfo(float).max / RESCALE_THRESHOLD) - 1.0
 NEAR_NODE_RTOL = 1e-12
 
 
-def _recurrence_pair(n, z):
+def _recurrence_pair(n, z, size=None):
     """Run the recurrence up to H_n, rescaling in place by powers of two.
 
     Returns (h_prev, h_cur, exp2) where H_{n-1} = h_prev * 2**exp2 and
@@ -46,6 +46,10 @@ def _recurrence_pair(n, z):
     is |z| < 2**689 (about 2e207).  The first test, of (1, 2z), is skipped if
     max|z| <= RESCALE_THRESHOLD / 4 (a factor 2 spare for abs's rounding; a
     NaN max is tested), so at |z| <= 20 and n <= 70 the pair is never tested.
+
+    `size` stands for |z| in setting the cadence and the first test: the
+    |z| of a whole array that z is one block of, or just their maximum, so
+    that every block is rescaled as one call on the whole array would be.
     """
     z = np.asarray(z, dtype=complex)
     h_prev = np.ones(z.shape, dtype=complex)
@@ -53,7 +57,7 @@ def _recurrence_pair(n, z):
     exp2 = np.zeros(z.shape, dtype=int)
     if n < 2:
         return h_prev, h_cur, exp2
-    size = np.abs(z)
+    size = np.abs(z) if size is None else size
     growth = 2.0 * np.max(size, initial=0.0, where=np.isfinite(size)) + 2.0 * n
     cadence = max(1, int(_HEADROOM_BITS // math.log2(growth)))
     first = 2 if np.max(size, initial=0.0) <= RESCALE_THRESHOLD / 4 else 1
@@ -111,14 +115,19 @@ def raise_at_nodes(masked, z, name):
     return complex(values) if np.ndim(z) == 0 else values
 
 
-def hermite_log_abs(n, z):
-    """log|H_n(z)|, -inf at exact zeros.  Overflow-safe for large n."""
+def hermite_log_abs(n, z, *, _size=None):
+    """log|H_n(z)|, -inf at exact zeros.  Overflow-safe for large n.
+
+    The rescale cadence, and with it the last bits of large values, follows
+    max|z|; a caller that evaluates an array block by block passes the whole
+    array's max|z| as _size (see _recurrence_pair) to get its values.
+    """
     if n < 0:
         raise ValueError(f"hermite_log_abs requires n >= 0, got {n}")
     z = np.asarray(z, dtype=complex)
     if n == 0:
         return np.zeros(z.shape)
-    _, h_cur, exp2 = _recurrence_pair(n, z)
+    _, h_cur, exp2 = _recurrence_pair(n, z, _size)
     with np.errstate(divide="ignore"):
         return np.log(np.abs(h_cur)) + exp2 * math.log(2.0)
 

@@ -296,9 +296,10 @@ def split_step(model: ModelSpec, t: float, x, y, dt: float, xi):
     return (float(out.real), float(out.imag)) if scalar else (out.real, out.imag)
 
 
-def _integrate_chunk(ens: Ensemble, lo: int, hi: int):
+def _integrate_chunk(ens: Ensemble, lo: int, hi: int, launches: np.ndarray):
     """Integrate trajectories [lo, hi) of ens.config into columns [lo, hi) of
-    ens's records, final_x, final_y and alive.
+    ens's records, final_x, final_y and alive; path i starts at
+    launches[i % launches.size], the config's initial_points as an array.
 
     Returns (crossings, near_node): crossings is [times, x, ids] of the axis
     points (set A) of the paths still alive at the end.  A diverged path stays
@@ -312,7 +313,7 @@ def _integrate_chunk(ens: Ensemble, lo: int, hi: int):
     cols = slice(lo, hi)
     dt = config.dt
     ids = np.arange(lo, hi)
-    z = np.asarray(config.initial_points, dtype=complex)[ids % len(config.initial_points)]
+    z = launches[ids % launches.size]
     seeds = derive_seeds(config.master_seed, ids)
     rows = {step: row for row, step in enumerate(config.record_steps())}
     if 0 in rows:
@@ -377,15 +378,18 @@ def simulate_ensemble(config: SimulationConfig, threads: int = 1) -> Ensemble:
     ens = Ensemble(config=config, times=times, x=x, y=y, crossing_times=None, crossing_x=None,
                    crossing_ids=None, final_x=np.empty(n), final_y=np.empty(n),
                    alive=np.ones(n, dtype=bool), near_node_steps=0)
+    # converted once: a chunk that converted the whole tuple would make the
+    # run's cost grow with the square of the path count
+    launches = np.asarray(config.initial_points, dtype=complex)
     if threads <= 1 or len(bounds) == 1:
-        parts = [_integrate_chunk(ens, a, b) for a, b in bounds]
+        parts = [_integrate_chunk(ens, a, b, launches) for a, b in bounds]
     else:
         failed = []
 
         def run(chunk):
             # map raises at the first failure in chunk order, so no skipped None is read
             try:
-                return None if failed else _integrate_chunk(ens, *chunk)
+                return None if failed else _integrate_chunk(ens, *chunk, launches)
             except Exception:
                 failed.append(chunk)
                 raise

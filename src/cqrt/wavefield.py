@@ -23,6 +23,10 @@ MAX_QUANTUM_NUMBER = 70
 
 DRIFT_FORMS = ("exact", "simplified")
 
+#: points per block of the eigenstate kernels (_normalized_psi here, fpe's
+#: row bands): a block's buffers and temporaries fit in a core's L2 cache
+_BAND_CELLS = 32768
+
 
 @dataclass(frozen=True)
 class Eigenstate:
@@ -103,17 +107,37 @@ def _normalized_psi(n, x):
     Uses the normalized recurrence psi_{k+1} = sqrt(2/(k+1)) x psi_k
     - sqrt(k/(k+1)) psi_{k-1}, which keeps every intermediate bounded, so no
     overflow occurs for any n (the 2^n n! normalization never materializes).
+    psi_n is 0 where the Gaussian factor's exponent -x^2/2 overflows
+    (|x| >= 1.9e154, and +-inf); NaN stays NaN.  The recurrence runs over
+    _BAND_CELLS points at a time in four buffers that stay in cache.
     """
     x = np.asarray(x, dtype=float)
-    psi_prev = np.pi ** -0.25 * np.exp(-0.5 * x * x)
-    if n == 0:
-        return psi_prev
-    psi_cur = math.sqrt(2.0) * x * psi_prev
-    for k in range(1, n):
-        psi_prev, psi_cur = psi_cur, (
-            math.sqrt(2.0 / (k + 1)) * x * psi_cur - math.sqrt(k / (k + 1.0)) * psi_prev
-        )
-    return psi_cur
+    flat = x.ravel()
+    out = np.empty(flat.shape)
+    xb, prev, cur, term = np.empty((4, min(flat.size, _BAND_CELLS)))
+    for lo in range(0, flat.size, _BAND_CELLS):
+        m = min(flat.size - lo, _BAND_CELLS)
+        xk, psi_prev, psi_cur, t = xb[:m], prev[:m], cur[:m], term[:m]
+        np.copyto(xk, flat[lo:lo + m])
+        np.multiply(xk, -0.5, out=t)
+        with np.errstate(over="ignore"):
+            t *= xk
+        # psi_n is 0 where the exponent overflowed: a 0 in place of x keeps
+        # the recurrence's products there at 0, not inf * 0
+        np.copyto(xk, 0.0, where=np.isinf(t))
+        np.exp(t, out=t)
+        np.multiply(t, np.pi ** -0.25, out=psi_prev)
+        if n > 0:
+            np.multiply(xk, math.sqrt(2.0), out=psi_cur)
+            psi_cur *= psi_prev
+        for k in range(1, n):
+            np.multiply(xk, math.sqrt(2.0 / (k + 1)), out=t)
+            t *= psi_cur
+            psi_prev *= math.sqrt(k / (k + 1.0))
+            np.subtract(t, psi_prev, out=psi_prev)
+            psi_prev, psi_cur = psi_cur, psi_prev
+        out[lo:lo + m] = psi_cur if n > 0 else psi_prev
+    return out.reshape(x.shape)
 
 
 def quantum_density_eigenstate(n: int, x):

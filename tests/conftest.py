@@ -1,0 +1,23 @@
+"""Helpers shared by the test modules."""
+
+import tracemalloc
+
+import pytest
+
+
+def _traced_peak(func, *args, **kwargs):
+    """(result, peak): func(*args, **kwargs) and the peak of the memory that
+    tracemalloc saw allocated during the call, in bytes (numpy's array data
+    included)."""
+    tracemalloc.start()
+    try:
+        result = func(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def traced_peak():
+    """The _traced_peak helper: traced_peak(func, *args) -> (result, peak bytes)."""
+    return _traced_peak

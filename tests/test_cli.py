@@ -7,7 +7,6 @@ import os
 import shlex
 import shutil
 import time
-import tracemalloc
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -853,19 +852,15 @@ class TestStreamedTables:
                              x[:, alive].ravel(), y[:, alive].ravel()])
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
-    def test_full_record_pool_is_written_from_the_record_rows(self, tmp_path, monkeypatch):
+    def test_full_record_pool_is_written_from_the_record_rows(self, tmp_path, monkeypatch,
+                                                              traced_peak):
         # with every path alive, points.csv is written from the record arrays
         # themselves: the write phase holds no copy of the recorded x and y
         # (record_mb), let alone whole points.csv columns (twice as much again)
         write_run, peaks = serialize.write_run, []
 
         def traced_write_run(*args):
-            tracemalloc.start()
-            try:
-                write_run(*args)
-                peaks.append(tracemalloc.get_traced_memory()[1] / 1e6)
-            finally:
-                tracemalloc.stop()
+            peaks.append(traced_peak(write_run, *args)[1] / 1e6)
 
         monkeypatch.setattr(serialize, "write_run", traced_write_run)
         assert main(["simulate", "--model", "eigenstate:1", "--init", "+-0.95,0", "--n", "5000",
@@ -912,18 +907,14 @@ class TestStreamedTables:
         write_points(str(path), np.arange(4), 1.0, np.arange(4.0), np.arange(4.0))
         assert read_points(path)[1].tolist() == [1.0] * 4
 
-    def test_write_memory_does_not_grow_with_rows(self, tmp_path):
+    def test_write_memory_does_not_grow_with_rows(self, tmp_path, traced_peak):
         factor = 1.5  # traced peak at 8x the rows over the peak at 1x
         rng = np.random.default_rng(5)
 
         def peak(write, rows):
             columns = [np.arange(rows), rng.random(rows), rng.normal(size=rows)]
-            tracemalloc.start()
-            try:
-                write(str(tmp_path / "t.csv"), serialize.CROSSINGS_HEADER, columns)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return traced_peak(write, str(tmp_path / "t.csv"), serialize.CROSSINGS_HEADER,
+                               columns)[1]
 
         rows = 2 * self.BLOCK
         assert peak(write_table, 8 * rows) <= factor * peak(write_table, rows)

@@ -2,7 +2,6 @@
 anisotropic heat kernel, symmetry preservation, and marginals."""
 
 import math
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -27,6 +26,7 @@ from cqrt import (
     turning_point,
 )
 from cqrt import fpe
+from cqrt.hermite import hermite_log_abs
 from cqrt.sde import uniforms
 from cqrt.wavefield import log_derivative_masked
 
@@ -366,7 +366,7 @@ class TestStepBands:
         with pytest.raises(InstabilityDetected):
             fp_step(solution, (ux, uy))
 
-    def test_one_step_allocates_under_three_fields(self):
+    def test_one_step_allocates_under_three_fields(self, traced_peak):
         # the sweep allocates the new field and one band's buffers, not a
         # padded copy, a flux array and full-size temporaries per term
         grid = FpGrid(L=5.0, nx=400, ny=400)
@@ -374,13 +374,95 @@ class TestStepBands:
                               total_mass=1.0, initial_mass=1.0)
         drift = drift_field(Eigenstate(3), grid)
         fp_step(solution, drift)
-        tracemalloc.start()
-        try:
-            fp_step(solution, drift)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(fp_step, solution, drift)[1]
         assert peak <= 3 * solution.rho.nbytes
+
+
+def _whole_grid_fields(n, grid):
+    """fp_initial and drift_field as first written: the Hermite recurrence
+    once over the whole meshgrid.  The banded kernels must agree with them
+    byte for byte."""
+    x, y = grid.meshgrid()
+    log_norm = n * math.log(2.0) + math.lgamma(n + 1) + 0.5 * math.log(math.pi)
+    with np.errstate(over="ignore"):
+        rho = np.exp(2.0 * hermite_log_abs(n, x + 1j * y) - x * x - y * y - log_norm)
+    g = log_derivative_masked(Eigenstate(n), 0.0, x + 1j * y)[0]
+    return rho, np.imag(g), -np.real(g)
+
+
+def _whole_batch_sampler(n, count, seed):
+    """sample_initial_points as first written: the probe grid in one piece,
+    and candidates in batches of 3 (count - got) + 1000."""
+    half_width = turning_point(n) + 2.5
+    probe = np.linspace(-half_width, half_width, 401)
+    fmax = float(fpe._initial_density(n, *np.meshgrid(probe, probe)).max()) * 1.25
+    out = np.empty(count, dtype=complex)
+    got = start = 0
+    while got < count:
+        m = 3 * (count - got) + 1000
+        x, y, u = uniforms(seed, np.arange(3 * start, 3 * (start + m))).reshape(m, 3).T
+        x, y = (2.0 * x - 1.0) * half_width, (2.0 * y - 1.0) * half_width
+        picked = (x + 1j * y)[u * fmax < fpe._initial_density(n, x, y)][:count - got]
+        out[got:got + picked.size] = picked
+        got += picked.size
+        start += m
+    return out
+
+
+class TestSetupBands:
+    """fp_initial, drift_field and sample_initial_points band by band against
+    their whole-array forms, byte for byte, at the bands' edges."""
+
+    @pytest.mark.parametrize("cells, n, L, nx, ny", [
+        (None, 3, 5.0, 400, 203),   # 81-row bands: 203 rows end in a 41-row band
+        (1, 4, 5.0, 30, 21),        # one-row bands
+        (50, 2, 5.0, 64, 10),       # a row is wider than a band
+        (13 * 40, 70, 14.0, 40, 57),
+        # max|z| = 452 sets a rescale test at step 69 of the recurrence: a
+        # one-row band near y = 0 (max|z| about 320) would skip it, so log|H|
+        # changes in its last bits unless the whole grid's max|z| is passed
+        (1, 70, 320.0, 100, 100),
+    ], ids=["ragged-last-band", "one-row", "wide-row", "n70", "n70-rescaled"])
+    def test_fields_match_whole_grid(self, monkeypatch, cells, n, L, nx, ny):
+        if cells is not None:
+            monkeypatch.setattr(fpe, "_BAND_CELLS", cells)
+        grid = FpGrid(L=L, nx=nx, ny=ny)
+        expected = _whole_grid_fields(n, grid)
+        got = (fp_initial(n, grid), *drift_field(Eigenstate(n), grid))
+        for a, b in zip(got, expected):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_drift_components_are_contiguous_real_arrays(self):
+        for component in drift_field(Eigenstate(3), FpGrid(L=5.0, nx=40, ny=30)):
+            assert component.dtype == np.float64 and component.shape == (30, 40)
+            assert component.flags.c_contiguous and component.flags.owndata
+
+    @pytest.mark.parametrize("cells", [1000, None], ids=["1000-cell", "default"])
+    @pytest.mark.parametrize("n, count", [(1, 3000), (3, 700), (70, 150)])
+    def test_sampler_matches_whole_batches(self, monkeypatch, cells, n, count):
+        if cells is not None:  # 2-row probe bands and 1000-candidate blocks
+            monkeypatch.setattr(fpe, "_BAND_CELLS", cells)
+        expected = _whole_batch_sampler(n, count, 11)
+        assert sample_initial_points(n, count, 11).tobytes() == expected.tobytes()
+
+    # 400^2 cells at n = 3 as in the benchmark's fp_solve: whole-grid setup
+    # fields trace about 14 fields and a march 15; the bands keep the setup
+    # temporaries to a band's, and the march fills two buffers in turn
+    FIELD = 400 * 400 * 8
+
+    def test_initial_density_traces_under_five_fields(self, traced_peak):
+        peak = traced_peak(fp_initial, 3, FpGrid(L=5.0, nx=400, ny=400))[1]
+        assert peak <= 5 * self.FIELD
+
+    def test_drift_field_traces_under_six_and_a_half_fields(self, traced_peak):
+        peak = traced_peak(drift_field, Eigenstate(3), FpGrid(L=5.0, nx=400, ny=400))[1]
+        assert peak <= 6.5 * self.FIELD
+
+    def test_twenty_step_solve_traces_under_seven_and_a_half_fields(self, traced_peak):
+        grid = FpGrid(L=5.0, nx=400, ny=400)
+        solution, peak = traced_peak(fp_solve, Eigenstate(3), grid, 20 * grid.dt_pde)
+        assert solution.steps == 20
+        assert peak <= 7.5 * self.FIELD
 
 
 class TestSolve:
@@ -389,6 +471,45 @@ class TestSolve:
         solution = fp_solve(Eigenstate(1), grid, 0.0)
         np.testing.assert_array_equal(solution.rho, fp_initial(1, grid))
         assert solution.steps == 0
+
+    @pytest.mark.parametrize("steps", [1, 2, 5])
+    def test_march_buffers_match_fresh_steps(self, steps):
+        # fp_solve fills two buffers in turn; an odd and an even step count
+        # must both end on the field that fresh fp_step calls give
+        grid = FpGrid(L=5.0, nx=60, ny=50)
+        solution = fp_solve(Eigenstate(3), grid, steps * grid.dt_pde)
+        expected = fp_solve(Eigenstate(3), grid, 0.0)
+        drift = drift_field(Eigenstate(3), grid)
+        for _ in range(steps):
+            expected = fp_step(expected, drift)
+        assert solution.steps == expected.steps == steps
+        assert solution.rho.tobytes() == expected.rho.tobytes()
+        assert (solution.t, solution.total_mass, solution.clipped_mass) == (
+            expected.t, expected.total_mass, expected.clipped_mass)
+
+    def test_march_fills_two_buffers(self, monkeypatch):
+        # every step's field is kept alive here, so fresh arrays would be six
+        step, fields = fpe.fp_step, []
+
+        def recording(*args, **kwargs):
+            solution = step(*args, **kwargs)
+            fields.append(solution.rho)
+            return solution
+
+        monkeypatch.setattr(fpe, "fp_step", recording)
+        grid = FpGrid(L=5.0, nx=40, ny=40)
+        assert fp_solve(Eigenstate(1), grid, 6 * grid.dt_pde).rho is fields[-1]
+        assert len(fields) == 6 and len({id(field) for field in fields}) == 2
+
+    @pytest.mark.parametrize("t_final", [0.3, 0.5, 0.61, 1.0])
+    def test_end_time_within_half_a_step(self, t_final):
+        # round(t_final / dt_pde) steps: t = 1 on this grid ends at 1.008
+        grid = FpGrid(L=6.0, nx=50, ny=50)
+        solution = fp_solve(Eigenstate(1), grid, t_final)
+        assert solution.steps == round(t_final / grid.dt_pde)
+        assert abs(solution.t - t_final) <= 0.5 * grid.dt_pde + 1e-12
+        if t_final == 1.0:
+            assert solution.t == pytest.approx(1.008)
 
     def test_mass_nearly_conserved_n1(self):
         grid = FpGrid(L=5.0, nx=200, ny=200)
@@ -458,10 +579,11 @@ def test_initial_point_sampler_matches_field():
     np.testing.assert_array_equal(sample_initial_points(1, 10, seed=4), pts[:10])
 
 
-def test_initial_points_are_the_accepted_candidates_in_order():
+def test_initial_points_are_the_accepted_candidates_in_order(monkeypatch):
     # candidate k is draws 3k and 3k + 1 of the launch stream, mapped to the
-    # square; 200 points take two rounds, and the second must go on from the
-    # first's last candidate, not repeat it
+    # square; in blocks of 1000 candidates 200 points take several, and each
+    # must go on from the last one's last candidate, not repeat it
+    monkeypatch.setattr(fpe, "_BAND_CELLS", 1000)
     x, y, _ = uniforms(4, np.arange(3 * 6000)).reshape(6000, 3).T
     half_width = turning_point(1) + 2.5
     candidates = list((2.0 * x - 1.0) * half_width + 1j * ((2.0 * y - 1.0) * half_width))

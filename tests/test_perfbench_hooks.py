@@ -41,9 +41,9 @@ def _count_calls(monkeypatch, owner, attr):
     calls = []
     func = getattr(owner, attr)
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(1)
-        return func(*args)
+        return func(*args, **kwargs)
 
     monkeypatch.setattr(owner, attr, counting)
     return calls

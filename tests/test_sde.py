@@ -4,7 +4,6 @@ identity, one-step moments, reproducibility, and divergence accounting."""
 import math
 import re
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -385,10 +384,11 @@ def _config(**kw):
     return SimulationConfig(**base)
 
 
-def _frozen_integrate_chunk(ens, lo, hi):
+def _frozen_integrate_chunk(ens, lo, hi, launches):
     """The chunk loop as it was before it skipped the alive masks while every
     path lives: both np.where copies and the near & alive count on every step,
-    and the crossings gathered by a boolean mask over the .real/.imag views."""
+    and the crossings gathered by a boolean mask over the .real/.imag views.
+    It converts the launch tuple itself, as every chunk then did."""
     config = ens.config
     cols = slice(lo, hi)
     dt = config.dt
@@ -501,6 +501,22 @@ class TestSimulate:
                      "final_x", "final_y", "alive", "near_node_steps"):
             np.testing.assert_array_equal(getattr(serial, name), getattr(threaded, name))
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_launch_tuple_converted_once(self, monkeypatch, threads):
+        # a conversion per chunk would grow with the square of the path count
+        monkeypatch.setattr("cqrt.sde.CHUNK_SIZE", 3)
+        cfg = _config(n_trajectories=10, t_final=0.05)
+        asarray, conversions = np.asarray, []
+
+        def counting(a, *args, **kwargs):
+            if a is cfg.initial_points:
+                conversions.append(1)
+            return asarray(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "asarray", counting)
+        simulate_ensemble(cfg, threads=threads)
+        assert len(conversions) == 1
+
     def test_negative_thread_count_rejected(self, monkeypatch):
         def integrate(*args):
             raise AssertionError("integrated before the thread count check")
@@ -509,7 +525,7 @@ class TestSimulate:
         with pytest.raises(ValueError, match="threads must be >= 0"):
             simulate_ensemble(_config(), threads=-3)
 
-    def test_crossing_join_holds_one_column_beyond_the_pool(self):
+    def test_crossing_join_holds_one_column_beyond_the_pool(self, traced_peak):
         # the join copies one column at a time and drops its chunk pieces, so
         # the traced peak is the pool, one joined column (a third of it) and
         # the Ensemble's own arrays; joining all three columns while every
@@ -517,12 +533,7 @@ class TestSimulate:
         config = SimulationConfig(model=Eigenstate(1), dt=0.01, t_final=1.0,
                                   initial_points=(0.95, -0.95), n_trajectories=30000,
                                   master_seed=7, record_mode="crossings_and_final")
-        tracemalloc.start()
-        try:
-            ens = simulate_ensemble(config)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        ens, peak = traced_peak(simulate_ensemble, config)
         pool = sum(a.nbytes for a in (ens.crossing_times, ens.crossing_x, ens.crossing_ids))
         assert pool > 5e6
         assert peak < 1.5 * pool
@@ -761,9 +772,9 @@ class TestSimulate:
         # lock): the chunk in flight beside the failing one cannot finish first
         calls = []
 
-        def counting(ens, lo, hi):
+        def counting(ens, lo, hi, launches):
             calls.append(lo)
-            return _integrate_chunk(ens, lo, hi)
+            return _integrate_chunk(ens, lo, hi, launches)
 
         monkeypatch.setattr("cqrt.sde.CHUNK_SIZE", 100)
         monkeypatch.setattr("cqrt.sde._integrate_chunk", counting)

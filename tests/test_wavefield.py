@@ -22,6 +22,7 @@ from cqrt import (
     sample_eigenstate_positions,
     turning_point,
 )
+from cqrt import wavefield
 from cqrt.hermite import hermite_ratio_masked
 from cqrt.wavefield import log_derivative_masked
 
@@ -200,6 +201,65 @@ class TestDensities:
         assert np.trapezoid(quantum_density_gaussian(1.0, 2.0, x), x) == pytest.approx(
             1.0, abs=1e-9
         )
+
+
+def _whole_array_psi(n, x):
+    """_normalized_psi as first written: the recurrence once over the whole
+    array.  The blocked recurrence must agree with it byte for byte."""
+    x = np.asarray(x, dtype=float)
+    psi_prev = np.pi ** -0.25 * np.exp(-0.5 * x * x)
+    if n == 0:
+        return psi_prev
+    psi_cur = math.sqrt(2.0) * x * psi_prev
+    for k in range(1, n):
+        psi_prev, psi_cur = psi_cur, (
+            math.sqrt(2.0 / (k + 1)) * x * psi_cur - math.sqrt(k / (k + 1.0)) * psi_prev
+        )
+    return psi_cur
+
+
+class TestBlockedPsi:
+    N = pytest.mark.parametrize("n", [0, 1, 2, 70])
+
+    @N
+    @pytest.mark.parametrize("x", [
+        0.7, np.float64(-3.25), np.array(12.0), np.array([]),
+        np.linspace(-15.0, 15.0, 57).reshape(3, 19),
+        np.linspace(-60.0, 60.0, 1001)[::3],  # strided, with underflowed tails
+    ], ids=["float", "numpy-scalar", "0-d", "empty", "2-D", "strided"])
+    def test_matches_whole_array(self, monkeypatch, n, x):
+        # 16-point blocks: the 2-D input spans four, the last one partial
+        monkeypatch.setattr(wavefield, "_BAND_CELLS", 16)
+        got, expected = wavefield._normalized_psi(n, x), _whole_array_psi(n, x)
+        assert got.shape == np.shape(x)
+        assert got.tobytes() == np.asarray(expected).tobytes()
+
+    @N
+    def test_born_grid_matches_whole_array(self, n):
+        a = turning_point(n)
+        x = np.linspace(-(a + 3.0), a + 3.0, 200_001)
+        assert wavefield._normalized_psi(n, x).tobytes() == _whole_array_psi(n, x).tobytes()
+
+    @N
+    def test_non_finite_input(self, n):
+        x = np.array([np.nan, np.inf, -np.inf, 0.5])
+        psi = wavefield._normalized_psi(n, x)
+        assert np.isnan(psi[0]) and psi[1] == psi[2] == 0.0
+        assert psi[3] == _whole_array_psi(n, 0.5)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 70])
+def test_density_is_zero_far_out(n):
+    # the Gaussian factor's exponent -x^2/2 overflows from |x| = 1.9e154 on,
+    # and inf * 0 is NaN: both must give 0, with no warning
+    far = [np.inf, -np.inf, 1.9e154, -1e200, 1.7e308, -np.finfo(float).max]
+    assert quantum_density_eigenstate(n, np.array(far)).tolist() == [0.0] * len(far)
+    for x in far:
+        assert quantum_density_eigenstate(n, x) == 0.0
+    # the last values before the overflow are untouched
+    near = np.array([1e154, -1.8e154, 40.0])
+    assert quantum_density_eigenstate(n, near).tobytes() == (
+        _whole_array_psi(n, near) ** 2).tobytes()
 
 
 class TestClassicalDensity:
