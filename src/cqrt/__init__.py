@@ -26,11 +26,10 @@ from .fpe import (
     fp_marginal_x,
     fp_solve,
     fp_step,
-    marginal_reference,
     sample_eigenstate_positions,
     sample_initial_points,
 )
-from .hermite import hermite_log_abs, hermite_ratio, hermite_real_roots
+from .hermite import hermite_log_abs
 from .sde import (
     NOISE_FACTOR,
     Ensemble,
@@ -38,10 +37,8 @@ from .sde import (
     Trajectory,
     crossing_interpolation,
     derive_seed,
-    em_step,
     noise_increment,
     simulate_ensemble,
-    split_step,
     standard_normals,
 )
 from .stats import (
@@ -64,8 +61,6 @@ from .wavefield import (
     GaussianPacket,
     classical_density,
     classical_density_binned,
-    eigenstate_log_derivative,
-    gaussian_log_derivative,
     log_derivative,
     quantum_density_eigenstate,
     quantum_density_gaussian,
@@ -103,9 +98,7 @@ __all__ = [
     "derive_seed",
     "drift_field",
     "eigenstate_bin_range",
-    "eigenstate_log_derivative",
     "eigenstate_reference",
-    "em_step",
     "extract_point_set_a",
     "extract_point_set_b",
     "fp_initial",
@@ -113,13 +106,9 @@ __all__ = [
     "fp_solve",
     "fp_step",
     "gaussian_bin_range",
-    "gaussian_log_derivative",
     "gaussian_reference",
     "hermite_log_abs",
-    "hermite_ratio",
-    "hermite_real_roots",
     "log_derivative",
-    "marginal_reference",
     "noise_increment",
     "pearson",
     "quantum_density_eigenstate",
@@ -128,7 +117,6 @@ __all__ = [
     "sample_initial_points",
     "simulate_ensemble",
     "snapshot_positions",
-    "split_step",
     "standard_normals",
     "turning_point",
 ]

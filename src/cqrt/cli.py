@@ -42,7 +42,7 @@ import numpy as np
 from . import __version__
 from .errors import CqrtError, TimeNotRecorded
 from . import serialize, svgplot
-from .fpe import (D_XX, D_YY, FpGrid, drift_field, fp_marginal_x, fp_solve,
+from .fpe import (D_XX, D_YY, FpGrid, fp_marginal_x, fp_solve,
                   sample_eigenstate_positions, sample_initial_points)
 from .sde import SimulationConfig, simulate_ensemble
 from .stats import (
@@ -311,8 +311,7 @@ def cmd_fpe(args: argparse.Namespace) -> int:
     grid = FpGrid(L=args.L, nx=args.grid - 1, ny=args.grid - 1, dt_pde=args.dt_pde)
     solution = fp_solve(model, grid, args.t)
     marginal = fp_marginal_x(solution)
-    ux, uy = drift_field(model, grid)
-    speed_x, speed_y = float(np.abs(ux).max()), float(np.abs(uy).max())
+    speed_x, speed_y = solution.speed_x, solution.speed_y
 
     diagnostics = {
         "steps": solution.steps,

@@ -9,9 +9,8 @@ class NearNode(CqrtError):
     """Evaluation point is numerically indistinguishable from a wavefunction node.
 
     Below the node tolerance the Hermite ratio has no correct digits in double
-    precision.  Only the public raising wrappers (hermite_ratio and the
-    log_derivative family) raise it; the integrator and the FPE solver read
-    the node mask of the masked forms instead.
+    precision.  Only log_derivative raises it; the integrator and the FPE
+    solver read the node mask of log_derivative_masked instead.
     """
 
 

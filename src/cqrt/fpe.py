@@ -144,6 +144,9 @@ class FpSolution:
     initial_mass: float = 0.0
     clipped_mass: float = 0.0
     steps: int = 0
+    #: the largest |u_x| and |u_y| of the drift field the march steps in
+    speed_x: float = 0.0
+    speed_y: float = 0.0
 
     @property
     def mass_change(self) -> float:
@@ -336,7 +339,8 @@ def fp_solve(model: ModelSpec, grid: FpGrid, t_final: float) -> FpSolution:
     Callers should reject fields whose clipped_mass is a sizable fraction of
     the initial mass; that signals an under-resolved grid rather than a
     usable solution.  The march fills two field buffers in turn, so a step
-    allocates no new field.
+    allocates no new field.  The drift field is built even for 0 steps, and
+    its largest |u_x| and |u_y| are the solution's speed_x and speed_y.
     """
     if not isinstance(model, Eigenstate):
         raise TypeError("fp_solve supports eigenstate models only")
@@ -344,13 +348,13 @@ def fp_solve(model: ModelSpec, grid: FpGrid, t_final: float) -> FpSolution:
         raise ValueError("t_final must be finite and >= 0")
     rho0 = fp_initial(model.n, grid)
     mass0 = float(np.sum(rho0) * grid.hx * grid.hy)
-    solution = FpSolution(grid=grid, t=0.0, rho=rho0, total_mass=mass0, initial_mass=mass0)
-    n_steps = int(round(t_final / grid.dt_pde))
-    if n_steps == 0:
-        return solution
     drift = drift_field(model, grid)
+    # max and min, not abs, so that no whole-field temporary is made
+    speed_x, speed_y = (max(float(u.max()), -float(u.min())) for u in drift)
+    solution = FpSolution(grid=grid, t=0.0, rho=rho0, total_mass=mass0, initial_mass=mass0,
+                          speed_x=speed_x, speed_y=speed_y)
     spare = np.empty_like(rho0)
-    for _ in range(n_steps):
+    for _ in range(int(round(t_final / grid.dt_pde))):
         rho = solution.rho
         solution = fp_step(solution, drift, _out=spare)
         spare = rho
@@ -374,14 +378,6 @@ def fp_marginal_x(solution: FpSolution) -> EmpiricalDensity:
         densities=marginal / total,
         sample_count=0,
     )
-
-
-def marginal_reference(solution: FpSolution):
-    """The x-marginal as a function of x (linear interpolation); wrap it in a
-    stats.Reference to compare a density against it."""
-    marginal = fp_marginal_x(solution)
-    centers, values = marginal.bin_centers, marginal.densities
-    return lambda x: np.interp(x, centers, values)
 
 
 def sample_eigenstate_positions(n: int, count: int, seed: int) -> np.ndarray:

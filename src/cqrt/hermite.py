@@ -17,8 +17,6 @@ import math
 
 import numpy as np
 
-from .errors import NearNode
-
 #: the recurrence pair is rescaled where its magnitude passes 2**333 = 1.75e100
 RESCALE_THRESHOLD = 2.0**333
 
@@ -88,31 +86,13 @@ def hermite_ratio_masked(n, z):
     ratio is 0 there and must not be used.  A NaN ratio is not near a node.
     """
     if n < 1:
-        raise ValueError(f"hermite_ratio requires n >= 1, got {n}")
+        raise ValueError(f"hermite_ratio_masked requires n >= 1, got {n}")
     h_prev, h_cur, _ = _recurrence_pair(n, z)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratio = np.divide(h_prev, h_cur, out=h_prev)
         near = np.abs(ratio) >= 1 / NEAR_NODE_RTOL
     ratio[near] = 0.0
     return ratio, near
-
-
-def hermite_ratio(n: int, z):
-    """H_{n-1}(z)/H_n(z), finite for n <= 70 and |z| below about 1e207.
-
-    Raises NearNode if any evaluation point is numerically a zero of H_n.
-    Accepts scalars or arrays.
-    """
-    return raise_at_nodes(hermite_ratio_masked(n, z), z, f"H_{n}")
-
-
-def raise_at_nodes(masked, z, name):
-    """The rule of every raising wrapper: the values of a masked result
-    (values, near_node) at z, a complex for a scalar z; NearNode at a node."""
-    values, near = masked
-    if np.any(near):
-        raise NearNode(f"{name} has a node at {np.count_nonzero(near)} point(s)")
-    return complex(values) if np.ndim(z) == 0 else values
 
 
 def hermite_log_abs(n, z, *, _size=None):
@@ -130,10 +110,3 @@ def hermite_log_abs(n, z, *, _size=None):
     _, h_cur, exp2 = _recurrence_pair(n, z, _size)
     with np.errstate(divide="ignore"):
         return np.log(np.abs(h_cur)) + exp2 * math.log(2.0)
-
-
-def hermite_real_roots(n: int) -> np.ndarray:
-    """The n real zeros of H_n, ascending."""
-    coeffs = np.zeros(n + 1)
-    coeffs[n] = 1.0
-    return np.sort(np.polynomial.hermite.hermroots(coeffs))

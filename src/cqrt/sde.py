@@ -126,12 +126,6 @@ def crossing_interpolation(x_prev, y_prev, x_new, y_new):
     return x_prev + (x_new - x_prev) * frac, frac
 
 
-def check_step(dt: float) -> None:
-    """A time step must be finite and > 0."""
-    if not 0 < dt < math.inf:
-        raise ValueError("dt must be finite and > 0")
-
-
 @dataclass(frozen=True)
 class SimulationConfig:
     """Everything needed to reproduce an ensemble bit for bit."""
@@ -146,7 +140,8 @@ class SimulationConfig:
     snapshot_times: tuple = ()
 
     def __post_init__(self):
-        check_step(self.dt)
+        if not 0 < self.dt < math.inf:
+            raise ValueError("dt must be finite and > 0")
         if not self.dt <= self.t_final < math.inf:
             raise ValueError("t_final must be finite and >= dt")
         if self.n_trajectories < 1:
@@ -259,7 +254,10 @@ def _step(model: ModelSpec, t: float, z, dt: float, xi):
     """The Euler-Maruyama step kernel on 1-d arrays; returns (z_new, near).
 
     The drift displacement is -i*g*dt.  Where the drift's node mask is set
-    (`near`) the drift is 0, so the step is pure diffusion.
+    (`near`) the drift is 0, so the step is pure diffusion.  Complex addition
+    is componentwise, so the step is x' = (x + Im(g) dt) + Re(NOISE_FACTOR) xi
+    sqrt(dt) and y' = (y - Re(g) dt) + Im(NOISE_FACTOR) xi sqrt(dt) in real
+    arithmetic, to the last bit.
     """
     g, near = log_derivative_masked(model, t, z)
     disp = -1j * g
@@ -267,33 +265,6 @@ def _step(model: ModelSpec, t: float, z, dt: float, xi):
     disp += z
     disp += noise_increment(xi, dt)
     return disp, near
-
-
-def em_step(model: ModelSpec, t: float, z, dt: float, xi):
-    """One Euler-Maruyama step from z at time t with standardised increment xi.
-
-    The drift displacement is -i*g*dt, and it is 0 where the drift's node mask
-    is set, so a step from a node is pure diffusion.  Accepts scalars or
-    broadcastable arrays, and checks dt.
-    """
-    check_step(dt)
-    scalar = np.isscalar(z) and np.isscalar(xi)
-    z, xi = np.broadcast_arrays(np.asarray(z, dtype=complex), np.asarray(xi, dtype=float))
-    out = _step(model, t, z.ravel(), dt, xi.ravel())[0].reshape(z.shape)[()]
-    return complex(out) if scalar else out
-
-
-def split_step(model: ModelSpec, t: float, x, y, dt: float, xi):
-    """em_step written on the real and imaginary parts: returns (x', y').
-
-    x' = x + Im(g) dt - xi sqrt(dt)/sqrt(2) and y' = y - Re(g) dt
-    + xi sqrt(dt)/sqrt(2); complex addition is componentwise, so the result
-    equals em_step's parts to the last bit.
-    """
-    scalar = np.isscalar(x) and np.isscalar(y) and np.isscalar(xi)
-    z = np.asarray(x, dtype=float) + 1j * np.asarray(y, dtype=float)
-    out = em_step(model, t, z, dt, xi)
-    return (float(out.real), float(out.imag)) if scalar else (out.real, out.imag)
 
 
 def _integrate_chunk(ens: Ensemble, lo: int, hi: int, launches: np.ndarray):

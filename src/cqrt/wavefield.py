@@ -12,11 +12,13 @@ call from any number of workers.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .hermite import hermite_ratio_masked, raise_at_nodes
+from .errors import NearNode
+from .hermite import hermite_ratio_masked
 
 #: largest supported and tested quantum number; Eigenstate rejects larger n
 MAX_QUANTUM_NUMBER = 70
@@ -30,11 +32,13 @@ _BAND_CELLS = 32768
 
 @dataclass(frozen=True)
 class Eigenstate:
-    """Stationary oscillator eigenstate psi_n."""
+    """Stationary oscillator eigenstate psi_n; n is an integer by
+    operator.index (a numpy integer will do, 1.5 raises TypeError)."""
 
     n: int
 
     def __post_init__(self):
+        object.__setattr__(self, "n", operator.index(self.n))
         if not 0 <= self.n <= MAX_QUANTUM_NUMBER:
             raise ValueError(f"quantum number must be in [0, {MAX_QUANTUM_NUMBER}], "
                              f"got {self.n}")
@@ -57,6 +61,8 @@ class GaussianPacket:
     drift_form: str = "exact"
 
     def __post_init__(self):
+        if not math.isfinite(self.p0):
+            raise ValueError(f"p0 must be finite, got {self.p0}")
         if self.drift_form not in DRIFT_FORMS:
             raise ValueError(f"drift_form must be one of {DRIFT_FORMS}")
 
@@ -87,18 +93,13 @@ def log_derivative_masked(model: ModelSpec, t, z):
 
 
 def log_derivative(model: ModelSpec, t, z):
-    """d ln(psi)/dz of the configured model (raises NearNode at nodes)."""
-    return raise_at_nodes(log_derivative_masked(model, t, z), z, model)
-
-
-def eigenstate_log_derivative(n: int, z):
-    """d ln(psi_n)/dz, time-independent (raises NearNode at zeros of H_n)."""
-    return log_derivative(Eigenstate(n), 0.0, z)
-
-
-def gaussian_log_derivative(p0: float, t: float, z, form: str = "exact"):
-    """d ln(psi)/dz for the Gaussian packet at time t >= 0."""
-    return log_derivative(GaussianPacket(p0, form), t, z)
+    """d ln(psi)/dz of the model at time t, raising NearNode if any point is
+    at a node: log_derivative_masked's values bit for bit, a complex for a
+    scalar z (a list is an array).  The one public raising wrapper."""
+    values, near = log_derivative_masked(model, t, z)
+    if np.any(near):
+        raise NearNode(f"{model} has a node at {np.count_nonzero(near)} point(s)")
+    return complex(values) if np.ndim(z) == 0 else values
 
 
 def _normalized_psi(n, x):

@@ -2,7 +2,13 @@
 
 import tracemalloc
 
+import numpy as np
 import pytest
+
+
+def hermite_real_roots(n: int) -> np.ndarray:
+    """The n real zeros of H_n, ascending."""
+    return np.sort(np.polynomial.hermite.hermroots(np.eye(n + 1)[n]))
 
 
 def _traced_peak(func, *args, **kwargs):

@@ -39,6 +39,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import hermite_real_roots
 
 from cqrt import (
     NOISE_FACTOR,
@@ -51,24 +52,24 @@ from cqrt import (
     derive_seed,
     eigenstate_bin_range,
     eigenstate_reference,
-    em_step,
     extract_point_set_a,
     extract_point_set_b,
+    fp_marginal_x,
     fp_solve,
     gaussian_bin_range,
     gaussian_reference,
-    hermite_real_roots,
-    marginal_reference,
+    log_derivative,
     pearson,
     quantum_density_eigenstate,
     sample_eigenstate_positions,
     sample_initial_points,
     simulate_ensemble,
     snapshot_positions,
-    split_step,
     standard_normals,
 )
+from cqrt.sde import _step
 from cqrt.stats import EmpiricalDensity, Reference
+from cqrt.wavefield import log_derivative_masked
 
 SEED = 42
 
@@ -482,8 +483,10 @@ def _fpe_cross_validation(n, cells, dt_mc):
     ensemble = simulate_ensemble(config)
     xs = extract_point_set_b(ensemble, window=(0.9, 1.0))
     density = build_density(xs, 100, eigenstate_bin_range(n))
-    gamma = pearson(density, Reference(f"fp_marginal(n={n})",
-                                       marginal_reference(solution))).gamma
+    marginal = fp_marginal_x(solution)
+    reference = Reference(f"fp_marginal(n={n})",
+                          lambda x: np.interp(x, marginal.bin_centers, marginal.densities))
+    gamma = pearson(density, reference).gamma
     return gamma, clip_fraction, pde_elapsed, _paths_detail(ensemble)
 
 
@@ -530,20 +533,23 @@ class TestCriterion7PropertySuite:
         assert NOISE_FACTOR == (-1 + 1j) / math.sqrt(2)
         assert abs(NOISE_FACTOR**2 - (-1j)) < 4e-16
 
-        # split_step reproduces em_step componentwise, bit for bit
+        # the Euler-Maruyama step equals its real arithmetic componentwise,
+        # bit for bit
         rng = np.random.default_rng(99)
         x = rng.normal(size=10_000) * 2
         y = rng.normal(size=10_000) * 2
         xi = rng.normal(size=10_000)
         for model in (Eigenstate(1), GaussianPacket(1.0)):
-            z = em_step(model, 0.2, x + 1j * y, 0.01, xi)
-            sx, sy = split_step(model, 0.2, x, y, 0.01, xi)
+            z = _step(model, 0.2, x + 1j * y, 0.01, xi)[0]
+            g = log_derivative_masked(model, 0.2, x + 1j * y)[0]
+            sx = (x + g.imag * 0.01) + NOISE_FACTOR.real * xi * math.sqrt(0.01)
+            sy = (y - g.real * 0.01) + NOISE_FACTOR.imag * xi * math.sqrt(0.01)
             assert np.array_equal(z.real, sx) and np.array_equal(z.imag, sy)
 
         # one-step noise variance dt/2 per axis within 1% over 1e6 draws
         dt = 0.01
         xi6 = standard_normals(derive_seed(SEED, 0), np.arange(1_000_000))
-        out = em_step(Eigenstate(0), 0.0, np.full(xi6.size, 0.8 + 0.1j), dt, xi6)
+        out = _step(Eigenstate(0), 0.0, np.full(xi6.size, 0.8 + 0.1j), dt, xi6)[0]
         assert np.var(out.real) == pytest.approx(dt / 2, rel=0.01)
         assert np.var(out.imag) == pytest.approx(dt / 2, rel=0.01)
 
@@ -572,15 +578,14 @@ class TestCriterion7PropertySuite:
         # log-derivative vs the high-precision oracle for n <= 20
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 40
-        from cqrt import eigenstate_log_derivative
-
         rng3 = np.random.default_rng(10)
         checked = 0
         while checked < 5:
             n = int(rng3.integers(1, 21))
             z = complex(rng3.uniform(-4, 4), rng3.uniform(0.2, 4))
             oracle = complex(mp.diff(lambda w: mp.log(mp.hermite(n, w)) - w * w / 2, mp.mpc(z)))
-            assert abs(eigenstate_log_derivative(n, z) - oracle) <= 1e-10 * max(abs(oracle), 1.0)
+            drift = log_derivative(Eigenstate(n), 0.0, z)
+            assert abs(drift - oracle) <= 1e-10 * max(abs(oracle), 1.0)
             checked += 1
 
         # density normalization spot checks at 1e-6

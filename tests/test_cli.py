@@ -25,7 +25,7 @@ from cqrt import (
     simulate_ensemble,
     snapshot_positions,
 )
-from cqrt import serialize
+from cqrt import cli, fpe, serialize
 from cqrt.cli import build_parser, main, parse_initial_points, parse_model
 from cqrt.serialize import (
     read_crossings,
@@ -437,6 +437,21 @@ class TestFpeCommand:
         assert diagnostics["courant"] == pytest.approx(1.5 * 0.5 / 1 + 1.5 * 0.5 / 1)
         assert diagnostics["cell_peclet"] == pytest.approx(1.5 * 1 / (2 * 0.25))
 
+    def test_builds_the_drift_field_once(self, tmp_path, monkeypatch):
+        # the manifest's speeds come from the field that fp_solve marches in;
+        # a second drift_field call, from cli or fpe, is counted too
+        field, calls = fpe.drift_field, []
+
+        def counting(*args):
+            calls.append(args)
+            return field(*args)
+
+        monkeypatch.setattr(fpe, "drift_field", counting)
+        monkeypatch.setattr(cli, "drift_field", counting, raising=False)
+        assert main(["fpe", "--n", "3", "--grid", "41", "--t", "0.2",
+                     "--out", str(tmp_path / "fpe")]) == 0
+        assert len(calls) == 1
+
     def test_clipping_warning(self, tmp_path, capsys):
         assert main(["fpe", "--n", "3", "--grid", "21", "--t", "1",
                      "--out", str(tmp_path / "fpe")]) == 0
@@ -597,6 +612,9 @@ class TestExitCodes:
         # a plot needs a series, and a curve alone needs its range
         ["plot"],
         ["plot", "--curve", "classical:n=3"],
+        # a packet's momentum is finite
+        ["simulate", "--model", "gaussian:p0=nan"],
+        ["simulate", "--model", "gaussian:p0=inf"],
     ])
     def test_bad_values_are_usage_errors(self, tmp_path, capsys, argv):
         if "snapshot-pool" in argv:
@@ -618,6 +636,7 @@ class TestExitCodes:
                  "nosuch:n=1": "unknown reference 'nosuch'",
                  "-2": "threads must be >= 0", "1,2,3": "bad point '1,2,3'",
                  ";": "no initial points", "gaussian:form=exact": "requires p0",
+                 "gaussian:p0=nan": "p0 must be finite", "gaussian:p0=inf": "p0 must be finite",
                  "10": "unrecognized arguments: --drift-cap 10",
                  str(tmp_path / "drift-cap-config"): "unrecognized arguments: --drift-cap=10"}
         for arg in argv:

@@ -7,14 +7,14 @@ import math
 
 import numpy as np
 import pytest
+from conftest import hermite_real_roots
 
 from cqrt import (
     Eigenstate,
     NearNode,
     SimulationConfig,
     hermite_log_abs,
-    hermite_ratio,
-    hermite_real_roots,
+    log_derivative,
     sample_eigenstate_positions,
     simulate_ensemble,
 )
@@ -34,18 +34,25 @@ EPS = np.finfo(float).eps
 RATIO_70_BIGFLOAT = 0.020576070947574601 - 0.0785624938229522837j
 
 
+def _ratio(n, z):
+    """H_{n-1}(z)/H_n(z) at a scalar z off the nodes of H_n, as a complex."""
+    ratio, near = hermite_ratio_masked(n, z)
+    assert not near
+    return complex(ratio)
+
+
 def test_ratio_n1():
     # H_0 = 1, H_1 = 2z
-    assert hermite_ratio(1, 1 + 0j) == pytest.approx(0.5)
+    assert _ratio(1, 1 + 0j) == pytest.approx(0.5)
 
 
 def test_ratio_n2():
     # H_2(1) = 4 - 2 = 2, H_1(1) = 2
-    assert hermite_ratio(2, 1 + 0j) == pytest.approx(1.0)
+    assert _ratio(2, 1 + 0j) == pytest.approx(1.0)
 
 
 def test_ratio_n70_frozen_value():
-    value = hermite_ratio(70, 3 + 0.5j)
+    value = _ratio(70, 3 + 0.5j)
     assert abs(value - RATIO_70_BIGFLOAT) <= 1e-10 * abs(RATIO_70_BIGFLOAT)
 
 
@@ -74,12 +81,13 @@ def test_h0_has_no_roots():
 def test_near_node_raised_exactly_at_real_roots(n):
     roots = hermite_real_roots(n)
     assert len(roots) == n
+    model = Eigenstate(n)
     for root in roots:
         with pytest.raises(NearNode):
-            hermite_ratio(n, complex(root, 0.0))
+            log_derivative(model, 0.0, complex(root, 0.0))
         # a short distance away the ratio is perfectly well defined
-        hermite_ratio(n, complex(root + 1e-3, 0.0))
-        hermite_ratio(n, complex(root, 1e-3))
+        log_derivative(model, 0.0, complex(root + 1e-3, 0.0))
+        log_derivative(model, 0.0, complex(root, 1e-3))
 
 
 def test_no_overflow_at_n70_large_argument():
@@ -110,7 +118,7 @@ def test_vectorized_matches_scalar():
     vec, near = hermite_ratio_masked(7, z)
     assert not near.any()
     for i, zi in enumerate(z):
-        scalar = hermite_ratio(7, complex(zi))
+        scalar = _ratio(7, complex(zi))
         assert abs(scalar - vec[i]) <= 1e-15 * abs(scalar)
 
 

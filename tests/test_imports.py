@@ -1,9 +1,10 @@
 """Every module-level import in the package is used by its module, every
 module-level UPPER_CASE constant and every module-level _private function or
-class is read somewhere in the package, no module reads numpy's random module
-(sde's SplitMix64 streams are the one random source), every np.load call
-passes allow_pickle=False, so no file is unpickled, and importing the package
-and its command line loads no scipy module.
+class is read somewhere in the package, every name of cqrt.__all__ is read by
+a module of the package or named in a README code span, no module reads
+numpy's random module (sde's SplitMix64 streams are the one random source),
+every np.load call passes allow_pickle=False, so no file is unpickled, and
+importing the package and its command line loads no scipy module.
 
 `__init__.py` is exempt from the import check because its imports are the
 public re-exports, and `from __future__` imports change the compiler, not the
@@ -18,6 +19,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import cqrt
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cqrt"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -117,6 +120,31 @@ def test_checker_finds_an_orphaned_helper():
                "b.py": "def _used():\n    pass\nvalue = _used()\n",
                "c.py": "import a\na._kept()\n"}
     assert orphaned_helpers(sources) == ["a.py: _lost (line 2)", "a.py: _Gone (line 4)"]
+
+
+def unused_exports(exports, sources: dict, readme: str) -> list:
+    """The names of exports that no source (file name -> text) reads, as a
+    name or as an attribute, and that no inline code span of the readme
+    names, fenced blocks excluded."""
+    read = names_read(ast.parse(text) for text in sources.values())
+    spans = re.findall(r"`([^`\n]+)`", re.sub(r"```.*?```", "", readme, flags=re.S))
+    named = set(re.findall(r"\w+", " ".join(spans)))
+    return [name for name in exports if name not in read and name not in named]
+
+
+def test_every_export_is_used_or_documented():
+    sources = {p.name: p.read_text() for p in MODULES}
+    readme = (PACKAGE.parents[1] / "README.md").read_text()
+    assert unused_exports(cqrt.__all__, sources, readme) == []
+
+
+def test_checker_finds_an_unused_export():
+    sources = {"a.py": "def step():\n    pass\ndef kept():\n    pass\nLIMIT = 1\n",
+               "b.py": "import a\na.kept()\nprint(LIMIT)\n"}
+    readme = ("Call `documented(x)` or see `cqrt.noted`.\n"
+              "```python\nfenced(1)\n```\nProse names step and orphan.\n")
+    exports = ["step", "kept", "LIMIT", "documented", "noted", "fenced", "orphan"]
+    assert unused_exports(exports, sources, readme) == ["step", "fenced", "orphan"]
 
 
 def numpy_random_reads(source: str) -> list:

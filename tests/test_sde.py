@@ -1,5 +1,5 @@
-"""Integrator contracts: the noise convention, step examples, the split/complex
-identity, one-step moments, reproducibility, and divergence accounting."""
+"""Integrator contracts: the noise convention, step examples, the componentwise
+form of the step, one-step moments, reproducibility, and divergence accounting."""
 
 import math
 import re
@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+from conftest import hermite_real_roots
 
 from cqrt import (
     NOISE_FACTOR,
@@ -16,12 +17,10 @@ from cqrt import (
     SimulationConfig,
     crossing_interpolation,
     derive_seed,
-    em_step,
-    hermite_real_roots,
+    log_derivative,
     noise_increment,
     sample_eigenstate_positions,
     simulate_ensemble,
-    split_step,
     standard_normals,
 )
 from cqrt.hermite import hermite_ratio_masked
@@ -60,19 +59,24 @@ class TestNoise:
         assert w.imag == pytest.approx(+2.0 * 0.5 / math.sqrt(2))
 
 
+def _one_step(model, t, z, dt, xi):
+    """The step kernel from one point z with one draw xi."""
+    return _step(model, t, np.array([z], dtype=complex), dt, np.array([xi], dtype=float))[0][0]
+
+
 class TestEmStep:
     def test_ground_state_pure_drift(self):
-        assert em_step(Eigenstate(0), 0.0, 1 + 0j, 0.01, 0.0) == pytest.approx(1 + 0.01j)
+        assert _one_step(Eigenstate(0), 0.0, 1 + 0j, 0.01, 0.0) == pytest.approx(1 + 0.01j)
 
     def test_n1_at_i(self):
         # drift = -i*(1/z - z) = -2 at z = i
-        assert em_step(Eigenstate(1), 0.0, 1j, 0.01, 0.0) == pytest.approx(-0.02 + 1j)
+        assert _one_step(Eigenstate(1), 0.0, 1j, 0.01, 0.0) == pytest.approx(-0.02 + 1j)
 
     def test_zero_noise_is_deterministic_step(self):
         model = GaussianPacket(1.0)
         z = 0.3 + 0.1j
-        a = em_step(model, 0.5, z, 0.01, 0.0)
-        b = em_step(model, 0.5, z, 0.01, 0.0)
+        a = _one_step(model, 0.5, z, 0.01, 0.0)
+        b = _one_step(model, 0.5, z, 0.01, 0.0)
         assert a == b
 
     def test_drift_displacement_is_exact(self):
@@ -80,27 +84,25 @@ class TestEmStep:
         # and the step takes all of it
         z = 1e-3 + 0j
         g = log_derivative_masked(Eigenstate(1), 0.0, z)[0]
-        out = em_step(Eigenstate(1), 0.0, z, 0.01, 0.0)
+        out = _one_step(Eigenstate(1), 0.0, z, 0.01, 0.0)
         assert out == complex(z + -1j * g * 0.01)
         assert abs(out - z) > 9.9
 
     def test_near_node_without_direction_is_pure_noise(self):
-        out = em_step(Eigenstate(1), 0.0, 0j, 0.01, 1.0)
+        out = _one_step(Eigenstate(1), 0.0, 0j, 0.01, 1.0)
         assert out == noise_increment(1.0, 0.01)
 
     @pytest.mark.parametrize("dt", [0.0, -0.01, math.nan, math.inf])
     def test_bad_step_rejected(self, dt):
         # a NaN dt would give a NaN step and a negative one no sqrt(dt)
         with pytest.raises(ValueError, match="^dt must be finite and > 0"):
-            em_step(Eigenstate(1), 0.0, 1j, dt, 0.0)
-        with pytest.raises(ValueError, match="^dt must be finite and > 0"):
-            split_step(Eigenstate(1), 0.0, 0.0, 1.0, dt, 0.0)
+            _config(dt=dt)
 
     def test_zero_drift_at_node(self):
         # a node's drift displacement is 0, so with no noise the step stays put
-        assert em_step(Eigenstate(1), 0.0, 0j, 0.01, 0.0) == 0j
+        assert _one_step(Eigenstate(1), 0.0, 0j, 0.01, 0.0) == 0j
         root = complex(hermite_real_roots(2)[1])
-        assert em_step(Eigenstate(2), 0.0, root, 0.01, 0.0) == root
+        assert _one_step(Eigenstate(2), 0.0, root, 0.01, 0.0) == root
 
 
 def _frozen_drift(model, t, z):
@@ -162,20 +164,6 @@ class TestStepKernelBits:
         _assert_same_bits(new, _frozen_step(model, 0.3, z, 0.01, xi))
         assert not new[1].any()
 
-    @pytest.mark.parametrize("model", [Eigenstate(1), Eigenstate(70), GaussianPacket(1.0)])
-    def test_em_step_on_scalar_zero_d_and_list_input(self, model):
-        z = _kernel_points(70)[::400]
-        xi = np.linspace(-2.0, 2.0, z.size)
-        for zi, x in zip(z, xi):
-            old = _frozen_step(model, 0.2, np.asarray(zi), 0.01, np.asarray(x))[0]
-            _assert_same_bits([em_step(model, 0.2, np.asarray(zi), 0.01, np.asarray(x))], [old])
-            assert em_step(model, 0.2, complex(zi), 0.01, float(x)) == complex(old)
-        old = _frozen_step(model, 0.2, z, 0.01, xi)[0]
-        _assert_same_bits([em_step(model, 0.2, z.tolist(), 0.01, xi.tolist())], [old])
-        # one point broadcast against many draws
-        old = _frozen_step(model, 0.2, np.asarray(z[1]), 0.01, xi)[0]
-        _assert_same_bits([em_step(model, 0.2, z[1], 0.01, xi)], [old])
-
     def test_ensemble_with_node_launches(self, monkeypatch):
         # launches on psi_1's node take a node step at step 0, and launches
         # 1e-3 off it a drift displacement of about 10
@@ -198,16 +186,19 @@ class TestSplitStep:
         xi = rng.normal(size=n_cases)
         for model in (Eigenstate(0), Eigenstate(2), GaussianPacket(1.0),
                       GaussianPacket(0.5, "simplified")):
-            z = em_step(model, 0.3, x + 1j * y, 0.01, xi)
-            sx, sy = split_step(model, 0.3, x, y, 0.01, xi)
+            z = _step(model, 0.3, x + 1j * y, 0.01, xi)[0]
+            # the step in real arithmetic, in the kernel's operation order
+            g = log_derivative_masked(model, 0.3, x + 1j * y)[0]
+            sx = (x + g.imag * 0.01) + NOISE_FACTOR.real * xi * math.sqrt(0.01)
+            sy = (y - g.real * 0.01) + NOISE_FACTOR.imag * xi * math.sqrt(0.01)
             np.testing.assert_array_equal(z.real, sx)
             np.testing.assert_array_equal(z.imag, sy)
 
     def test_noise_components_anticorrelated(self):
-        sx0, sy0 = split_step(Eigenstate(0), 0.0, 0.5, 0.0, 0.01, 0.0)
-        sx1, sy1 = split_step(Eigenstate(0), 0.0, 0.5, 0.0, 0.01, 1.3)
-        dx_noise = sx1 - sx0
-        dy_noise = sy1 - sy0
+        z0 = _one_step(Eigenstate(0), 0.0, 0.5 + 0j, 0.01, 0.0)
+        z1 = _one_step(Eigenstate(0), 0.0, 0.5 + 0j, 0.01, 1.3)
+        dx_noise = z1.real - z0.real
+        dy_noise = z1.imag - z0.imag
         assert dx_noise == pytest.approx(-dy_noise)
         assert dx_noise == pytest.approx(-1.3 * math.sqrt(0.01) / math.sqrt(2))
 
@@ -219,11 +210,9 @@ class TestOneStepMoments:
         dt = 0.01
         n_draws = 1_000_000
         xi = standard_normals(derive_seed(123, 0), np.arange(n_draws))
-        out = em_step(model, 0.0, np.full(n_draws, z), dt, xi)
+        out = _step(model, 0.0, np.full(n_draws, z), dt, xi)[0]
         delta = out - z
-        from cqrt import eigenstate_log_derivative
-
-        drift = -1j * eigenstate_log_derivative(2, z) * dt
+        drift = -1j * log_derivative(model, 0.0, z) * dt
         se = math.sqrt(dt / 2) / math.sqrt(n_draws)
         assert abs(delta.real.mean() - drift.real) < 5 * se
         assert abs(delta.imag.mean() - drift.imag) < 5 * se
@@ -362,13 +351,13 @@ class TestNoiseStreams:
         ens = simulate_ensemble(cfg)
         for index in (0, CHUNK_SIZE - 1, CHUNK_SIZE, n - 1):
             view = ens.trajectory(index)
-            # the same path stepped by em_step on the per-path reference
-            # stream, with its axis points by the crossing rule
+            # the same path stepped by the step kernel on the per-path
+            # reference stream, with its axis points by the crossing rule
             z = cfg.initial_points[index % 2]
             crossings = [[0.0, z.real]] if z.imag == 0.0 else []
             xis = standard_normals(derive_seed(cfg.master_seed, index), np.arange(cfg.n_steps))
             for j, xi in enumerate(xis):
-                z_prev, z = z, em_step(cfg.model, j * cfg.dt, z, cfg.dt, xi)
+                z_prev, z = z, _one_step(cfg.model, j * cfg.dt, z, cfg.dt, xi)
                 assert z == view.points[j + 1]
                 if z_prev.imag != 0.0 and np.sign(z_prev.imag) * z.imag <= 0.0:
                     x, frac = crossing_interpolation(z_prev.real, z_prev.imag, z.real, z.imag)
@@ -800,7 +789,7 @@ class TestSimulate:
         growth = math.sqrt(1 + dt * dt)
         expected = 1.0
         for step in range(10_000):
-            z = em_step(Eigenstate(0), step * dt, z, dt, 0.0)
+            z = _one_step(Eigenstate(0), step * dt, z, dt, 0.0)
             expected *= growth
         assert abs(z) == pytest.approx(expected, rel=1e-12)
         # |z| is constant up to the first-order integrator's O(dt) amplitude

@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from conftest import hermite_real_roots
 
 from cqrt import (
     AllOutOfRange,
@@ -19,7 +20,6 @@ from cqrt import (
     extract_point_set_a,
     extract_point_set_b,
     gaussian_bin_range,
-    hermite_real_roots,
     pearson,
     quantum_density_eigenstate,
     simulate_ensemble,

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import hermite_real_roots
 
 from cqrt import (
     Eigenstate,
@@ -12,10 +13,6 @@ from cqrt import (
     NearNode,
     classical_density,
     classical_density_binned,
-    eigenstate_log_derivative,
-    gaussian_log_derivative,
-    hermite_ratio,
-    hermite_real_roots,
     log_derivative,
     quantum_density_eigenstate,
     quantum_density_gaussian,
@@ -29,15 +26,15 @@ from cqrt.wavefield import log_derivative_masked
 
 class TestEigenstateLogDerivative:
     def test_ground_state(self):
-        assert eigenstate_log_derivative(0, 2 - 3j) == pytest.approx(-2 + 3j)
+        assert log_derivative(Eigenstate(0), 0.0, 2 - 3j) == pytest.approx(-2 + 3j)
 
     def test_n1_at_i(self):
         # d/dz log(z e^{-z^2/2}) = 1/z - z = -2i at z = i
-        assert eigenstate_log_derivative(1, 1j) == pytest.approx(-2j)
+        assert log_derivative(Eigenstate(1), 0.0, 1j) == pytest.approx(-2j)
 
     def test_n2_at_one(self):
         # 8z/(4z^2-2) - z = 3 at z = 1
-        assert eigenstate_log_derivative(2, 1 + 0j) == pytest.approx(3.0)
+        assert log_derivative(Eigenstate(2), 0.0, 1 + 0j) == pytest.approx(3.0)
 
     def test_time_independent_dispatch(self):
         model = Eigenstate(3)
@@ -61,56 +58,39 @@ class TestEigenstateLogDerivative:
             oracle = complex(
                 mp.diff(lambda w: mp.log(mp.hermite(n, w)) - w * w / 2, mp.mpc(z))
             )
-            ours = eigenstate_log_derivative(n, z)
+            ours = log_derivative(Eigenstate(n), 0.0, z)
             assert abs(ours - oracle) <= 1e-10 * max(abs(oracle), 1.0)
             checked += 1
 
     def test_raises_at_node(self):
         with pytest.raises(NearNode):
-            eigenstate_log_derivative(1, 0j)
-
-
-def _raising_wrappers(model, t):
-    """Each public raising form of the model's drift, paired with the masked
-    function whose values it must return."""
-    def drift(z):
-        return log_derivative_masked(model, t, z)
-
-    pairs = [(lambda z: log_derivative(model, t, z), drift)]
-    if isinstance(model, GaussianPacket):
-        return pairs + [(lambda z: gaussian_log_derivative(model.p0, t, z, model.drift_form),
-                         drift)]
-    pairs.append((lambda z: eigenstate_log_derivative(model.n, z), drift))
-    if model.n >= 1:
-        pairs.append((lambda z: hermite_ratio(model.n, z),
-                      lambda z: hermite_ratio_masked(model.n, z)))
-    return pairs
+            log_derivative(Eigenstate(1), 0.0, 0j)
 
 
 @pytest.mark.parametrize("model", [Eigenstate(0), Eigenstate(1), Eigenstate(70),
                                    GaussianPacket(1.0, "exact"),
                                    GaussianPacket(1.0, "simplified")], ids=repr)
 def test_raising_wrappers_return_masked_values(model):
-    # away from nodes each wrapper is the masked drift bit for bit, for an
+    # away from nodes log_derivative is the masked drift bit for bit, for an
     # array, a list and a scalar; at the real zeros of H_n it raises NearNode
     t = 0.7
     rng = np.random.default_rng(3)
     z = rng.uniform(-4, 4, 64) + 1j * rng.uniform(0.5, 3, 64)
-    for wrapper, masked in _raising_wrappers(model, t):
-        values, near = masked(z)
-        assert not near.any()
-        np.testing.assert_array_equal(wrapper(z), values)
-        np.testing.assert_array_equal(wrapper([complex(w) for w in z[:2]]), values[:2])
-        scalar = wrapper(complex(z[0]))
-        assert isinstance(scalar, complex)
-        assert scalar == complex(masked(complex(z[0]))[0])
-        roots = hermite_real_roots(getattr(model, "n", 0)) + 0j
-        if roots.size:
-            # the node rule: the masked value is 0 where the mask is set
-            values, near = masked(roots)
-            assert near.any() and np.all(values[near] == 0)
-            with pytest.raises(NearNode):
-                wrapper(roots)
+    values, near = log_derivative_masked(model, t, z)
+    assert not near.any()
+    np.testing.assert_array_equal(log_derivative(model, t, z), values)
+    np.testing.assert_array_equal(log_derivative(model, t, [complex(w) for w in z[:2]]),
+                                  values[:2])
+    scalar = log_derivative(model, t, complex(z[0]))
+    assert isinstance(scalar, complex)
+    assert scalar == complex(log_derivative_masked(model, t, complex(z[0]))[0])
+    roots = hermite_real_roots(getattr(model, "n", 0)) + 0j
+    if roots.size:
+        # the node rule: the masked value is 0 where the mask is set
+        values, near = log_derivative_masked(model, t, roots)
+        assert near.any() and np.all(values[near] == 0)
+        with pytest.raises(NearNode):
+            log_derivative(model, t, roots)
 
 
 def test_density_accepts_a_list():
@@ -133,23 +113,31 @@ class TestEigenstateModel:
                 with pytest.raises(ValueError, match=r"\[0, 70\]"):
                     make(n)
 
+    def test_quantum_number_is_an_integer(self):
+        # 1.5 would stop the recurrence at H_1 and scale the drift by 2 * 1.5
+        for make in (Eigenstate, turning_point):
+            with pytest.raises(TypeError):
+                make(1.5)
+        assert Eigenstate(np.int64(3)) == Eigenstate(3)
+        assert type(Eigenstate(np.int64(3)).n) is int
+
 
 class TestGaussianLogDerivative:
     def test_exact_at_origin(self):
-        assert gaussian_log_derivative(1.0, 0.0, 0j, "exact") == pytest.approx(1j)
+        assert log_derivative(GaussianPacket(1.0, "exact"), 0.0, 0j) == pytest.approx(1j)
 
     def test_exact_reduces_to_ground_state(self):
-        assert gaussian_log_derivative(0.0, 0.0, 1 + 0j, "exact") == pytest.approx(-1.0)
+        assert log_derivative(GaussianPacket(0.0, "exact"), 0.0, 1 + 0j) == pytest.approx(-1.0)
         rng = np.random.default_rng(2)
         z = rng.normal(size=50) + 1j * rng.normal(size=50)
         np.testing.assert_allclose(
-            gaussian_log_derivative(0.0, 0.0, z, "exact"),
-            eigenstate_log_derivative(0, z),
+            log_derivative(GaussianPacket(0.0, "exact"), 0.0, z),
+            log_derivative(Eigenstate(0), 0.0, z),
             rtol=0, atol=1e-15,
         )
 
     def test_simplified_vanishes_at_center(self):
-        assert gaussian_log_derivative(1.0, 1.0, 1 + 0j, "simplified") == 0
+        assert log_derivative(GaussianPacket(1.0, "simplified"), 1.0, 1 + 0j) == 0
 
     def test_bad_form_rejected(self):
         with pytest.raises(ValueError):
