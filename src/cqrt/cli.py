@@ -408,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     recording = sim.add_mutually_exclusive_group()
     recording.add_argument("--snapshots", type=_floats)
     recording.add_argument("--record", choices=RECORD_FLAGS)
-    sim.add_argument("--threads", type=int, default=1)
+    sim.add_argument("--threads", type=int, default=0)
     sim.add_argument("--out", required=True)
     sim.add_argument("--config")
     sim.set_defaults(func=cmd_simulate)

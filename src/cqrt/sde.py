@@ -7,10 +7,16 @@ The drift displacement -i*g*dt of a step is uncapped, and 0 at a node of psi.
 A launch d off a node moves about dt/d on its first step, so one that close
 to a node can leave |z| <= BLOWUP_THRESHOLD and diverge.  A run fails with
 NumericalBlowup when more than MAX_DIVERGED_FRACTION of its paths diverge,
-and fails fast: a chunk raises it after the first step at which its own
-diverged paths pass that share of the whole ensemble.  A chunk steps without
-the alive masks until its first path diverges.  Set A holds the on-axis
-launches and the points where steps from off the axis reach or pass it.
+and fails fast: a piece of work raises it after the first step at which its
+own diverged paths pass that share of the whole ensemble.  A piece steps
+without the alive masks until its first path diverges.  Set A holds the
+on-axis launches and the points where steps from off the axis reach or pass
+it.
+
+The pieces run on forked processes (simulate_ensemble's `threads` counts
+them): they hold the interpreter lock, so threads measured no faster than
+serial.  On Python 3.12 and later, os.fork warns (DeprecationWarning) in a
+process that runs other threads, as numpy's BLAS does.
 
 Reproducibility contract: an Ensemble is a pure function of its
 SimulationConfig.  Trajectory i owns an independent noise stream: SplitMix64
@@ -21,17 +27,18 @@ state s_i + (j + 1) * gamma, gamma = 0x9E3779B97F4A7C15: the simplified weak
 Euler scheme's two-point law (Kloeden and Platen, 1992, section 14.1), with
 the weak order 1 of Gaussian draws, which is all that ensemble statistics
 need, and no inverse CDF.  Every draw is a pure function of (s_i, j), so the
-integrator takes draw j of all of a chunk's streams at Euler step j
+integrator takes draw j of all of a piece's streams at Euler step j
 (standard_normals), and results are bit-identical across runs, platforms,
-chunk sizes, and thread counts.  Launches draw from one more stream (uniforms).
+chunk sizes, and worker counts.  Launches draw from one more stream (uniforms).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import mmap
 import operator
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,8 +55,15 @@ BLOWUP_THRESHOLD = 1e6
 #: fraction of diverged paths above which simulate_ensemble fails
 MAX_DIVERGED_FRACTION = 0.01
 
-#: trajectories per work unit; fixed so results do not depend on thread count
+#: trajectories per chunk; fixed so results do not depend on the worker count
 CHUNK_SIZE = 8192
+
+#: path-steps (n_trajectories * n_steps) from which simulate_ensemble's
+#: default forks workers.  On 2 vCPUs (Python 3.11, numpy 2.4) a pool costs
+#: 16-20 ms to start, feed and stop; two workers beat one process from about
+#: 1.5e6 path-steps of psi_1 and 3e6-3.5e6 of psi_0, the cheapest drift
+#: (medians of 7-9 calls at dt 0.01 to t 1, crossings_and_final).
+FORK_MIN_PATH_STEPS = 3_000_000
 
 RECORD_MODES = ("full_path", "crossings_and_final", "snapshots")
 
@@ -272,13 +286,14 @@ def _integrate_chunk(ens: Ensemble, lo: int, hi: int, launches: np.ndarray):
     ens's records, final_x, final_y and alive; path i starts at
     launches[i % launches.size], the config's initial_points as an array.
 
-    Returns (crossings, near_node): crossings is [times, x, ids] of the axis
-    points (set A) of the paths still alive at the end.  A diverged path stays
-    frozen where it left the threshold, so it crosses no more, and the drift
-    is evaluated at 0 in its place; while none has diverged the step runs
-    unmasked, as the masks would select every path.  Raises NumericalBlowup
-    at the first step after which the chunk's own diverged paths exceed
-    MAX_DIVERGED_FRACTION of the whole ensemble.
+    Returns (crossings, near_node, counts): crossings is [times, x, ids] of the
+    axis points (set A) of the paths still alive at the end, in step order and
+    then path order; counts[s] is how many of them step s - 1 emitted (s = 0:
+    the launches).  A diverged path stays frozen where it left the threshold,
+    so it crosses no more, and the drift is evaluated at 0 in its place; while
+    none has diverged the step runs unmasked, as the masks would select every
+    path.  Raises NumericalBlowup at the first step after which the range's own
+    diverged paths exceed MAX_DIVERGED_FRACTION of the whole ensemble.
     """
     config = ens.config
     cols = slice(lo, hi)
@@ -292,6 +307,8 @@ def _integrate_chunk(ens: Ensemble, lo: int, hi: int, launches: np.ndarray):
     # a launch with y exactly 0 is itself an axis point, emitted once
     on_axis = z.imag == 0.0
     crossings = [(np.zeros(int(on_axis.sum())), z.real[on_axis], ids[on_axis])]
+    counts = np.zeros(config.n_steps + 1, dtype=np.int64)
+    counts[0] = crossings[0][0].size
     alive = ens.alive[cols]
     near_nodes = diverged = 0
 
@@ -314,6 +331,7 @@ def _integrate_chunk(ens: Ensemble, lo: int, hi: int, launches: np.ndarray):
             z0, z1 = z_prev[hit], z[hit]
             x_cross, frac = crossing_interpolation(z0.real, z0.imag, z1.real, z1.imag)
             crossings.append((t + dt * frac, x_cross, ids[hit]))
+            counts[j + 1] = hit.size
         row = rows.get(j + 1)
         if row is not None:
             ens.x[row, cols], ens.y[row, cols] = z.real, z.imag
@@ -321,60 +339,151 @@ def _integrate_chunk(ens: Ensemble, lo: int, hi: int, launches: np.ndarray):
     ens.final_x[cols], ens.final_y[cols] = z.real, z.imag
     crossings = [np.concatenate(c) for c in zip(*crossings)]
     if diverged:  # pools exclude paths that later diverged
-        crossings = [c[alive[crossings[2] - lo]] for c in crossings]
-    return crossings, near_nodes
+        keep = alive[crossings[2] - lo]
+        crossings = [c[keep] for c in crossings]
+        counts = np.bincount(np.repeat(np.arange(counts.size), counts)[keep],
+                             minlength=counts.size)
+    return crossings, near_nodes, counts
 
 
-def simulate_ensemble(config: SimulationConfig, threads: int = 1) -> Ensemble:
+def simulate_ensemble(config: SimulationConfig, threads: int = 0) -> Ensemble:
     """Run every trajectory of the configuration into one Ensemble.
 
-    Trajectories are integrated in fixed-size chunks that may execute on any
-    number of threads (0: one per core, below 0: ValueError).  Each chunk
-    writes its own columns of the Ensemble's arrays, and the crossings join
-    in chunk order, so the output is bit-identical for every thread count.
-    Serial is the default because the chunks hold the interpreter lock for
-    most of their time.  Fails with NumericalBlowup if more than
-    MAX_DIVERGED_FRACTION of the paths diverge, as soon as one chunk's own
-    diverged paths are that many (diverged counts only grow, so the run
-    would fail anyway), else after the last chunk; the chunks not started
-    when one fails are skipped.  Ensemble.trajectory(i) is path i.
+    Trajectories are integrated in pieces: whole chunks of CHUNK_SIZE paths,
+    each cut into equal path ranges when there are fewer chunks than workers.
+    `threads` counts worker processes: k > 1 runs on up to k (one per path at
+    most), 1 serially, and 0 (the default) on one per usable CPU once the run
+    has FORK_MIN_PATH_STEPS path-steps, else serially; below 0 is a
+    ValueError, and a platform without fork runs serially.  The calling
+    process integrates the first share of the pieces, and forked workers the
+    rest, each writing its own columns of the Ensemble's arrays in place (an
+    anonymous shared mapping).  A cut chunk's crossings are merged back into
+    step order, and the chunks join in chunk order, so the output is
+    bit-identical for every worker count.
+
+    Fails with NumericalBlowup if more than MAX_DIVERGED_FRACTION of the paths
+    diverge: as soon as one piece's own diverged paths are that many
+    (diverged counts only grow, so the run would fail anyway), else after the
+    last piece.  Once a piece fails, no piece starts, and the error raised is
+    the first failure in chunk order among the pieces that ran; no worker
+    outlives the call.  Ensemble.trajectory(i) is path i.
     """
-    if threads < 0:
-        raise ValueError(f"threads must be >= 0 (0: one per core), got {threads}")
     n = config.n_trajectories
-    bounds = [(a, min(a + CHUNK_SIZE, n)) for a in range(0, n, CHUNK_SIZE)]
-    threads = threads or min(len(bounds), os.cpu_count() or 1)
+    workers = _worker_count(threads, config)
+    chunks = [(a, min(a + CHUNK_SIZE, n)) for a in range(0, n, CHUNK_SIZE)]
+    cuts = -(-workers // len(chunks))
+    pieces = [(a + (b - a) * k // cuts, a + (b - a) * (k + 1) // cuts)
+              for a, b in chunks for k in range(cuts)]
+    pieces = [(lo, hi) for lo, hi in pieces if lo < hi]
+    empty = _shared_empty if workers > 1 else np.empty
     times = config.record_times
-    x, y = np.empty((2, times.size, n)) if times.size else (None, None)
+    x, y = empty((2, times.size, n)) if times.size else (None, None)
+    alive = empty(n, dtype=bool)
+    alive[:] = True
+    final_x, final_y = empty((2, n))
     ens = Ensemble(config=config, times=times, x=x, y=y, crossing_times=None, crossing_x=None,
-                   crossing_ids=None, final_x=np.empty(n), final_y=np.empty(n),
-                   alive=np.ones(n, dtype=bool), near_node_steps=0)
+                   crossing_ids=None, final_x=final_x, final_y=final_y, alive=alive,
+                   near_node_steps=0)
     # converted once: a chunk that converted the whole tuple would make the
     # run's cost grow with the square of the path count
     launches = np.asarray(config.initial_points, dtype=complex)
-    if threads <= 1 or len(bounds) == 1:
-        parts = [_integrate_chunk(ens, a, b, launches) for a, b in bounds]
-    else:
-        failed = []
-
-        def run(chunk):
-            # map raises at the first failure in chunk order, so no skipped None is read
-            try:
-                return None if failed else _integrate_chunk(ens, *chunk, launches)
-            except Exception:
-                failed.append(chunk)
-                raise
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run, bounds))
-    chunks, near = zip(*parts)
+    parts = _integrate_pieces(ens, pieces, launches, workers)
+    ens.near_node_steps = sum(part[1] for part in parts)
+    chunks = [_merge_pieces([part for _, part in group]) for _, group in
+              itertools.groupby(zip(pieces, parts), key=lambda item: item[0][0] // CHUNK_SIZE)]
+    del parts  # a cut chunk's pieces, now merged
     for col, name in enumerate(("crossing_times", "crossing_x", "crossing_ids")):
         setattr(ens, name, np.concatenate([chunk[col] for chunk in chunks]))
         for chunk in chunks:  # released once joined: the pool plus one column at most
             chunk[col] = None
-    ens.near_node_steps = sum(near)
     _check_diverged(ens.n_diverged, n)
     return ens
+
+
+def _worker_count(threads: int, config: SimulationConfig) -> int:
+    """The number of processes simulate_ensemble integrates on (see there)."""
+    if threads < 0:
+        raise ValueError(f"threads must be >= 0 (0: one per usable CPU), got {threads}")
+    if not hasattr(os, "fork"):
+        return 1
+    if threads == 0:
+        if config.n_trajectories * config.n_steps < FORK_MIN_PATH_STEPS:
+            return 1
+        threads = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
+    return min(threads, config.n_trajectories)
+
+
+def _shared_empty(shape, dtype=float) -> np.ndarray:
+    """np.empty(shape, dtype) in an anonymous shared mapping, which forked
+    processes write in place."""
+    dtype = np.dtype(dtype)
+    count = math.prod(np.atleast_1d(shape))
+    return np.frombuffer(mmap.mmap(-1, max(1, count * dtype.itemsize)), dtype,
+                         count).reshape(shape)
+
+
+#: the Ensemble, the launches and a shared failure flag, in a forked worker
+_WORK = None
+
+
+def _adopt(*work):
+    """The pool's initializer: a worker keeps what its pieces write into."""
+    global _WORK
+    _WORK = work
+
+
+def _run_piece(piece):
+    """One piece in a forked worker; None once any piece has failed.  A
+    failing piece sets the flag before it raises."""
+    ens, launches, failed = _WORK
+    if failed[0]:
+        return None
+    try:
+        return _integrate_chunk(ens, *piece, launches)
+    except BaseException:
+        failed[0] = True
+        raise
+
+
+def _integrate_pieces(ens: Ensemble, pieces: list, launches: np.ndarray, workers: int) -> list:
+    """_integrate_chunk's result for every piece, in order.  With workers > 1
+    this process integrates the pieces of the first 1/workers of the paths and
+    a pool of workers - 1 forked processes the others, each result one
+    message; this process stops between its own pieces once a worker's piece
+    has failed, and the pool is terminated and joined on the way out."""
+    if workers == 1:
+        return [_integrate_chunk(ens, *piece, launches) for piece in pieces]
+    import multiprocessing  # here, so that serial runs and `import cqrt.cli` never load it
+
+    n = ens.config.n_trajectories
+    share = max(1, sum(workers * (lo + hi) < 2 * n for lo, hi in pieces))
+    failed = _shared_empty(1, dtype=bool)
+    failed[0] = False
+    context = multiprocessing.get_context("fork")
+    with context.Pool(min(workers - 1, len(pieces) - share), _adopt,
+                      (ens, launches, failed)) as pool:
+        others = pool.imap(_run_piece, pieces[share:])
+        parts = []
+        for piece in pieces[:share]:
+            if failed[0]:
+                break
+            parts.append(_integrate_chunk(ens, *piece, launches))
+        # raises the first failure in chunk order; None marks a skipped piece
+        parts += [part for part in others if part is not None]
+    return parts
+
+
+def _merge_pieces(parts: list) -> list:
+    """One chunk's crossings [times, x, ids] from its pieces' results, in piece
+    order: rows in step order and then path order, as the whole chunk's loop
+    emits them (a stable sort by step of the pieces' rows in turn)."""
+    if len(parts) == 1:
+        return parts[0][0]
+    steps = np.concatenate([np.repeat(np.arange(counts.size), counts) for _, _, counts in parts])
+    order = np.argsort(steps, kind="stable")
+    return [np.concatenate([crossings[col] for crossings, _, _ in parts])[order]
+            for col in range(3)]
 
 
 def _check_diverged(diverged: int, n: int):

@@ -95,6 +95,7 @@ def eigenstate_reference(n: int) -> Reference:
 
 
 def gaussian_reference(p0: float, t: float) -> Reference:
+    quantum_density_gaussian(p0, t, 0.0)  # rejects a non-finite p0 or t here, not at evaluation
     return Reference(f"quantum_gaussian(p0={p0}, t={t})",
                      lambda x: quantum_density_gaussian(p0, t, x))
 

@@ -150,7 +150,11 @@ def quantum_density_eigenstate(n: int, x):
 
 
 def quantum_density_gaussian(p0: float, t: float, x):
-    """|psi(t, x)|^2 of the packet: a Gaussian of variance (1 + t^2)/2 centered at p0*t."""
+    """|psi(t, x)|^2 of the packet: a Gaussian of variance (1 + t^2)/2 centered
+    at p0*t.  Raises ValueError for a p0 or t that is not finite."""
+    for name, value in (("p0", p0), ("t", t)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     out = np.exp(-((x - p0 * t) ** 2) / (1.0 + t * t)) / np.sqrt(np.pi * (1.0 + t * t))

@@ -1,5 +1,6 @@
 """Helpers shared by the test modules."""
 
+import multiprocessing
 import tracemalloc
 
 import numpy as np
@@ -27,3 +28,15 @@ def _traced_peak(func, *args, **kwargs):
 def traced_peak():
     """The _traced_peak helper: traced_peak(func, *args) -> (result, peak bytes)."""
     return _traced_peak
+
+
+@pytest.fixture(autouse=True)
+def no_process_left_running():
+    """Fails any test after which a child process is still running (and ends
+    it): simulate_ensemble must join every worker it forks."""
+    yield
+    leaked = multiprocessing.active_children()
+    for child in leaked:
+        child.kill()
+        child.join()
+    assert not leaked, f"child processes left running: {leaked}"

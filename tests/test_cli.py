@@ -584,6 +584,9 @@ class TestExitCodes:
         ["plot", "--curve", "quantum_eigenstate:n=-1", "--range=-3,3"],
         ["plot", "--curve", "quantum_eigenstate:n=1.7", "--range=-3,3"],
         ["plot", "--curve", "classical:n=2.9", "--range=-3,3"],
+        # a packet reference's momentum and time are finite
+        ["plot", "--curve", "quantum_gaussian:p0=nan,t=1", "--range=-3,3"],
+        ["plot", "--curve", "quantum_gaussian:p0=0,t=inf", "--range=-3,3"],
         # a curve takes only the parameters its reference needs, and the
         # error names the culprit
         ["plot", "--curve", "quantum_eigenstate:n=1,bogus=3", "--range=-3,3"],
@@ -595,7 +598,7 @@ class TestExitCodes:
         ["compare", "--first", "inf-density", "--second", "inf-density"],
         ["plot", "--density", "nan-density"],
         ["plot", "--density", "inf-density"],
-        # a thread count is 0 (one per core) or more
+        # a worker count is 0 (one per usable CPU) or more
         ["simulate", "--model", "eigenstate:1", "--threads", "-2"],
         # launches and models that do not parse
         ["simulate", "--model", "gaussian:p0=1", "--init", "born"],
@@ -637,6 +640,8 @@ class TestExitCodes:
                  "-2": "threads must be >= 0", "1,2,3": "bad point '1,2,3'",
                  ";": "no initial points", "gaussian:form=exact": "requires p0",
                  "gaussian:p0=nan": "p0 must be finite", "gaussian:p0=inf": "p0 must be finite",
+                 "quantum_gaussian:p0=nan,t=1": "p0 must be finite",
+                 "quantum_gaussian:p0=0,t=inf": "t must be finite",
                  "10": "unrecognized arguments: --drift-cap 10",
                  str(tmp_path / "drift-cap-config"): "unrecognized arguments: --drift-cap=10"}
         for arg in argv:

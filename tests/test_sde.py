@@ -2,8 +2,9 @@
 form of the step, one-step moments, reproducibility, and divergence accounting."""
 
 import math
+import mmap
+import multiprocessing
 import re
-import sys
 
 import numpy as np
 import pytest
@@ -365,6 +366,23 @@ class TestNoiseStreams:
             assert view.crossings.tolist() == crossings
 
 
+def _shared_zeros(n):
+    """n zero bytes in an anonymous shared mapping, which forked workers write
+    in place."""
+    return np.frombuffer(mmap.mmap(-1, n), dtype=np.uint8)
+
+
+def _failing_config(monkeypatch, bad_chunk, t_final):
+    """20 chunks of 100 psi_1 paths; half of chunk bad_chunk's launches (none
+    for None) sit 1e-9 off the node and leave on the first step."""
+    monkeypatch.setattr("cqrt.sde.CHUNK_SIZE", 100)
+    points = [0.95 + 0j, -0.95 + 0j] * 1000
+    if bad_chunk is not None:
+        points[100 * bad_chunk:100 * (bad_chunk + 1):2] = [1e-9 + 0j] * 50
+    return _config(n_trajectories=2000, t_final=t_final, initial_points=tuple(points),
+                   record_mode="crossings_and_final")
+
+
 def _config(**kw):
     base = dict(model=Eigenstate(1), dt=0.01, t_final=1.0,
                 initial_points=(0.95 + 0j, -0.95 + 0j), n_trajectories=300,
@@ -422,9 +440,13 @@ ENSEMBLE_FIELDS = ("times", "x", "y", "crossing_times", "crossing_x", "crossing_
 _DIVERGING = tuple(np.linspace(-2.0, 2.0, 248) + 0.3j) + (1e-9 + 0j, 999_000 + 0j)
 
 
+_N70 = dict(model=Eigenstate(70), dt=0.05 / 141, t_final=0.05)
+
+
 class TestChunkLoopBits:
-    """simulate_ensemble against the frozen chunk loop, every Ensemble field
-    byte for byte."""
+    """simulate_ensemble on 1-4 workers against the frozen chunk loop run
+    serially, every Ensemble field byte for byte.  With fewer chunks than
+    workers each chunk is cut into pieces, whose crossings are merged back."""
 
     @pytest.mark.parametrize("case, threads, kw", [
         ("chunks", 1, dict(n_trajectories=700)),
@@ -436,10 +458,20 @@ class TestChunkLoopBits:
         ("full_path", 1, dict(record_mode="full_path", t_final=0.5)),
         ("packet", 1, dict(model=GaussianPacket(1.0), t_final=2.0,
                            initial_points=tuple(np.linspace(-2.0, 2.0, 40) + 0j))),
-        ("n70", 1, dict(model=Eigenstate(70), dt=0.05 / 141, t_final=0.05,
-                        initial_points=tuple(sample_eigenstate_positions(70, 300, 5) + 0j))),
+        ("n70", 1, dict(**_N70, initial_points=tuple(sample_eigenstate_positions(70, 300, 5) + 0j))),
         ("diverging", 1, dict(n_trajectories=1000, initial_points=_DIVERGING)),
         ("diverging", 2, dict(n_trajectories=1000, initial_points=_DIVERGING,
+                              record_mode="crossings_and_final")),
+        ("chunks", 3, dict(n_trajectories=700)),
+        # three chunks cut in two
+        ("chunks", 4, dict(n_trajectories=700)),
+        # the ladder's shape, small: one chunk of Born launches, snapshots
+        *[("n70", threads, dict(**_N70, n_trajectories=200, record_mode="snapshots",
+                                initial_points=tuple(sample_eigenstate_positions(70, 200, 9) + 0j),
+                                snapshot_times=tuple(np.arange(0, 142, 7) * _N70["dt"])))
+          for threads in (2, 3, 4)],
+        # one chunk cut in three: the last piece drops its two diverged paths
+        ("diverging", 3, dict(n_trajectories=250, initial_points=_DIVERGING,
                               record_mode="crossings_and_final")),
     ])
     def test_matches_frozen_loop(self, monkeypatch, case, threads, kw):
@@ -447,14 +479,15 @@ class TestChunkLoopBits:
         cfg = _config(**kw)
         ens = simulate_ensemble(cfg, threads=threads)
         monkeypatch.setattr("cqrt.sde._integrate_chunk", _frozen_integrate_chunk)
-        frozen = simulate_ensemble(cfg, threads=threads)
+        frozen = simulate_ensemble(cfg, threads=1)
         for name in ENSEMBLE_FIELDS:
             _assert_same_bits([getattr(ens, name)], [getattr(frozen, name)])
         assert ens.crossing_x.size > 0
         if case == "diverging":
             # the far launches (ids 249, 499, ...) are alive 10 steps in, so
             # every chunk ran unmasked before it ran masked
-            assert ens.n_diverged == 8 and not ens.alive[249::250].any()
+            assert ens.n_diverged == 2 * cfg.n_trajectories // 250
+            assert not ens.alive[249::250].any()
             if ens.x is not None:
                 assert np.all(np.abs(ens.x[10, 249::250] + 1j * ens.y[10, 249::250])
                               <= BLOWUP_THRESHOLD)
@@ -476,19 +509,13 @@ class TestSimulate:
         np.testing.assert_array_equal(e1.crossing_x, e2.crossing_x)
 
     def test_thread_count_does_not_change_results(self):
-        # three chunks on four threads write disjoint columns of one Ensemble;
-        # a short switch interval interleaves them as often as it can
+        # three chunks: whole on two and three workers, cut in two on four
         cfg = _config(n_trajectories=20_000)
         serial = simulate_ensemble(cfg, threads=1)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            threaded = simulate_ensemble(cfg, threads=4)
-        finally:
-            sys.setswitchinterval(interval)
-        for name in ("x", "y", "crossing_times", "crossing_x", "crossing_ids",
-                     "final_x", "final_y", "alive", "near_node_steps"):
-            np.testing.assert_array_equal(getattr(serial, name), getattr(threaded, name))
+        for threads in (2, 3, 4):
+            forked = simulate_ensemble(cfg, threads=threads)
+            for name in ENSEMBLE_FIELDS:
+                _assert_same_bits([getattr(serial, name)], [getattr(forked, name)])
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_launch_tuple_converted_once(self, monkeypatch, threads):
@@ -739,47 +766,60 @@ class TestSimulate:
 
     def test_divergence_fails_fast(self, monkeypatch):
         # half the launches sit 1e-9 off psi_1's node and leave on step 1, so
-        # the first chunk alone holds more than 1% of the ensemble diverged
-        calls = []
+        # each chunk alone holds more than 1% of the ensemble diverged: no
+        # process draws a second step (the steps drawn are marked in shared
+        # memory, which forked workers write too)
+        drawn = _shared_zeros(100)
 
         def counting(seeds, steps):
-            calls.append(steps)
+            drawn[steps] = 1
             return standard_normals(seeds, steps)
 
         monkeypatch.setattr("cqrt.sde.standard_normals", counting)
         cfg = _config(n_trajectories=30_000, initial_points=(0.95 + 0j, 1e-9 + 0j),
                       record_mode="crossings_and_final")
-        with pytest.raises(NumericalBlowup, match=f"^{CHUNK_SIZE // 2}/30000 trajectories diverged"):
-            simulate_ensemble(cfg)
-        assert calls == [0]
+        for threads in (1, 2):
+            with pytest.raises(NumericalBlowup,
+                               match=f"^{CHUNK_SIZE // 2}/30000 trajectories diverged"):
+                simulate_ensemble(cfg, threads=threads)
+            assert np.flatnonzero(drawn).tolist() == [0]
 
-    @pytest.mark.parametrize("bad_chunk", [0, 1])
+    @pytest.mark.parametrize("bad_chunk", [0, 1, 10])
     def test_failure_skips_chunks_not_started(self, monkeypatch, bad_chunk):
-        # 20 chunks of 100 paths; half of one chunk's launches sit 1e-9 off
-        # psi_1's node, so it fails on its first step, while the others run
-        # 1000 steps (about 80 ms, many switch intervals of the interpreter
-        # lock): the chunk in flight beside the failing one cannot finish first
-        calls = []
+        # on two workers this process takes chunks 0-9 and a forked one 10-19;
+        # the failing chunk fails on its first step, while the others run 1000
+        # steps (tens of ms), so the other share runs only its chunk in flight
+        # and perhaps one more
+        started = _shared_zeros(20)
 
         def counting(ens, lo, hi, launches):
-            calls.append(lo)
+            started[lo // 100] = 1
             return _integrate_chunk(ens, lo, hi, launches)
 
-        monkeypatch.setattr("cqrt.sde.CHUNK_SIZE", 100)
         monkeypatch.setattr("cqrt.sde._integrate_chunk", counting)
-        points = [0.95 + 0j, -0.95 + 0j] * 1000
-        points[100 * bad_chunk:100 * (bad_chunk + 1):2] = [1e-9 + 0j] * 50
-        cfg = _config(n_trajectories=2000, t_final=10.0, initial_points=tuple(points),
-                      record_mode="crossings_and_final")
+        cfg = _failing_config(monkeypatch, bad_chunk, t_final=10.0)
         message = "^50/2000 trajectories diverged"
         with pytest.raises(NumericalBlowup, match=message):
             simulate_ensemble(cfg, threads=1)
-        assert calls == list(range(0, 100 * bad_chunk + 1, 100))
-        calls.clear()
+        assert np.flatnonzero(started).tolist() == list(range(bad_chunk + 1))
+        started[:] = 0
         with pytest.raises(NumericalBlowup, match=message):
             simulate_ensemble(cfg, threads=2)
-        # only the chunks in flight with the failing one ran
-        assert calls[0] == 0 and set(calls) <= {0, 100} and 100 * bad_chunk in calls
+        own, other = (started[:10], started[10:]) if bad_chunk < 10 else (started[10:], started[:10])
+        assert own[bad_chunk % 10] and not own[bad_chunk % 10 + 1:].any()
+        assert other.sum() <= 2
+
+    @pytest.mark.parametrize("bad_chunk", [None, 0, 10])
+    def test_no_worker_outlives_the_call(self, monkeypatch, bad_chunk):
+        # a clean forked run, a failure in this process's share (chunks 0-9)
+        # and one in the forked worker's (10-19)
+        cfg = _failing_config(monkeypatch, bad_chunk, t_final=0.1)
+        if bad_chunk is None:
+            assert simulate_ensemble(cfg, threads=2).n_diverged == 0
+        else:
+            with pytest.raises(NumericalBlowup, match="^50/2000 trajectories diverged"):
+                simulate_ensemble(cfg, threads=2)
+        assert multiprocessing.active_children() == []
 
     def test_zero_noise_rotation_invariance(self):
         # pure drift for n=0 is the rotation dz/dt = i z; the Euler step

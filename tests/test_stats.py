@@ -20,6 +20,7 @@ from cqrt import (
     extract_point_set_a,
     extract_point_set_b,
     gaussian_bin_range,
+    gaussian_reference,
     pearson,
     quantum_density_eigenstate,
     simulate_ensemble,
@@ -244,6 +245,12 @@ class TestDefaultRanges:
         # before any density is evaluated
         with pytest.raises(ValueError, match=r"\[0, 70\]"):
             make(n)
+
+    @pytest.mark.parametrize("p0, t, name", [(float("nan"), 1.0, "p0"), (1.0, float("inf"), "t"),
+                                             (float("-inf"), 0.5, "p0")])
+    def test_gaussian_reference_rejects_non_finite_parameters_when_built(self, p0, t, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            gaussian_reference(p0, t)
 
     def test_gaussian_range(self):
         lo, hi = gaussian_bin_range(1.0, 1.0)

@@ -178,6 +178,13 @@ class TestDensities:
         assert quantum_density_gaussian(1.0, 0.0, 0.0) == pytest.approx(1 / math.sqrt(math.pi))
         assert quantum_density_gaussian(1.0, 1.0, 1.0) == pytest.approx(1 / math.sqrt(2 * math.pi))
 
+    @pytest.mark.parametrize("p0, t, name", [(float("nan"), 1.0, "p0"), (0.0, float("inf"), "t"),
+                                             (1.0, float("nan"), "t")])
+    def test_gaussian_rejects_non_finite_parameters(self, p0, t, name):
+        # the parameter is named before any arithmetic can warn
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            quantum_density_gaussian(p0, t, np.zeros(3))
+
     def test_gaussian_peak_at_center(self):
         for p0, t in ((1.0, 0.7), (-2.0, 2.0), (0.5, 3.0)):
             x = np.linspace(p0 * t - 6, p0 * t + 6, 4001)
