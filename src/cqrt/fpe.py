@@ -37,17 +37,31 @@ in drift_field is exact under any rescale, and fp_initial passes the whole
 grid's max|z| so that log|H_n| rescales as in one whole-grid call.  fp_solve
 marches in two field buffers that fp_step fills in turn, so a step allocates
 only its band's buffers.
+
+A march of sde.FORK_MIN_CELL_STEPS cells x steps or more runs on one process
+per usable CPU: the calling one and workers forked once the drift is built,
+as simulate_ensemble's are (sde._forked).  The two march buffers are then
+anonymous shared mappings, fp_initial writing the initial field into one.
+Each process takes an equal contiguous share of the rows (sde._share_bounds)
+and sweeps it in _row_bands bands, so again no cell's operations change.  A
+step is one one-byte handshake per worker; the caller then merges the
+shares' extremes with np.max and np.min (a NaN still raises), joins the
+negatives in row order, its own share first, and sums the whole new field
+for total_mass, so every field of the solution is bit-identical to the
+serial march's.  Smaller marches stay serial and never load multiprocessing.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import sde
 from .errors import InstabilityDetected, ZeroMass
-from .sde import uniforms
+from .sde import _forked, _share_bounds, _shared_empty, _worker_count, uniforms
 from .stats import EmpiricalDensity
 # _BAND_CELLS: cells per band of fp_step's sweep and of the setup fields
 from .wavefield import (_BAND_CELLS, Eigenstate, ModelSpec, log_derivative_masked,
@@ -175,21 +189,21 @@ def drift_field(model: ModelSpec, grid: FpGrid):
     return ux, uy
 
 
-def fp_initial(n: int, grid: FpGrid) -> np.ndarray:
+def fp_initial(n: int, grid: FpGrid, _out=None) -> np.ndarray:
     """Initial density |H_n(x+iy)|^2 exp(-x^2-y^2) / (2^n n! sqrt(pi)).
 
     For n = 1 this is exactly (2/sqrt(pi)) (x^2+y^2) exp(-x^2-y^2).  The
     normalization follows the eigenfunction convention; the field's plane
     integral is not 1 (recorded as a diagnostic, and immaterial for the
     affine-invariant comparisons downstream).  Computed band by band
-    (_row_bands).
+    (_row_bands), into a fresh array or into _out (fp_solve's march buffer).
     """
     n = Eigenstate(n).n
     centers = grid.x_centers, grid.y_centers
     # log|H_n|'s rescale cadence follows the largest |z|: the whole grid's
     # gives every band the values of one whole-grid call
     size = max(float(np.abs(x + 1j * y).max()) for _, x, y in _band_centers(*centers))
-    rho = np.empty((grid.ny, grid.nx))
+    rho = np.empty((grid.ny, grid.nx)) if _out is None else _out
     for band, x, y in _band_centers(*centers):
         rho[band] = _initial_density(n, x, y, size)
     return rho
@@ -204,7 +218,7 @@ def _initial_density(n: int, x, y, size=None):
                       - log_norm)
 
 
-def fp_step(solution: FpSolution, drift, _out=None) -> FpSolution:
+def fp_step(solution: FpSolution, drift, _out=None, _sweeps=None) -> FpSolution:
     """One explicit conservative FTCS update of the density field.
 
     Central differences throughout, 4-corner stencil for the cross
@@ -242,25 +256,60 @@ def fp_step(solution: FpSolution, drift, _out=None) -> FpSolution:
 
     The new field is a fresh array, unless fp_solve passes its spare march
     buffer as _out (of rho's shape, and not rho itself), which it fills.
+    fp_solve's forked march passes _sweeps as well, which sweeps the row
+    shares of all its processes (_forked_sweeps); a direct call is serial.
     """
     grid = solution.grid
     hx, hy, dt = grid.hx, grid.hy, grid.dt_pde
     rho = solution.rho
+    new = np.empty_like(rho) if _out is None else _out
+    if _sweeps is None:
+        extremes = np.empty((1, 4))
+        negatives = _sweep(grid, rho, drift, new, slice(0, rho.shape[0]), extremes[0])
+    else:
+        extremes, negatives = _sweeps(rho, new)
+
+    # the shares' extremes, (rho max, rho min, new max, new min) each
+    rho_high, high = np.max(extremes[:, 0::2], axis=0)
+    rho_low, low = np.min(extremes[:, 1::2], axis=0)
+    peak = max(float(high), -float(low))
+    prev_peak = max(float(rho_high), -float(rho_low), 1e-300)
+    if not peak <= MAX_STEP_GROWTH * prev_peak:
+        raise InstabilityDetected(
+            f"field peak went from {prev_peak:g} to {peak:g} in one step at t={solution.t:g}"
+        )
+
+    clipped = float(-np.sum(np.concatenate(negatives)) * hx * hy)
+    return replace(
+        solution,
+        t=solution.t + dt,
+        rho=new,
+        total_mass=float(np.sum(new) * hx * hy),
+        clipped_mass=solution.clipped_mass + clipped,
+        steps=solution.steps + 1,
+    )
+
+
+def _sweep(grid: FpGrid, rho, drift, new, rows: slice, extremes) -> list:
+    """fp_step's update of the given rows of new, in _row_bands bands of
+    them: clips them, writes (max rho, min rho, max new, min new) over the
+    rows, before clipping, into extremes, and returns the negatives clipped,
+    a list in row-major order."""
+    hx, hy, dt = grid.hx, grid.hy, grid.dt_pde
     ux, uy = drift
     ny, nx = rho.shape
-    bands = _row_bands(ny, nx)
-    rows = bands[0].stop
+    bands = _row_bands(rows.stop - rows.start, nx)
+    size = bands[0].stop
     w = nx + 2
 
-    new = np.empty_like(rho) if _out is None else _out
     # slab row r holds grid row j0 - 1 + r; columns 0 and w - 1 stay zero
-    p_slab = np.zeros((rows + 2, w))
-    f_slab = np.zeros((rows + 2, w))
-    acc_buf, term_buf, two_buf = np.empty((3, rows * w))
+    p_slab = np.zeros((size + 2, w))
+    f_slab = np.zeros((size + 2, w))
+    acc_buf, term_buf, two_buf = np.empty((3, size * w))
     rho_highs, rho_lows, highs, lows, negatives = [], [], [], [], []
 
     for band in bands:
-        j0, j1 = band.start, band.stop
+        j0, j1 = rows.start + band.start, rows.start + band.stop
         b = j1 - j0
         lo, hi = max(j0 - 1, 0), min(j1 + 1, ny)
         halo = slice(lo - j0 + 1, hi - j0 + 1)
@@ -311,22 +360,8 @@ def fp_step(solution: FpSolution, drift, _out=None) -> FpSolution:
         negatives.append(out[negative])
         out[negative] = 0.0
 
-    peak = max(float(np.max(highs)), -float(np.min(lows)))
-    prev_peak = max(float(np.max(rho_highs)), -float(np.min(rho_lows)), 1e-300)
-    if not peak <= MAX_STEP_GROWTH * prev_peak:
-        raise InstabilityDetected(
-            f"field peak went from {prev_peak:g} to {peak:g} in one step at t={solution.t:g}"
-        )
-
-    clipped = float(-np.sum(np.concatenate(negatives)) * hx * hy)
-    return replace(
-        solution,
-        t=solution.t + dt,
-        rho=new,
-        total_mass=float(np.sum(new) * hx * hy),
-        clipped_mass=solution.clipped_mass + clipped,
-        steps=solution.steps + 1,
-    )
+    extremes[:] = np.max(rho_highs), np.min(rho_lows), np.max(highs), np.min(lows)
+    return negatives
 
 
 def fp_solve(model: ModelSpec, grid: FpGrid, t_final: float) -> FpSolution:
@@ -341,24 +376,93 @@ def fp_solve(model: ModelSpec, grid: FpGrid, t_final: float) -> FpSolution:
     usable solution.  The march fills two field buffers in turn, so a step
     allocates no new field.  The drift field is built even for 0 steps, and
     its largest |u_x| and |u_y| are the solution's speed_x and speed_y.
+
+    A march of sde.FORK_MIN_CELL_STEPS cells x steps or more runs on one
+    process per usable CPU, as simulate_ensemble's default does, each
+    sweeping an equal contiguous share of the rows; this process merges the
+    shares' extremes, joins their negatives in row order, its own share
+    first, and sums the whole field, so the solution is bit-identical to the
+    serial march's (see the module docstring).  Its rho is then an anonymous
+    shared mapping.  A smaller march runs serially and never loads
+    multiprocessing.  A worker that dies raises ChildProcessError, and no
+    worker outlives the call.
     """
     if not isinstance(model, Eigenstate):
         raise TypeError("fp_solve supports eigenstate models only")
     if not 0 <= t_final < math.inf:
         raise ValueError("t_final must be finite and >= 0")
-    rho0 = fp_initial(model.n, grid)
+    steps = int(round(t_final / grid.dt_pde))
+    workers = _worker_count(0, grid.ny, grid.nx * grid.ny * steps, sde.FORK_MIN_CELL_STEPS)
+    empty = _shared_empty if workers > 1 else np.empty
+    rho0 = fp_initial(model.n, grid, _out=empty((grid.ny, grid.nx)))
     mass0 = float(np.sum(rho0) * grid.hx * grid.hy)
     drift = drift_field(model, grid)
     # max and min, not abs, so that no whole-field temporary is made
     speed_x, speed_y = (max(float(u.max()), -float(u.min())) for u in drift)
     solution = FpSolution(grid=grid, t=0.0, rho=rho0, total_mass=mass0, initial_mass=mass0,
                           speed_x=speed_x, speed_y=speed_y)
-    spare = np.empty_like(rho0)
-    for _ in range(int(round(t_final / grid.dt_pde))):
-        rho = solution.rho
-        solution = fp_step(solution, drift, _out=spare)
-        spare = rho
+    spare = empty((grid.ny, grid.nx))
+    with _forked_sweeps(grid, (rho0, spare), drift, workers) as sweeps:
+        for _ in range(steps):
+            rho = solution.rho
+            solution = fp_step(solution, drift, _out=spare, _sweeps=sweeps)
+            spare = rho
     return solution
+
+
+@contextlib.contextmanager
+def _forked_sweeps(grid: FpGrid, buffers, drift, workers: int):
+    """fp_step's _sweeps for a march in the two shared buffers: a function
+    of (rho, new) that sweeps row share 0 here and share k in forked worker
+    k (sde._forked), and returns the shares' extremes and the negatives in
+    row order.  None for a serial march.
+
+    Each step is one handshake per worker over its pipe: the byte sent is
+    the index of rho's buffer, and the byte back means that the worker's
+    extremes (row k of a shared array), negative count and negatives (at its
+    share's offset in a shared spill array) are written."""
+    if workers == 1:
+        yield None
+        return
+    bounds = _share_bounds(grid.ny, workers)
+    extremes = _shared_empty((workers, 4))
+    counts = _shared_empty(workers, dtype=np.int64)
+    spill = _shared_empty(grid.ny * grid.nx)
+    with _forked(workers, _sweep_share, grid, buffers, drift, bounds, extremes, counts,
+                 spill) as conns:
+
+        def sweeps(rho, new):
+            index = bytes([rho is buffers[1]])
+            try:
+                for conn in conns:
+                    conn.send_bytes(index)
+                negatives = _sweep(grid, rho, drift, new, slice(*bounds[:2]), extremes[0])
+                for conn in conns:
+                    conn.recv_bytes()
+            except (EOFError, ConnectionError):
+                raise ChildProcessError("an fp_solve worker exited mid-march") from None
+            for k in range(1, workers):
+                offset = bounds[k] * grid.nx
+                negatives.append(spill[offset:offset + counts[k]])
+            return extremes, negatives
+
+        yield sweeps
+
+
+def _sweep_share(conn, k, grid, buffers, drift, bounds, extremes, counts, spill):
+    """Worker k of _forked_sweeps: sweeps row share k of the buffer named by
+    each byte it receives into the other one, until its pipe closes."""
+    rows = slice(bounds[k], bounds[k + 1])
+    offset = rows.start * grid.nx
+    while True:
+        try:
+            index = conn.recv_bytes()[0]
+        except EOFError:
+            return
+        negatives = _sweep(grid, buffers[index], drift, buffers[1 - index], rows, extremes[k])
+        counts[k] = sum(negative.size for negative in negatives)
+        np.concatenate(negatives, out=spill[offset:offset + counts[k]])
+        conn.send_bytes(b"\1")
 
 
 def fp_marginal_x(solution: FpSolution) -> EmpiricalDensity:

@@ -14,9 +14,10 @@ on-axis launches and the points where steps from off the axis reach or pass
 it.
 
 The pieces run on forked processes (simulate_ensemble's `threads` counts
-them): they hold the interpreter lock, so threads measured no faster than
-serial.  On Python 3.12 and later, os.fork warns (DeprecationWarning) in a
-process that runs other threads, as numpy's BLAS does.
+them), and so do fpe.fp_solve's row shares (_forked): both hold the
+interpreter lock, so threads measured no faster than serial.  On Python 3.12
+and later, os.fork warns (DeprecationWarning) in a process that runs other
+threads, as numpy's BLAS does.
 
 Reproducibility contract: an Ensemble is a pure function of its
 SimulationConfig.  Trajectory i owns an independent noise stream: SplitMix64
@@ -34,6 +35,7 @@ chunk sizes, and worker counts.  Launches draw from one more stream (uniforms).
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import mmap
@@ -64,6 +66,13 @@ CHUNK_SIZE = 8192
 #: 1.5e6 path-steps of psi_1 and 3e6-3.5e6 of psi_0, the cheapest drift
 #: (medians of 7-9 calls at dt 0.01 to t 1, crossings_and_final).
 FORK_MIN_PATH_STEPS = 3_000_000
+
+#: cells x steps from which fpe.fp_solve forks one worker per usable CPU.
+#: On 2 vCPUs the fork costs 15-25 ms and each step a handshake: at n = 3,
+#: 400^2 x 20 steps forked in 120 ms against 132 serially, 150^2 x 250 in
+#: 179 against 176, and 100^2 x 400 in 186 against 172 (medians of 7 fresh
+#: processes); the smaller a step, the later forking pays.
+FORK_MIN_CELL_STEPS = 6_000_000
 
 RECORD_MODES = ("full_path", "crossings_and_final", "snapshots")
 
@@ -349,14 +358,16 @@ def _integrate_chunk(ens: Ensemble, lo: int, hi: int, launches: np.ndarray):
 def simulate_ensemble(config: SimulationConfig, threads: int = 0) -> Ensemble:
     """Run every trajectory of the configuration into one Ensemble.
 
-    Trajectories are integrated in pieces: whole chunks of CHUNK_SIZE paths,
-    each cut into equal path ranges when there are fewer chunks than workers.
+    The paths are shared among the worker processes in equal contiguous
+    ranges (_share_bounds, the rule that splits fpe.fp_solve's rows), and a
+    share is integrated in pieces: its parts of the chunks of CHUNK_SIZE
+    paths, so only a chunk that straddles a share boundary is cut.
     `threads` counts worker processes: k > 1 runs on up to k (one per path at
     most), 1 serially, and 0 (the default) on one per usable CPU once the run
     has FORK_MIN_PATH_STEPS path-steps, else serially; below 0 is a
     ValueError, and a platform without fork runs serially.  The calling
-    process integrates the first share of the pieces, and forked workers the
-    rest, each writing its own columns of the Ensemble's arrays in place (an
+    process integrates the first share, and forked workers one share each,
+    each writing its own columns of the Ensemble's arrays in place (an
     anonymous shared mapping).  A cut chunk's crossings are merged back into
     step order, and the chunks join in chunk order, so the output is
     bit-identical for every worker count.
@@ -365,16 +376,17 @@ def simulate_ensemble(config: SimulationConfig, threads: int = 0) -> Ensemble:
     diverge: as soon as one piece's own diverged paths are that many
     (diverged counts only grow, so the run would fail anyway), else after the
     last piece.  Once a piece fails, no piece starts, and the error raised is
-    the first failure in chunk order among the pieces that ran; no worker
-    outlives the call.  Ensemble.trajectory(i) is path i.
+    the first failure in chunk order among the pieces that ran.  A worker
+    that dies raises ChildProcessError, and no worker outlives the call.
+    Ensemble.trajectory(i) is path i.
     """
     n = config.n_trajectories
-    workers = _worker_count(threads, config)
-    chunks = [(a, min(a + CHUNK_SIZE, n)) for a in range(0, n, CHUNK_SIZE)]
-    cuts = -(-workers // len(chunks))
-    pieces = [(a + (b - a) * k // cuts, a + (b - a) * (k + 1) // cuts)
-              for a, b in chunks for k in range(cuts)]
-    pieces = [(lo, hi) for lo, hi in pieces if lo < hi]
+    workers = _worker_count(threads, n, n * config.n_steps, FORK_MIN_PATH_STEPS)
+    bounds = _share_bounds(n, workers)
+    cuts = sorted({*range(0, n, CHUNK_SIZE), *bounds})
+    shares = [[(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if a <= lo < b]
+              for a, b in zip(bounds, bounds[1:])]
+    pieces = [piece for share in shares for piece in share]
     empty = _shared_empty if workers > 1 else np.empty
     times = config.record_times
     x, y = empty((2, times.size, n)) if times.size else (None, None)
@@ -387,7 +399,7 @@ def simulate_ensemble(config: SimulationConfig, threads: int = 0) -> Ensemble:
     # converted once: a chunk that converted the whole tuple would make the
     # run's cost grow with the square of the path count
     launches = np.asarray(config.initial_points, dtype=complex)
-    parts = _integrate_pieces(ens, pieces, launches, workers)
+    parts = _integrate_pieces(ens, shares, launches)
     ens.near_node_steps = sum(part[1] for part in parts)
     chunks = [_merge_pieces([part for _, part in group]) for _, group in
               itertools.groupby(zip(pieces, parts), key=lambda item: item[0][0] // CHUNK_SIZE)]
@@ -400,18 +412,33 @@ def simulate_ensemble(config: SimulationConfig, threads: int = 0) -> Ensemble:
     return ens
 
 
-def _worker_count(threads: int, config: SimulationConfig) -> int:
-    """The number of processes simulate_ensemble integrates on (see there)."""
+def _worker_count(threads: int, items: int, work: int, min_work: int) -> int:
+    """The number of processes that share `items` (paths or grid rows):
+    `threads` of them, at most one per item; 0 means one per usable CPU once
+    `work` reaches min_work, and serially below it.  Below 0 is a ValueError,
+    and a platform without fork runs serially."""
     if threads < 0:
         raise ValueError(f"threads must be >= 0 (0: one per usable CPU), got {threads}")
     if not hasattr(os, "fork"):
         return 1
     if threads == 0:
-        if config.n_trajectories * config.n_steps < FORK_MIN_PATH_STEPS:
+        if work < min_work:
             return 1
-        threads = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                   else os.cpu_count() or 1)
-    return min(threads, config.n_trajectories)
+        threads = _usable_cpus()
+    return min(threads, items)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _share_bounds(items: int, workers: int) -> list:
+    """The equal contiguous shares of `items` among `workers` processes:
+    share k is [bounds[k], bounds[k + 1]), bounds[k] = k * items // workers."""
+    return [items * k // workers for k in range(workers + 1)]
 
 
 def _shared_empty(shape, dtype=float) -> np.ndarray:
@@ -423,67 +450,119 @@ def _shared_empty(shape, dtype=float) -> np.ndarray:
                          count).reshape(shape)
 
 
-#: the Ensemble, the launches and a shared failure flag, in a forked worker
-_WORK = None
-
-
-def _adopt(*work):
-    """The pool's initializer: a worker keeps what its pieces write into."""
-    global _WORK
-    _WORK = work
-
-
-def _run_piece(piece):
-    """One piece in a forked worker; None once any piece has failed.  A
-    failing piece sets the flag before it raises."""
-    ens, launches, failed = _WORK
-    if failed[0]:
-        return None
-    try:
-        return _integrate_chunk(ens, *piece, launches)
-    except BaseException:
-        failed[0] = True
-        raise
-
-
-def _integrate_pieces(ens: Ensemble, pieces: list, launches: np.ndarray, workers: int) -> list:
-    """_integrate_chunk's result for every piece, in order.  With workers > 1
-    this process integrates the pieces of the first 1/workers of the paths and
-    a pool of workers - 1 forked processes the others, each result one
-    message; this process stops between its own pieces once a worker's piece
-    has failed, and the pool is terminated and joined on the way out."""
+@contextlib.contextmanager
+def _forked(workers: int, target, *args):
+    """This process's ends of pipes to workers - 1 forked processes, worker k
+    (from 1) running target(its end, k, *args).  A worker holds no end of
+    another worker's pipe, so its exit ends its pipe (EOFError here).  On
+    the way out the pipes are closed and every worker is killed and joined."""
     if workers == 1:
-        return [_integrate_chunk(ens, *piece, launches) for piece in pieces]
+        yield []
+        return
     import multiprocessing  # here, so that serial runs and `import cqrt.cli` never load it
 
-    n = ens.config.n_trajectories
-    share = max(1, sum(workers * (lo + hi) < 2 * n for lo, hi in pieces))
+    context = multiprocessing.get_context("fork")
+    conns, procs = [], []
+    try:
+        for k in range(1, workers):
+            conn, theirs = context.Pipe()
+            procs.append(context.Process(target=_worker, args=(theirs, [*conns, conn], target,
+                                                                k, args), daemon=True))
+            procs[-1].start()
+            theirs.close()
+            conns.append(conn)
+        yield conns
+    finally:
+        for conn in conns:
+            conn.close()
+        for proc in procs:
+            proc.kill()
+            proc.join()
+
+
+def _worker(conn, inherited, target, k, args):
+    """A forked worker of _forked: it closes the pipe ends it inherited from
+    this process's parent, so that they end when the parent does."""
+    for end in inherited:
+        end.close()
+    target(conn, k, *args)
+
+
+def _run_share(ens: Ensemble, pieces: list, launches: np.ndarray, failed) -> tuple:
+    """(parts, failure): _integrate_chunk's result for each piece in order,
+    until any piece has failed, and the exception of the piece that failed
+    here (None if none did); a failing piece sets the shared flag."""
+    parts = []
+    for piece in pieces:
+        if failed[0]:
+            break
+        try:
+            parts.append(_integrate_chunk(ens, *piece, launches))
+        except Exception as exc:
+            failed[0] = True
+            return parts, exc
+    return parts, None
+
+
+def _send_share(conn, k, ens, shares, launches, failed):
+    """Worker k of _integrate_pieces: its share's results, one message each
+    once the share has run, then its failure or None."""
+    parts, failure = _run_share(ens, shares[k], launches, failed)
+    for part in parts:
+        conn.send(part)
+    conn.send(failure)
+
+
+def _integrate_pieces(ens: Ensemble, shares: list, launches: np.ndarray) -> list:
+    """_integrate_chunk's result for every piece of the shares, in order.
+    This process integrates the first share and forked worker k share k
+    (_forked); a process stops between its pieces once a piece has failed,
+    and the first failure in chunk order is raised."""
     failed = _shared_empty(1, dtype=bool)
     failed[0] = False
-    context = multiprocessing.get_context("fork")
-    with context.Pool(min(workers - 1, len(pieces) - share), _adopt,
-                      (ens, launches, failed)) as pool:
-        others = pool.imap(_run_piece, pieces[share:])
-        parts = []
-        for piece in pieces[:share]:
-            if failed[0]:
-                break
-            parts.append(_integrate_chunk(ens, *piece, launches))
-        # raises the first failure in chunk order; None marks a skipped piece
-        parts += [part for part in others if part is not None]
+    with _forked(len(shares), _send_share, ens, shares, launches, failed) as conns:
+        parts, failure = _run_share(ens, shares[0], launches, failed)
+        if failure is not None:
+            raise failure
+        for conn in conns:
+            while (part := _receive(conn)) is not None:
+                parts.append(part)
     return parts
+
+
+def _receive(conn):
+    """A worker's next message; raises the exception it sent, and
+    ChildProcessError if it exited first."""
+    try:
+        message = conn.recv()
+    except EOFError:
+        raise ChildProcessError("a worker exited before its share was done") from None
+    if isinstance(message, BaseException):
+        raise message
+    return message
 
 
 def _merge_pieces(parts: list) -> list:
     """One chunk's crossings [times, x, ids] from its pieces' results, in piece
     order: rows in step order and then path order, as the whole chunk's loop
-    emits them (a stable sort by step of the pieces' rows in turn)."""
+    emits them.  A piece's rows of step s go after every row of the earlier
+    steps and the earlier pieces' rows of step s; the columns are scattered
+    there one at a time, and each piece's column is dropped once placed."""
     if len(parts) == 1:
         return parts[0][0]
-    steps = np.concatenate([np.repeat(np.arange(counts.size), counts) for _, _, counts in parts])
-    order = np.argsort(steps, kind="stable")
-    return [np.concatenate([crossings[col] for crossings, _, _ in parts])[order]
-            for col in range(3)]
+    counts = np.array([piece_counts for _, _, piece_counts in parts])
+    per_step = counts.sum(axis=0)
+    starts = (np.cumsum(per_step) - per_step) + (np.cumsum(counts, axis=0) - counts)
+    places = [np.repeat(start - (np.cumsum(c) - c), c) + np.arange(c.sum())
+              for start, c in zip(starts, counts)]
+    merged = []
+    for col in range(3):
+        column = np.empty(per_step.sum(), dtype=parts[0][0][col].dtype)
+        for (crossings, _, _), place in zip(parts, places):
+            column[place] = crossings[col]
+            crossings[col] = None
+        merged.append(column)
+    return merged
 
 
 def _check_diverged(diverged: int, n: int):

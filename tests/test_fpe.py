@@ -1,7 +1,11 @@
 """Fokker-Planck solver: grid contracts, drift-coefficient identities, the
 anisotropic heat kernel, symmetry preservation, and marginals."""
 
+import dataclasses
 import math
+import mmap
+import os
+import signal
 from dataclasses import replace
 
 import numpy as np
@@ -24,7 +28,7 @@ from cqrt import (
     sample_initial_points,
     turning_point,
 )
-from cqrt import fpe
+from cqrt import fpe, sde
 from cqrt.hermite import hermite_log_abs
 from cqrt.sde import uniforms
 from cqrt.wavefield import log_derivative_masked
@@ -457,11 +461,24 @@ class TestSetupBands:
         peak = traced_peak(drift_field, Eigenstate(3), FpGrid(L=5.0, nx=400, ny=400))[1]
         assert peak <= 6.5 * self.FIELD
 
-    def test_twenty_step_solve_traces_under_seven_and_a_half_fields(self, traced_peak):
+    def test_twenty_step_solve_traces_under_seven_and_a_half_fields(self, monkeypatch,
+                                                                      traced_peak):
+        # serial, so tracemalloc sees the march buffers
+        fork_march(monkeypatch, 1)
         grid = FpGrid(L=5.0, nx=400, ny=400)
         solution, peak = traced_peak(fp_solve, Eigenstate(3), grid, 20 * grid.dt_pde)
         assert solution.steps == 20
         assert peak <= 7.5 * self.FIELD
+
+    def test_forked_twenty_step_solve_holds_under_seven_and_a_half_fields(self, monkeypatch,
+                                                                          traced_peak):
+        # tracemalloc does not see the two march buffers in shared mappings,
+        # so their bytes are added to its peak
+        fork_march(monkeypatch, 2)
+        grid = FpGrid(L=5.0, nx=400, ny=400)
+        solution, peak = traced_peak(fp_solve, Eigenstate(3), grid, 20 * grid.dt_pde)
+        assert solution.steps == 20 and not solution.rho.flags.owndata
+        assert peak + 2 * self.FIELD <= 7.5 * self.FIELD
 
 
 class TestSolve:
@@ -499,6 +516,10 @@ class TestSolve:
         grid = FpGrid(L=5.0, nx=40, ny=40)
         assert fp_solve(Eigenstate(1), grid, 6 * grid.dt_pde).rho is fields[-1]
         assert len(fields) == 6 and len({id(field) for field in fields}) == 2
+
+    def test_forked_march_fills_two_buffers(self, monkeypatch):
+        fork_march(monkeypatch, 2)
+        self.test_march_fills_two_buffers(monkeypatch)
 
     @pytest.mark.parametrize("t_final", [0.0, 0.1])
     def test_records_the_largest_drift_speeds(self, t_final):
@@ -542,6 +563,136 @@ class TestSolve:
         b = fine.densities - fine.densities.mean()
         gamma = float(a @ b / np.sqrt((a @ a) * (b @ b)))
         assert gamma >= 0.999
+
+
+def fork_march(monkeypatch, workers):
+    """Makes fp_solve march on `workers` processes at any size (1: serially)."""
+    monkeypatch.setattr(sde, "FORK_MIN_CELL_STEPS", 0)
+    monkeypatch.setattr(sde, "_usable_cpus", lambda: workers)
+
+
+def record_sweepers(monkeypatch, ny):
+    """The pid of the process that last swept each of ny rows, kept in
+    shared memory, which fp_solve's forked workers write too."""
+    owners = np.frombuffer(mmap.mmap(-1, 8 * ny), dtype=np.int64)
+    sweep = fpe._sweep
+
+    def recording(grid, rho, drift, new, rows, extremes):
+        owners[rows] = os.getpid()
+        return sweep(grid, rho, drift, new, rows, extremes)
+
+    monkeypatch.setattr(fpe, "_sweep", recording)
+    return owners
+
+
+class TestForkedMarch:
+    """fp_solve on 1-4 processes: each sweeps an equal share of the rows, and
+    every field of the solution is bit-identical to the serial march's."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n, nx, ny, band_rows, steps", [
+        (3, 40, 50, 13, 8),     # 25-, 16- and 12-row shares end in ragged bands
+        (1, 40, 51, 7, 8),      # an odd row count splits unevenly
+        (3, 60, 60, None, 8),   # one 546-row band: every share is smaller
+        # n = 3 on 0.5-wide cells clips in nearly every row from step 1 on
+        (3, 20, 21, None, 12),
+    ], ids=["ragged-bands", "odd-ny", "share-under-a-band", "clipping-heavy"])
+    def test_fields_match_serial_march(self, monkeypatch, workers, n, nx, ny, band_rows,
+                                       steps):
+        if band_rows is not None:
+            monkeypatch.setattr(fpe, "_BAND_CELLS", band_rows * nx)
+        grid = FpGrid(L=5.0, nx=nx, ny=ny)
+        fork_march(monkeypatch, 1)
+        serial = fp_solve(Eigenstate(n), grid, steps * grid.dt_pde)
+        fork_march(monkeypatch, workers)
+        owners = record_sweepers(monkeypatch, ny)
+        forked = fp_solve(Eigenstate(n), grid, steps * grid.dt_pde)
+        for field in dataclasses.fields(FpSolution):
+            a, b = getattr(forked, field.name), getattr(serial, field.name)
+            assert (a.tobytes() == b.tobytes()) if field.name == "rho" else a == b
+        assert forked.steps == steps and forked.clipped_mass > 0.0
+        # share k of the rows, [k ny / workers, (k + 1) ny / workers), is one
+        # process's, and share 0 is this one's
+        bounds = [ny * k // workers for k in range(workers + 1)]
+        pids = [set(owners[a:b].tolist()) for a, b in zip(bounds, bounds[1:])]
+        assert all(len(p) == 1 for p in pids) and len(set.union(*pids)) == workers
+        assert pids[0] == {os.getpid()}
+
+    @staticmethod
+    def solve_in(monkeypatch, workers, spoil):
+        """fp_solve for n = 1 on 20^2 cells for 5 steps, on `workers`
+        processes, with spoil(rho0, (ux, uy)) applied to its fields first."""
+        fork_march(monkeypatch, workers)
+        initial, field = fpe.fp_initial, fpe.drift_field
+
+        def spoilt_initial(n, grid, _out):
+            rho = initial(n, grid, _out=_out)
+            spoil(rho, None)
+            return rho
+
+        def spoilt_field(model, grid):
+            drift = field(model, grid)
+            spoil(None, drift)
+            return drift
+
+        monkeypatch.setattr(fpe, "fp_initial", spoilt_initial)
+        monkeypatch.setattr(fpe, "drift_field", spoilt_field)
+        grid = FpGrid(L=1.0, nx=20, ny=20)
+        return fp_solve(Eigenstate(1), grid, 5 * grid.dt_pde)
+
+    # rows 3 and 16 of 20: the caller's share on 2 and 3 processes, and the
+    # last worker's
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("row", [3, 16], ids=["callers-share", "workers-share"])
+    def test_instability_detected_in_any_share(self, monkeypatch, workers, row):
+        def monster(rho, drift):
+            if drift is not None:
+                drift[0][row - 1:row + 2, 8:12] = 1e5
+
+        with pytest.raises(InstabilityDetected) as serial:
+            self.solve_in(monkeypatch, 1, monster)
+        with pytest.raises(InstabilityDetected) as forked:
+            self.solve_in(monkeypatch, workers, monster)
+        assert str(forked.value) == str(serial.value)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("where", ["rho", "drift"])
+    def test_nan_in_a_workers_share_detected(self, monkeypatch, workers, where):
+        def nan(rho, drift):
+            field = rho if where == "rho" else drift and drift[0]
+            if field is not None:
+                field[17, 12] = math.nan
+
+        with pytest.raises(InstabilityDetected, match="to nan in one step at t=0$"):
+            self.solve_in(monkeypatch, workers, nan)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_killed_worker_raises_promptly(self, monkeypatch, workers):
+        # worker 1 is killed in its third sweep; a march that waited for it
+        # would hang, and the alarm turns that into a failure
+        fork_march(monkeypatch, workers)
+        caller, sweep, sweeps = os.getpid(), fpe._sweep, []
+
+        def dying(grid, rho, drift, new, rows, extremes):
+            sweeps.append(rows)  # this process's own list
+            if os.getpid() != caller and rows.start == 40 // workers and len(sweeps) == 3:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return sweep(grid, rho, drift, new, rows, extremes)
+
+        def hung(signum, frame):
+            raise AssertionError("fp_solve still waits for a dead worker")
+
+        monkeypatch.setattr(fpe, "_sweep", dying)
+        grid = FpGrid(L=5.0, nx=40, ny=40)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(20)
+        try:
+            with pytest.raises(ChildProcessError, match="exited mid-march"):
+                fp_solve(Eigenstate(3), grid, 100 * grid.dt_pde)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert len(sweeps) == 3
 
 
 class TestMarginal:

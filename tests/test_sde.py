@@ -4,7 +4,9 @@ form of the step, one-step moments, reproducibility, and divergence accounting."
 import math
 import mmap
 import multiprocessing
+import os
 import re
+import signal
 
 import numpy as np
 import pytest
@@ -445,8 +447,9 @@ _N70 = dict(model=Eigenstate(70), dt=0.05 / 141, t_final=0.05)
 
 class TestChunkLoopBits:
     """simulate_ensemble on 1-4 workers against the frozen chunk loop run
-    serially, every Ensemble field byte for byte.  With fewer chunks than
-    workers each chunk is cut into pieces, whose crossings are merged back."""
+    serially, every Ensemble field byte for byte.  A chunk that straddles a
+    boundary of the workers' equal path shares is cut into pieces, whose
+    crossings are merged back."""
 
     @pytest.mark.parametrize("case, threads, kw", [
         ("chunks", 1, dict(n_trajectories=700)),
@@ -462,8 +465,9 @@ class TestChunkLoopBits:
         ("diverging", 1, dict(n_trajectories=1000, initial_points=_DIVERGING)),
         ("diverging", 2, dict(n_trajectories=1000, initial_points=_DIVERGING,
                               record_mode="crossings_and_final")),
+        # the shares' bounds cut the three chunks at 233 and 466, and at
+        # 175, 350 and 525
         ("chunks", 3, dict(n_trajectories=700)),
-        # three chunks cut in two
         ("chunks", 4, dict(n_trajectories=700)),
         # the ladder's shape, small: one chunk of Born launches, snapshots
         *[("n70", threads, dict(**_N70, n_trajectories=200, record_mode="snapshots",
@@ -820,6 +824,48 @@ class TestSimulate:
             with pytest.raises(NumericalBlowup, match="^50/2000 trajectories diverged"):
                 simulate_ensemble(cfg, threads=2)
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("threads", [2, 3, 4])
+    def test_each_process_takes_an_equal_share(self, monkeypatch, threads):
+        # 700 paths in chunks of 256: process k integrates paths
+        # [700 k / threads, 700 (k + 1) / threads), and this process share 0
+        monkeypatch.setattr("cqrt.sde.CHUNK_SIZE", 256)
+        owners = np.frombuffer(mmap.mmap(-1, 8 * 700), dtype=np.int64)
+
+        def recording(ens, lo, hi, launches):
+            owners[lo:hi] = os.getpid()
+            return _integrate_chunk(ens, lo, hi, launches)
+
+        monkeypatch.setattr("cqrt.sde._integrate_chunk", recording)
+        simulate_ensemble(_config(n_trajectories=700, record_mode="crossings_and_final"),
+                          threads=threads)
+        bounds = [700 * k // threads for k in range(threads + 1)]
+        pids = [set(owners[a:b].tolist()) for a, b in zip(bounds, bounds[1:])]
+        assert all(len(p) == 1 for p in pids) and len(set.union(*pids)) == threads
+        assert pids[0] == {os.getpid()}
+
+    def test_killed_worker_raises_promptly(self, monkeypatch):
+        # the worker dies in its first piece; waiting for its results would
+        # hang, and the alarm turns that into a failure
+        caller = os.getpid()
+
+        def dying(ens, lo, hi, launches):
+            if os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return _integrate_chunk(ens, lo, hi, launches)
+
+        def hung(signum, frame):
+            raise AssertionError("simulate_ensemble still waits for a dead worker")
+
+        monkeypatch.setattr("cqrt.sde._integrate_chunk", dying)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(20)
+        try:
+            with pytest.raises(ChildProcessError, match="exited before its share was done"):
+                simulate_ensemble(_config(n_trajectories=700), threads=2)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_zero_noise_rotation_invariance(self):
         # pure drift for n=0 is the rotation dz/dt = i z; the Euler step
