@@ -38,7 +38,7 @@ grid's max|z| so that log|H_n| rescales as in one whole-grid call.  fp_solve
 marches in two field buffers that fp_step fills in turn, so a step allocates
 only its band's buffers.
 
-A march of sde.FORK_MIN_CELL_STEPS cells x steps or more runs on one process
+A march of FORK_MIN_CELL_STEPS cells x steps or more runs on one process
 per usable CPU: the calling one and workers forked once the drift is built,
 as simulate_ensemble's are (sde._forked).  The two march buffers are then
 anonymous shared mappings, fp_initial writing the initial field into one.
@@ -55,11 +55,11 @@ from __future__ import annotations
 
 import contextlib
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import sde
 from .errors import InstabilityDetected, ZeroMass
 from .sde import _forked, _share_bounds, _shared_empty, _worker_count, uniforms
 from .stats import EmpiricalDensity
@@ -74,6 +74,13 @@ D_YY = 0.25
 
 #: one-step growth factor that triggers InstabilityDetected
 MAX_STEP_GROWTH = 10.0
+
+#: cells x steps from which fp_solve forks one worker per usable CPU.
+#: On 2 vCPUs the fork costs 15-25 ms and each step a handshake: at n = 3,
+#: 400^2 x 20 steps forked in 120 ms against 132 serially, 150^2 x 250 in
+#: 179 against 176, and 100^2 x 400 in 186 against 172 (medians of 7 fresh
+#: processes); the smaller a step, the later forking pays.
+FORK_MIN_CELL_STEPS = 6_000_000
 
 
 def _row_bands(ny: int, nx: int) -> list[slice]:
@@ -94,11 +101,11 @@ def _band_centers(x, y):
 class FpGrid:
     """Cell-centered square grid on [-L, L]^2.
 
-    nx, ny count interior cells; centers sit at -L + (i + 1/2) h, so the
-    coefficient singularity at the origin is on the grid only if both counts
-    are odd, which the constructor rejects.  dt_pde must satisfy the explicit
-    diffusion bound dt <= h^2 / (2 (D_XX + D_YY)); the default takes half of
-    it.
+    nx, ny count interior cells, integers by operator.index; centers sit at
+    -L + (i + 1/2) h, so the coefficient singularity at the origin is on the
+    grid only if both counts are odd, which the constructor rejects.  dt_pde
+    must satisfy the explicit diffusion bound dt <= h^2 / (2 (D_XX + D_YY));
+    the default takes half of it.
     """
 
     L: float = 5.0
@@ -107,6 +114,8 @@ class FpGrid:
     dt_pde: float | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "nx", operator.index(self.nx))
+        object.__setattr__(self, "ny", operator.index(self.ny))
         if not 0 < self.L < math.inf or self.nx < 3 or self.ny < 3:
             raise ValueError("grid needs a finite L > 0 and at least 3 cells per axis")
         if self.nx % 2 == 1 and self.ny % 2 == 1:
@@ -377,7 +386,7 @@ def fp_solve(model: ModelSpec, grid: FpGrid, t_final: float) -> FpSolution:
     allocates no new field.  The drift field is built even for 0 steps, and
     its largest |u_x| and |u_y| are the solution's speed_x and speed_y.
 
-    A march of sde.FORK_MIN_CELL_STEPS cells x steps or more runs on one
+    A march of FORK_MIN_CELL_STEPS cells x steps or more runs on one
     process per usable CPU, as simulate_ensemble's default does, each
     sweeping an equal contiguous share of the rows; this process merges the
     shares' extremes, joins their negatives in row order, its own share
@@ -392,7 +401,7 @@ def fp_solve(model: ModelSpec, grid: FpGrid, t_final: float) -> FpSolution:
     if not 0 <= t_final < math.inf:
         raise ValueError("t_final must be finite and >= 0")
     steps = int(round(t_final / grid.dt_pde))
-    workers = _worker_count(0, grid.ny, grid.nx * grid.ny * steps, sde.FORK_MIN_CELL_STEPS)
+    workers = _worker_count(0, grid.ny, grid.nx * grid.ny * steps, FORK_MIN_CELL_STEPS)
     empty = _shared_empty if workers > 1 else np.empty
     rho0 = fp_initial(model.n, grid, _out=empty((grid.ny, grid.nx)))
     mass0 = float(np.sum(rho0) * grid.hx * grid.hy)

@@ -11,7 +11,8 @@ and fails fast: a piece of work raises it after the first step at which its
 own diverged paths pass that share of the whole ensemble.  A piece steps
 without the alive masks until its first path diverges.  Set A holds the
 on-axis launches and the points where steps from off the axis reach or pass
-it.
+it, in path order: crossing_ids non-decreasing, each path's points in step
+order, so a block of paths is one slice of the pool.
 
 The pieces run on forked processes (simulate_ensemble's `threads` counts
 them), and so do fpe.fp_solve's row shares (_forked): both hold the
@@ -29,14 +30,14 @@ Euler scheme's two-point law (Kloeden and Platen, 1992, section 14.1), with
 the weak order 1 of Gaussian draws, which is all that ensemble statistics
 need, and no inverse CDF.  Every draw is a pure function of (s_i, j), so the
 integrator takes draw j of all of a piece's streams at Euler step j
-(standard_normals), and results are bit-identical across runs, platforms,
-chunk sizes, and worker counts.  Launches draw from one more stream (uniforms).
+(standard_normals), and every field, the set A pool included, is
+bit-identical across runs, platforms, CHUNK_SIZE values and worker counts.
+Launches draw from one more stream (uniforms).
 """
 
 from __future__ import annotations
 
 import contextlib
-import itertools
 import math
 import mmap
 import operator
@@ -57,7 +58,7 @@ BLOWUP_THRESHOLD = 1e6
 #: fraction of diverged paths above which simulate_ensemble fails
 MAX_DIVERGED_FRACTION = 0.01
 
-#: trajectories per chunk; fixed so results do not depend on the worker count
+#: trajectories per piece of work; results do not depend on it
 CHUNK_SIZE = 8192
 
 #: path-steps (n_trajectories * n_steps) from which simulate_ensemble's
@@ -66,13 +67,6 @@ CHUNK_SIZE = 8192
 #: 1.5e6 path-steps of psi_1 and 3e6-3.5e6 of psi_0, the cheapest drift
 #: (medians of 7-9 calls at dt 0.01 to t 1, crossings_and_final).
 FORK_MIN_PATH_STEPS = 3_000_000
-
-#: cells x steps from which fpe.fp_solve forks one worker per usable CPU.
-#: On 2 vCPUs the fork costs 15-25 ms and each step a handshake: at n = 3,
-#: 400^2 x 20 steps forked in 120 ms against 132 serially, 150^2 x 250 in
-#: 179 against 176, and 100^2 x 400 in 186 against 172 (medians of 7 fresh
-#: processes); the smaller a step, the later forking pays.
-FORK_MIN_CELL_STEPS = 6_000_000
 
 RECORD_MODES = ("full_path", "crossings_and_final", "snapshots")
 
@@ -151,7 +145,9 @@ def crossing_interpolation(x_prev, y_prev, x_new, y_new):
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Everything needed to reproduce an ensemble bit for bit."""
+    """Everything needed to reproduce an ensemble bit for bit.
+    n_trajectories and master_seed are integers by operator.index (a numpy
+    integer will do, 2.5 raises TypeError)."""
 
     model: ModelSpec
     dt: float
@@ -163,6 +159,8 @@ class SimulationConfig:
     snapshot_times: tuple = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "n_trajectories", operator.index(self.n_trajectories))
+        object.__setattr__(self, "master_seed", operator.index(self.master_seed))
         if not 0 < self.dt < math.inf:
             raise ValueError("dt must be finite and > 0")
         if not self.dt <= self.t_final < math.inf:
@@ -295,14 +293,14 @@ def _integrate_chunk(ens: Ensemble, lo: int, hi: int, launches: np.ndarray):
     ens's records, final_x, final_y and alive; path i starts at
     launches[i % launches.size], the config's initial_points as an array.
 
-    Returns (crossings, near_node, counts): crossings is [times, x, ids] of the
-    axis points (set A) of the paths still alive at the end, in step order and
-    then path order; counts[s] is how many of them step s - 1 emitted (s = 0:
-    the launches).  A diverged path stays frozen where it left the threshold,
-    so it crosses no more, and the drift is evaluated at 0 in its place; while
-    none has diverged the step runs unmasked, as the masks would select every
-    path.  Raises NumericalBlowup at the first step after which the range's own
-    diverged paths exceed MAX_DIVERGED_FRACTION of the whole ensemble.
+    Returns (crossings, near_node): crossings is [times, x, ids] of the axis
+    points (set A) of the paths still alive at the end, in path order and
+    each path's points in step order.  A diverged path stays frozen where it
+    left the threshold, so it crosses no more, and the drift is evaluated at 0
+    in its place; while none has diverged the step runs unmasked, as the
+    masks would select every path.  Raises NumericalBlowup at the first step
+    after which the range's own diverged paths exceed MAX_DIVERGED_FRACTION of
+    the whole ensemble.
     """
     config = ens.config
     cols = slice(lo, hi)
@@ -316,8 +314,6 @@ def _integrate_chunk(ens: Ensemble, lo: int, hi: int, launches: np.ndarray):
     # a launch with y exactly 0 is itself an axis point, emitted once
     on_axis = z.imag == 0.0
     crossings = [(np.zeros(int(on_axis.sum())), z.real[on_axis], ids[on_axis])]
-    counts = np.zeros(config.n_steps + 1, dtype=np.int64)
-    counts[0] = crossings[0][0].size
     alive = ens.alive[cols]
     near_nodes = diverged = 0
 
@@ -340,7 +336,6 @@ def _integrate_chunk(ens: Ensemble, lo: int, hi: int, launches: np.ndarray):
             z0, z1 = z_prev[hit], z[hit]
             x_cross, frac = crossing_interpolation(z0.real, z0.imag, z1.real, z1.imag)
             crossings.append((t + dt * frac, x_cross, ids[hit]))
-            counts[j + 1] = hit.size
         row = rows.get(j + 1)
         if row is not None:
             ens.x[row, cols], ens.y[row, cols] = z.real, z.imag
@@ -350,9 +345,13 @@ def _integrate_chunk(ens: Ensemble, lo: int, hi: int, launches: np.ndarray):
     if diverged:  # pools exclude paths that later diverged
         keep = alive[crossings[2] - lo]
         crossings = [c[keep] for c in crossings]
-        counts = np.bincount(np.repeat(np.arange(counts.size), counts)[keep],
-                             minlength=counts.size)
-    return crossings, near_nodes, counts
+    # the rows are in step order; a stable sort on the path offset, whose
+    # small dtype gets numpy's radix sort, puts them in path order
+    order = np.argsort((crossings[2] - lo).astype(np.min_scalar_type(hi - lo - 1)),
+                       kind="stable")
+    for col, column in enumerate(crossings):
+        crossings[col] = column[order]
+    return crossings, near_nodes
 
 
 def simulate_ensemble(config: SimulationConfig, threads: int = 0) -> Ensemble:
@@ -360,33 +359,33 @@ def simulate_ensemble(config: SimulationConfig, threads: int = 0) -> Ensemble:
 
     The paths are shared among the worker processes in equal contiguous
     ranges (_share_bounds, the rule that splits fpe.fp_solve's rows), and a
-    share is integrated in pieces: its parts of the chunks of CHUNK_SIZE
-    paths, so only a chunk that straddles a share boundary is cut.
+    share is integrated in pieces of CHUNK_SIZE paths from its first.
     `threads` counts worker processes: k > 1 runs on up to k (one per path at
     most), 1 serially, and 0 (the default) on one per usable CPU once the run
-    has FORK_MIN_PATH_STEPS path-steps, else serially; below 0 is a
-    ValueError, and a platform without fork runs serially.  The calling
-    process integrates the first share, and forked workers one share each,
-    each writing its own columns of the Ensemble's arrays in place (an
-    anonymous shared mapping).  A cut chunk's crossings are merged back into
-    step order, and the chunks join in chunk order, so the output is
-    bit-identical for every worker count.
+    has FORK_MIN_PATH_STEPS path-steps, else serially; it is an integer by
+    operator.index, and below 0 is a ValueError.  A platform without fork
+    runs serially.  The calling process integrates the first share, and
+    forked workers one share each, each writing its own columns of the
+    Ensemble's arrays in place (an anonymous shared mapping).  Each piece's
+    crossings come in path order, and the pieces join in path order, so the
+    pool is in path order (crossing_ids non-decreasing, each path's points in
+    step order) and every field is bit-identical for every worker count and
+    CHUNK_SIZE.
 
     Fails with NumericalBlowup if more than MAX_DIVERGED_FRACTION of the paths
     diverge: as soon as one piece's own diverged paths are that many
     (diverged counts only grow, so the run would fail anyway), else after the
     last piece.  Once a piece fails, no piece starts, and the error raised is
-    the first failure in chunk order among the pieces that ran.  A worker
+    the first failure in path order among the pieces that ran.  A worker
     that dies raises ChildProcessError, and no worker outlives the call.
     Ensemble.trajectory(i) is path i.
     """
+    threads = operator.index(threads)
     n = config.n_trajectories
     workers = _worker_count(threads, n, n * config.n_steps, FORK_MIN_PATH_STEPS)
     bounds = _share_bounds(n, workers)
-    cuts = sorted({*range(0, n, CHUNK_SIZE), *bounds})
-    shares = [[(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if a <= lo < b]
+    shares = [[(lo, min(lo + CHUNK_SIZE, b)) for lo in range(a, b, CHUNK_SIZE)]
               for a, b in zip(bounds, bounds[1:])]
-    pieces = [piece for share in shares for piece in share]
     empty = _shared_empty if workers > 1 else np.empty
     times = config.record_times
     x, y = empty((2, times.size, n)) if times.size else (None, None)
@@ -400,14 +399,11 @@ def simulate_ensemble(config: SimulationConfig, threads: int = 0) -> Ensemble:
     # run's cost grow with the square of the path count
     launches = np.asarray(config.initial_points, dtype=complex)
     parts = _integrate_pieces(ens, shares, launches)
-    ens.near_node_steps = sum(part[1] for part in parts)
-    chunks = [_merge_pieces([part for _, part in group]) for _, group in
-              itertools.groupby(zip(pieces, parts), key=lambda item: item[0][0] // CHUNK_SIZE)]
-    del parts  # a cut chunk's pieces, now merged
+    ens.near_node_steps = sum(near for _, near in parts)
     for col, name in enumerate(("crossing_times", "crossing_x", "crossing_ids")):
-        setattr(ens, name, np.concatenate([chunk[col] for chunk in chunks]))
-        for chunk in chunks:  # released once joined: the pool plus one column at most
-            chunk[col] = None
+        setattr(ens, name, np.concatenate([pool[col] for pool, _ in parts]))
+        for pool, _ in parts:  # released once joined: the pool plus one column at most
+            pool[col] = None
     _check_diverged(ens.n_diverged, n)
     return ens
 
@@ -517,7 +513,7 @@ def _integrate_pieces(ens: Ensemble, shares: list, launches: np.ndarray) -> list
     """_integrate_chunk's result for every piece of the shares, in order.
     This process integrates the first share and forked worker k share k
     (_forked); a process stops between its pieces once a piece has failed,
-    and the first failure in chunk order is raised."""
+    and the first failure in path order is raised."""
     failed = _shared_empty(1, dtype=bool)
     failed[0] = False
     with _forked(len(shares), _send_share, ens, shares, launches, failed) as conns:
@@ -540,29 +536,6 @@ def _receive(conn):
     if isinstance(message, BaseException):
         raise message
     return message
-
-
-def _merge_pieces(parts: list) -> list:
-    """One chunk's crossings [times, x, ids] from its pieces' results, in piece
-    order: rows in step order and then path order, as the whole chunk's loop
-    emits them.  A piece's rows of step s go after every row of the earlier
-    steps and the earlier pieces' rows of step s; the columns are scattered
-    there one at a time, and each piece's column is dropped once placed."""
-    if len(parts) == 1:
-        return parts[0][0]
-    counts = np.array([piece_counts for _, _, piece_counts in parts])
-    per_step = counts.sum(axis=0)
-    starts = (np.cumsum(per_step) - per_step) + (np.cumsum(counts, axis=0) - counts)
-    places = [np.repeat(start - (np.cumsum(c) - c), c) + np.arange(c.sum())
-              for start, c in zip(starts, counts)]
-    merged = []
-    for col in range(3):
-        column = np.empty(per_step.sum(), dtype=parts[0][0][col].dtype)
-        for (crossings, _, _), place in zip(parts, places):
-            column[place] = crossings[col]
-            crossings[col] = None
-        merged.append(column)
-    return merged
 
 
 def _check_diverged(diverged: int, n: int):

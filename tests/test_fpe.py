@@ -83,6 +83,15 @@ class TestGrid:
         with pytest.raises(ValueError):
             FpGrid(L=5.0, nx=200, ny=200, dt_pde=bound * 1.01)
 
+    def test_cell_counts_are_integers(self):
+        # a fractional count would give ceil(nx) centres spaced by 2L / nx
+        for bad in (dict(nx=40.5), dict(ny=40.5), dict(nx="40")):
+            with pytest.raises(TypeError):
+                FpGrid(**bad)
+        grid = FpGrid(nx=np.int64(40), ny=np.uint16(41))
+        assert type(grid.nx) is int and type(grid.ny) is int
+        assert grid.x_centers.size == 40 and grid.hx == 0.25
+
     def test_200_cells_matches_expected_spacing(self):
         # 201 grid lines over [-5, 5] = 200 cells of width 0.05; the explicit
         # bound is then 2.5e-3
@@ -567,7 +576,7 @@ class TestSolve:
 
 def fork_march(monkeypatch, workers):
     """Makes fp_solve march on `workers` processes at any size (1: serially)."""
-    monkeypatch.setattr(sde, "FORK_MIN_CELL_STEPS", 0)
+    monkeypatch.setattr(fpe, "FORK_MIN_CELL_STEPS", 0)
     monkeypatch.setattr(sde, "_usable_cpus", lambda: workers)
 
 

@@ -218,11 +218,11 @@ def test_package_and_cli_import_no_scipy():
 def test_cli_import_loads_no_process_pool():
     # simulate_ensemble and fp_solve import multiprocessing only when they
     # fork, so a command that runs serially pays nothing for it: here a
-    # march of 40^2 cells x 16 steps, under sde.FORK_MIN_CELL_STEPS
-    code = ("import sys, cqrt.cli; from cqrt import Eigenstate, FpGrid, fp_solve, sde; "
+    # march of 40^2 cells x 16 steps, under fpe.FORK_MIN_CELL_STEPS
+    code = ("import sys, cqrt.cli; from cqrt import Eigenstate, FpGrid, fp_solve, fpe; "
             "grid = FpGrid(nx=40, ny=40); "
             "assert fp_solve(Eigenstate(3), grid, 16 * grid.dt_pde).steps == 16; "
-            "assert 40 * 40 * 16 < sde.FORK_MIN_CELL_STEPS; "
+            "assert 40 * 40 * 16 < fpe.FORK_MIN_CELL_STEPS; "
             "print(sorted(m for m in sys.modules "
             "if m.split('.')[0] == 'multiprocessing' or m.startswith('concurrent.futures')))")
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))

@@ -447,9 +447,9 @@ _N70 = dict(model=Eigenstate(70), dt=0.05 / 141, t_final=0.05)
 
 class TestChunkLoopBits:
     """simulate_ensemble on 1-4 workers against the frozen chunk loop run
-    serially, every Ensemble field byte for byte.  A chunk that straddles a
-    boundary of the workers' equal path shares is cut into pieces, whose
-    crossings are merged back."""
+    serially, every Ensemble field byte for byte.  The frozen loop emits its
+    chunk's crossings in step order, so its pool is compared after a stable
+    sort on crossing_ids, which puts it in path order."""
 
     @pytest.mark.parametrize("case, threads, kw", [
         ("chunks", 1, dict(n_trajectories=700)),
@@ -465,8 +465,7 @@ class TestChunkLoopBits:
         ("diverging", 1, dict(n_trajectories=1000, initial_points=_DIVERGING)),
         ("diverging", 2, dict(n_trajectories=1000, initial_points=_DIVERGING,
                               record_mode="crossings_and_final")),
-        # the shares' bounds cut the three chunks at 233 and 466, and at
-        # 175, 350 and 525
+        # shares of 233-234 and of 175 paths, each in pieces from its first
         ("chunks", 3, dict(n_trajectories=700)),
         ("chunks", 4, dict(n_trajectories=700)),
         # the ladder's shape, small: one chunk of Born launches, snapshots
@@ -474,7 +473,7 @@ class TestChunkLoopBits:
                                 initial_points=tuple(sample_eigenstate_positions(70, 200, 9) + 0j),
                                 snapshot_times=tuple(np.arange(0, 142, 7) * _N70["dt"])))
           for threads in (2, 3, 4)],
-        # one chunk cut in three: the last piece drops its two diverged paths
+        # three shares of one piece each: the last drops its two diverged paths
         ("diverging", 3, dict(n_trajectories=250, initial_points=_DIVERGING,
                               record_mode="crossings_and_final")),
     ])
@@ -484,8 +483,12 @@ class TestChunkLoopBits:
         ens = simulate_ensemble(cfg, threads=threads)
         monkeypatch.setattr("cqrt.sde._integrate_chunk", _frozen_integrate_chunk)
         frozen = simulate_ensemble(cfg, threads=1)
+        order = np.argsort(frozen.crossing_ids, kind="stable")
         for name in ENSEMBLE_FIELDS:
-            _assert_same_bits([getattr(ens, name)], [getattr(frozen, name)])
+            expected = getattr(frozen, name)
+            if name.startswith("crossing_"):
+                expected = expected[order]
+            _assert_same_bits([getattr(ens, name)], [expected])
         assert ens.crossing_x.size > 0
         if case == "diverging":
             # the far launches (ids 249, 499, ...) are alive 10 steps in, so
@@ -495,6 +498,52 @@ class TestChunkLoopBits:
             if ens.x is not None:
                 assert np.all(np.abs(ens.x[10, 249::250] + 1j * ens.y[10, 249::250])
                               <= BLOWUP_THRESHOLD)
+
+
+class TestPathOrder:
+    """Set A's pool is in path order: crossing_ids non-decreasing, each path's
+    points in step order, whatever CHUNK_SIZE and the worker count."""
+
+    @pytest.mark.parametrize("case, kw", [
+        ("plain", dict(n_trajectories=700, t_final=0.5)),
+        ("on_axis", dict(n_trajectories=700, t_final=0.5,
+                         initial_points=(0.95 + 0j, -0.3 + 0j, 0.5 + 0.5j, 0j))),
+        # 8 of 1000 paths diverge (2 per 250), after 1 and about 20 steps
+        ("diverging", dict(n_trajectories=1000, t_final=0.3, initial_points=_DIVERGING,
+                           record_mode="crossings_and_final")),
+    ])
+    def test_same_bits_for_every_chunk_size_and_worker_count(self, monkeypatch, case, kw):
+        cfg = _config(**kw)
+        reference = simulate_ensemble(cfg, threads=1)
+        if case == "diverging":
+            assert reference.n_diverged == 8
+        for chunk in (3, 256, 8192):
+            monkeypatch.setattr("cqrt.sde.CHUNK_SIZE", chunk)
+            for threads in (1, 2, 3, 4):
+                ens = simulate_ensemble(cfg, threads=threads)
+                for name in ENSEMBLE_FIELDS:
+                    _assert_same_bits([getattr(ens, name)], [getattr(reference, name)])
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_pool_is_in_path_order(self, monkeypatch, threads):
+        monkeypatch.setattr("cqrt.sde.CHUNK_SIZE", 256)
+        cfg = _config(n_trajectories=700, initial_points=(0.95 + 0j, 0.4 + 0.3j, 0j))
+        ens = simulate_ensemble(cfg, threads=threads)
+        ids, times = ens.crossing_ids, ens.crossing_times
+        assert np.all(np.diff(ids) >= 0)
+        same_path = ids[1:] == ids[:-1]
+        assert same_path.sum() > ids.size // 2
+        assert np.all(np.diff(times)[same_path] > 0)
+        # an on-axis launch is its path's first point
+        firsts = np.flatnonzero(np.r_[True, ~same_path])
+        on_axis = ids[firsts] % 3 != 1
+        assert np.all(times[firsts[on_axis]] == 0.0) and np.all(times[firsts[~on_axis]] > 0.0)
+        # so a block of paths is one slice of the pool
+        lo, hi = np.searchsorted(ids, [100, 400])
+        assert np.flatnonzero((ids >= 100) & (ids < 400)).tolist() == list(range(lo, hi))
+        view = ens.trajectory(256)
+        _assert_same_bits([view.crossings[:, 0], view.crossings[:, 1]],
+                          [times[ids == 256], ens.crossing_x[ids == 256]])
 
 
 class TestSimulate:
@@ -513,7 +562,7 @@ class TestSimulate:
         np.testing.assert_array_equal(e1.crossing_x, e2.crossing_x)
 
     def test_thread_count_does_not_change_results(self):
-        # three chunks: whole on two and three workers, cut in two on four
+        # three pieces serially, two to a share on two workers, one on three and four
         cfg = _config(n_trajectories=20_000)
         serial = simulate_ensemble(cfg, threads=1)
         for threads in (2, 3, 4):
@@ -916,6 +965,22 @@ class TestSimulate:
         cfg = _config(dt=0.03, t_final=1.0)
         assert cfg.n_steps == 33
         assert cfg.adjusted_t_final == pytest.approx(0.99)
+
+    def test_integer_fields_are_integers(self):
+        for bad in (dict(n_trajectories=2.5), dict(master_seed=1.5), dict(n_trajectories="3")):
+            with pytest.raises(TypeError):
+                _config(**bad)
+        cfg = _config(n_trajectories=np.int64(3), master_seed=np.uint64(2**64 - 1))
+        assert type(cfg.n_trajectories) is int and type(cfg.master_seed) is int
+        assert cfg.master_seed == 2**64 - 1
+
+    def test_thread_count_is_an_integer(self):
+        cfg = _config(n_trajectories=4, t_final=0.05)
+        for threads in ("2", 2.0):
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                simulate_ensemble(cfg, threads=threads)
+        ens = simulate_ensemble(cfg, threads=np.int64(2))
+        _assert_same_bits([ens.final_x], [simulate_ensemble(cfg, threads=1).final_x])
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
