@@ -30,9 +30,10 @@ Euler scheme's two-point law (Kloeden and Platen, 1992, section 14.1), with
 the weak order 1 of Gaussian draws, which is all that ensemble statistics
 need, and no inverse CDF.  Every draw is a pure function of (s_i, j), so the
 integrator takes draw j of all of a piece's streams at Euler step j
-(standard_normals), and every field, the set A pool included, is
-bit-identical across runs, platforms, CHUNK_SIZE values and worker counts.
-Launches draw from one more stream (uniforms).
+(standard_normals).  The noise and launch (uniforms) streams are integer-exact
+everywhere, and every field, the set A pool included, is bit-identical across
+runs, CHUNK_SIZE values and worker counts for one numpy build and SIMD dispatch
+level: at n >= 2, FMA or not changes complex abs, multiply and square.
 """
 
 from __future__ import annotations

@@ -25,6 +25,7 @@ import hashlib
 import io
 import json
 import os
+import sys
 import time
 import warnings
 from itertools import chain
@@ -271,15 +272,22 @@ def write_run(out_dir: str, outputs: dict, config_dict: dict, version: str, star
 
     `outputs` maps file names in out_dir to their writers.  The manifest holds
     the run id of config_dict, the config, the seconds from `started` (a
-    time.monotonic() reading) to the last write, the diagnostics and each
-    output's SHA-256 digest, making every output attributable and the run
-    replayable from the recorded config.
+    time.monotonic() reading) to the last write, the diagnostics and the
+    peak_rss_mb up to then, each output's SHA-256 digest, making every output
+    attributable and the run replayable from the recorded config.
     """
     os.makedirs(out_dir, exist_ok=True)
     paths = {name: os.path.join(out_dir, name) for name in outputs}
     for name, write in outputs.items():
         write(paths[name])
     duration_s = time.monotonic() - started
+    try:  # peak_rss_mb: this process's or its largest reaped child's peak, in MiB
+        import resource
+        usage = [resource.getrusage(w) for w in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)]
+        scale = 2.0 ** 20 if sys.platform == "darwin" else 1024.0  # ru_maxrss: B on macOS, else KiB
+        diagnostics = dict(diagnostics, peak_rss_mb=max(u.ru_maxrss for u in usage) / scale)
+    except ImportError:  # no resource module, so no peak_rss_mb
+        pass
     manifest = {
         "run_id": config_run_id(config_dict),
         "tool_version": version,

@@ -108,18 +108,23 @@ def classical_reference(n: int) -> Reference:
 
 
 def select_window(times, values, window) -> np.ndarray:
-    """A new array of the entries of values (one per time, along the first
-    axis) whose time lies in window = (lo, hi), or of all if window is None.
-    Both ends are included within 1e-12 * max(1, |lo|, |hi|), so a multiple of
-    dt matches the decimal end that names it.  Raises EmptyResult if empty.
+    """The entries of values (one per time, along the first axis) whose time
+    lies in window = (lo, hi), or all if window is None: read-only, a view
+    when the entries are one run (as for sorted times), else a copy.  Both
+    ends are included within 1e-12 * max(1, |lo|, |hi|), so a multiple of dt
+    matches the decimal end that names it.  Raises EmptyResult if empty.
     """
     lo, hi = (-np.inf, np.inf) if window is None else (float(window[0]), float(window[1]))
     if hi < lo:
         raise ValueError("window must satisfy t_min <= t_max")
     tol = 1e-12 * max(1.0, abs(lo), abs(hi))
-    out = values[(times >= lo - tol) & (times <= hi + tol)]
-    if out.size == 0:
+    mask = (times >= lo - tol) & (times <= hi + tol)
+    count = int(np.count_nonzero(mask))
+    if count == 0:
         raise EmptyResult(f"nothing recorded in window [{lo}, {hi}]")
+    start = int(mask.argmax())
+    out = values[start:start + count] if mask[start:start + count].all() else values[mask]
+    out.flags.writeable = False
     return out
 
 
@@ -141,12 +146,13 @@ def select_snapshot(times, values, t: float, dt: float) -> np.ndarray:
         raise TimeNotRecorded(f"time {t} (step time {s:.6g}) was not recorded") from None
 
 
-def _live_records(ensemble: Ensemble) -> np.ndarray:
-    """Re(z) of the live trajectories, one row per recorded time; the record
-    array itself when every path is alive, so selecting from it copies once."""
+def _live_selection(ensemble: Ensemble, select) -> np.ndarray:
+    """select(times, Re(z) records) for the live trajectories: the selection
+    itself if every path is alive, else a C-order copy of its live columns."""
     if ensemble.x is None:
         raise ValueError("record mode did not retain path points")
-    return ensemble.x if ensemble.alive.all() else ensemble.x[:, ensemble.alive]
+    rows = select(ensemble.times, ensemble.x)
+    return rows if ensemble.alive.all() else rows.compress(ensemble.alive, axis=-1)
 
 
 def extract_point_set_a(ensemble: Ensemble, window=None) -> np.ndarray:
@@ -162,14 +168,15 @@ def extract_point_set_a(ensemble: Ensemble, window=None) -> np.ndarray:
 
 def extract_point_set_b(ensemble: Ensemble, window=None) -> np.ndarray:
     """Real parts of every recorded path point in the window, all live
-    trajectories, in time-major order."""
-    return select_window(ensemble.times, _live_records(ensemble), window).ravel()
+    trajectories, time-major: a read-only view while every path is alive."""
+    return _live_selection(ensemble, lambda times, x: select_window(times, x, window)).ravel()
 
 
 def snapshot_positions(ensemble: Ensemble, t: float) -> np.ndarray:
     """Re(z) of every live trajectory at the recorded step of time t (see
-    select_snapshot)."""
-    return select_snapshot(ensemble.times, _live_records(ensemble), t, ensemble.config.dt)[0]
+    select_snapshot), a read-only view while every path is alive."""
+    dt = ensemble.config.dt
+    return _live_selection(ensemble, lambda times, x: select_snapshot(times, x, t, dt)[0])
 
 
 def build_density(samples, bins: int, range: tuple) -> EmpiricalDensity:  # noqa: A002

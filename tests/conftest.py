@@ -12,6 +12,12 @@ def hermite_real_roots(n: int) -> np.ndarray:
     return np.sort(np.polynomial.hermite.hermroots(np.eye(n + 1)[n]))
 
 
+# 248 launches 0.3 above the axis, one 1e-9 off psi_1's node that leaves on
+# its first step, and one at 999,000 whose |z| grows by sqrt(1 + dt**2) a step
+# and passes BLOWUP_THRESHOLD after about 20: 0.8% of the paths diverge
+DIVERGING_LAUNCHES = tuple(np.linspace(-2.0, 2.0, 248) + 0.3j) + (1e-9 + 0j, 999_000 + 0j)
+
+
 def _traced_peak(func, *args, **kwargs):
     """(result, peak): func(*args, **kwargs) and the peak of the memory that
     tracemalloc saw allocated during the call, in bytes (numpy's array data

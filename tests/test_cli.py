@@ -4,8 +4,10 @@ exit codes."""
 import hashlib
 import json
 import os
+import resource
 import shlex
 import shutil
+import sys
 import time
 from pathlib import Path
 from xml.etree import ElementTree
@@ -104,6 +106,22 @@ class TestSimulateCommand:
         assert ma["run_id"] == mb["run_id"]
         assert ma["files"] == mb["files"]
 
+    def test_manifest_reports_peak_memory_with_the_workers(self, tmp_path):
+        # ru_maxrss (B on macOS, else KiB) only grows, and no child is reaped
+        # after the manifest is written
+        scale = 2.0 ** 20 if sys.platform == "darwin" else 1024.0
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / scale
+        assert _run_simulate(tmp_path / "run", extra=("--threads", "2")) == 0
+        peak = read_manifest(tmp_path / "run" / "manifest.json")["diagnostics"]["peak_rss_mb"]
+        assert peak >= before
+        assert peak >= resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / scale
+        assert main(["analyze", "--pool", str(tmp_path / "run"), "--out", str(tmp_path / "ana")]) == 0
+        assert main(["fpe", "--n", "1", "--grid", "21", "--t", "0.01",
+                     "--out", str(tmp_path / "fpe")]) == 0
+        for run in ("ana", "fpe"):
+            assert read_manifest(tmp_path / run / "manifest.json")["diagnostics"][
+                "peak_rss_mb"] >= peak
+
     def test_different_seed_changes_data(self, tmp_path):
         _run_simulate(tmp_path / "a")
         _run_simulate(tmp_path / "c", seed="7")
@@ -175,6 +193,8 @@ class TestConfigFile:
         assert file_run["config"]["n_steps"] == 2 * default_run["config"]["n_steps"] == 40
         assert file_run["run_id"] == flag_run["run_id"]
         assert file_run["files"] == flag_run["files"]
+        for run in (file_run, flag_run):
+            run["diagnostics"].pop("peak_rss_mb")  # this process's peak so far
         assert file_run["diagnostics"] == flag_run["diagnostics"]
         assert default_run["files"] != file_run["files"]
 

@@ -574,6 +574,41 @@ class TestSolve:
         assert gamma >= 0.999
 
 
+class TestGroundStateOracle:
+    """For n = 0 the drift is the rotation (u_x, u_y) = (-y, x), so the
+    Fokker-Planck equation is linear with a Gaussian solution: from
+    N(0, I/2), the density at t is N(0, Sigma) with Sigma' = A Sigma +
+    Sigma A^T + 2D, A = [[0, -1], [1, 0]] and D the diffusion tensor, which
+    integrates to Sigma_xx = 1/2 + t/2 + sin^2(t)/2, Sigma_yy = 1/2 + t/2 -
+    sin^2(t)/2 and Sigma_xy = -sin(2t)/4.  The FTCS march converges to it at
+    second order in h."""
+
+    @staticmethod
+    def _errors(cells):
+        grid = FpGrid(L=6.0, nx=cells, ny=cells)
+        solution = fp_solve(Eigenstate(0), grid, 1.0)
+        t = solution.t  # within dt_pde / 2 of 1
+        sxx = 0.5 + t / 2 + math.sin(t) ** 2 / 2
+        syy = 0.5 + t / 2 - math.sin(t) ** 2 / 2
+        sxy = -math.sin(2 * t) / 4
+        det = sxx * syy - sxy * sxy
+        x, y = grid.meshgrid()
+        exact = (np.exp(-(syy * x * x - 2 * sxy * x * y + sxx * y * y) / (2 * det))
+                 / (2 * math.pi * math.sqrt(det)))
+        rho = solution.rho / solution.initial_mass
+        marginal = np.exp(-grid.x_centers ** 2 / (2 * sxx)) / math.sqrt(2 * math.pi * sxx)
+        return (float(np.abs(rho - exact).sum() * grid.hx * grid.hy),
+                float(np.abs(rho.sum(axis=0) * grid.hy - marginal).sum() * grid.hx))
+
+    def test_field_and_marginal_converge_to_the_gaussian(self):
+        # measured: L1 9.968e-3 and 2.448e-3 (ratio 4.07), x-marginal L1
+        # 1.419e-3 and 3.552e-4; a flipped cross term reads L1 = 0.55
+        (coarse, coarse_x), (fine, fine_x) = self._errors(50), self._errors(100)
+        assert coarse <= 1.25e-2 and fine <= 3.1e-3
+        assert coarse / fine >= 3.5
+        assert coarse_x <= 1.8e-3 and fine_x <= 4.5e-4
+
+
 def fork_march(monkeypatch, workers):
     """Makes fp_solve march on `workers` processes at any size (1: serially)."""
     monkeypatch.setattr(fpe, "FORK_MIN_CELL_STEPS", 0)

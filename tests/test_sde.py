@@ -10,7 +10,7 @@ import signal
 
 import numpy as np
 import pytest
-from conftest import hermite_real_roots
+from conftest import DIVERGING_LAUNCHES, hermite_real_roots
 
 from cqrt import (
     NOISE_FACTOR,
@@ -436,12 +436,6 @@ def _frozen_integrate_chunk(ens, lo, hi, launches):
 ENSEMBLE_FIELDS = ("times", "x", "y", "crossing_times", "crossing_x", "crossing_ids",
                    "final_x", "final_y", "alive", "near_node_steps")
 
-# 248 launches 0.3 above the axis, one 1e-9 off psi_1's node that leaves on
-# its first step, and one at 999,000 whose |z| grows by sqrt(1 + dt**2) a step
-# and passes BLOWUP_THRESHOLD after about 20: 0.8% of the paths diverge
-_DIVERGING = tuple(np.linspace(-2.0, 2.0, 248) + 0.3j) + (1e-9 + 0j, 999_000 + 0j)
-
-
 _N70 = dict(model=Eigenstate(70), dt=0.05 / 141, t_final=0.05)
 
 
@@ -462,8 +456,8 @@ class TestChunkLoopBits:
         ("packet", 1, dict(model=GaussianPacket(1.0), t_final=2.0,
                            initial_points=tuple(np.linspace(-2.0, 2.0, 40) + 0j))),
         ("n70", 1, dict(**_N70, initial_points=tuple(sample_eigenstate_positions(70, 300, 5) + 0j))),
-        ("diverging", 1, dict(n_trajectories=1000, initial_points=_DIVERGING)),
-        ("diverging", 2, dict(n_trajectories=1000, initial_points=_DIVERGING,
+        ("diverging", 1, dict(n_trajectories=1000, initial_points=DIVERGING_LAUNCHES)),
+        ("diverging", 2, dict(n_trajectories=1000, initial_points=DIVERGING_LAUNCHES,
                               record_mode="crossings_and_final")),
         # shares of 233-234 and of 175 paths, each in pieces from its first
         ("chunks", 3, dict(n_trajectories=700)),
@@ -474,7 +468,7 @@ class TestChunkLoopBits:
                                 snapshot_times=tuple(np.arange(0, 142, 7) * _N70["dt"])))
           for threads in (2, 3, 4)],
         # three shares of one piece each: the last drops its two diverged paths
-        ("diverging", 3, dict(n_trajectories=250, initial_points=_DIVERGING,
+        ("diverging", 3, dict(n_trajectories=250, initial_points=DIVERGING_LAUNCHES,
                               record_mode="crossings_and_final")),
     ])
     def test_matches_frozen_loop(self, monkeypatch, case, threads, kw):
@@ -509,7 +503,7 @@ class TestPathOrder:
         ("on_axis", dict(n_trajectories=700, t_final=0.5,
                          initial_points=(0.95 + 0j, -0.3 + 0j, 0.5 + 0.5j, 0j))),
         # 8 of 1000 paths diverge (2 per 250), after 1 and about 20 steps
-        ("diverging", dict(n_trajectories=1000, t_final=0.3, initial_points=_DIVERGING,
+        ("diverging", dict(n_trajectories=1000, t_final=0.3, initial_points=DIVERGING_LAUNCHES,
                            record_mode="crossings_and_final")),
     ])
     def test_same_bits_for_every_chunk_size_and_worker_count(self, monkeypatch, case, kw):

@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from conftest import hermite_real_roots
+from conftest import DIVERGING_LAUNCHES, hermite_real_roots
 
 from cqrt import (
     AllOutOfRange,
@@ -26,7 +26,7 @@ from cqrt import (
     simulate_ensemble,
     snapshot_positions,
 )
-from cqrt.stats import EmpiricalDensity, Reference, correlation
+from cqrt.stats import EmpiricalDensity, Reference, correlation, select_window
 
 
 def _ensemble(**kw):
@@ -115,6 +115,71 @@ class TestPointSetB:
         e3 = simulate_ensemble(SimulationConfig(**cfg), threads=3)
         np.testing.assert_array_equal(np.sort(extract_point_set_a(e1)),
                                       np.sort(extract_point_set_a(e3)))
+
+
+class TestRecordViews:
+    """Set B and snapshots select the window's rows of the record array first:
+    a read-only view of it while every path is alive, else a copy of the
+    window's live columns only, never of every record."""
+
+    def test_all_alive_is_a_read_only_view(self):
+        ens = _ensemble(n_trajectories=50)
+        rows = (ens.times >= 0.2 - 1e-12) & (ens.times <= 0.6 + 1e-12)
+        for xs, expected in [(extract_point_set_b(ens, window=(0.2, 0.6)), ens.x[rows].ravel()),
+                             (extract_point_set_b(ens), ens.x.ravel()),
+                             (snapshot_positions(ens, 0.3), ens.x[30])]:
+            assert np.shares_memory(xs, ens.x)
+            assert not xs.flags.writeable
+            assert xs.tobytes() == expected.tobytes()
+        with pytest.raises(ValueError):
+            xs[0] = 1.0  # would have written into the ensemble
+
+    def test_diverged_paths_copy_the_window_only(self, traced_peak):
+        ens = _ensemble(n_trajectories=1000, initial_points=DIVERGING_LAUNCHES)
+        assert ens.n_diverged == 8
+        rows = (ens.times >= 0.2 - 1e-12) & (ens.times <= 0.6 + 1e-12)
+        xs, peak = traced_peak(extract_point_set_b, ens, window=(0.2, 0.6))
+        assert xs.tobytes() == ens.x[:, ens.alive][rows].ravel().tobytes()
+        assert peak < 1.1 * xs.nbytes
+        assert not np.shares_memory(xs, ens.x)
+        assert snapshot_positions(ens, 0.3).tobytes() == ens.x[30, ens.alive].tobytes()
+
+    def test_unsorted_times_give_the_masked_copy(self):
+        times = np.array([0.5, 0.1, 0.3, 0.9, 0.2])
+        values = np.arange(10.0).reshape(5, 2)
+        out = select_window(times, values, (0.2, 0.5))
+        np.testing.assert_array_equal(out, values[[0, 2, 4]])
+        assert not np.shares_memory(out, values)
+        assert not out.flags.writeable
+
+    def test_sorted_times_give_a_view_of_the_run(self):
+        values = np.arange(4.0)
+        out = select_window(np.array([0.0, 0.1, 0.2, 0.3]), values, (0.1, 0.2))
+        np.testing.assert_array_equal(out, [1.0, 2.0])
+        assert np.shares_memory(out, values)
+        assert not out.flags.writeable
+
+    def test_empty_selections_raise(self):
+        with pytest.raises(EmptyResult):
+            select_window(np.array([0.0, 0.1]), np.zeros(2), (0.5, 0.6))
+        with pytest.raises(EmptyResult):
+            select_window(np.array([]), np.array([]), None)
+
+    def test_binning_set_b_holds_no_copy_of_the_records(self, traced_peak):
+        # the ladder's shape: 4096 paths, 202 snapshot rows
+        dt = 0.01
+        ens = _ensemble(n_trajectories=4096, t_final=201 * dt, record_mode="snapshots",
+                        snapshot_times=tuple(np.arange(202) * dt))
+        assert ens.x.shape == (202, 4096) and ens.alive.all()
+
+        def bin_set_b(samples=None):
+            samples = extract_point_set_b(ens) if samples is None else samples
+            return build_density(samples, 100, eigenstate_bin_range(1))
+
+        alone = traced_peak(bin_set_b, ens.x.ravel())[1]  # np.histogram's blocks
+        density, peak = traced_peak(bin_set_b)
+        assert density.sample_count + density.out_of_range == ens.x.size
+        assert peak <= alone + 0.1 * ens.x.nbytes
 
 
 class TestSnapshots:
