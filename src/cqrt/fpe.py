@@ -39,21 +39,16 @@ marches in two field buffers that fp_step fills in turn, so a step allocates
 only its band's buffers.
 
 A march of FORK_MIN_CELL_STEPS cells x steps or more runs on one process
-per usable CPU: the calling one and workers forked once the drift is built,
-as simulate_ensemble's are (sde._forked).  The two march buffers are then
-anonymous shared mappings, fp_initial writing the initial field into one.
-Each process takes an equal contiguous share of the rows (sde._share_bounds)
-and sweeps it in _row_bands bands, so again no cell's operations change.  A
-step is one one-byte handshake per worker; the caller then merges the
-shares' extremes with np.max and np.min (a NaN still raises), joins the
-negatives in row order, its own share first, and sums the whole new field
-for total_mass, so every field of the solution is bit-identical to the
-serial march's.  Smaller marches stay serial and never load multiprocessing.
+per usable CPU (procs), forked once the drift is built; its two march
+buffers are then anonymous shared mappings.  Each process sweeps an equal
+contiguous share of the rows in _row_bands bands, so again no cell's
+operations change, and fp_step merges the shares' extremes and joins their
+negatives in row order, so every field of the solution is bit-identical to
+the serial march's.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 import operator
 from dataclasses import dataclass, replace
@@ -61,7 +56,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InstabilityDetected, ZeroMass
-from .sde import _forked, _share_bounds, _shared_empty, _worker_count, uniforms
+from .procs import forked, share_bounds, shared_empty, worker_count
+from .sde import uniforms
 from .stats import EmpiricalDensity
 # _BAND_CELLS: cells per band of fp_step's sweep and of the setup fields
 from .wavefield import (_BAND_CELLS, Eigenstate, ModelSpec, log_derivative_masked,
@@ -265,20 +261,22 @@ def fp_step(solution: FpSolution, drift, _out=None, _sweeps=None) -> FpSolution:
 
     The new field is a fresh array, unless fp_solve passes its spare march
     buffer as _out (of rho's shape, and not rho itself), which it fills.
-    fp_solve's forked march passes _sweeps as well, which sweeps the row
-    shares of all its processes (_forked_sweeps); a direct call is serial.
+    fp_solve passes _sweeps as well, which sweeps every process's row share
+    and returns their _sweep_share results in row order; a direct call
+    sweeps the whole grid here.
     """
     grid = solution.grid
     hx, hy, dt = grid.hx, grid.hy, grid.dt_pde
     rho = solution.rho
     new = np.empty_like(rho) if _out is None else _out
     if _sweeps is None:
-        extremes = np.empty((1, 4))
-        negatives = _sweep(grid, rho, drift, new, slice(0, rho.shape[0]), extremes[0])
+        shares = list(_sweep_share(0, 0, grid, (rho, new), drift, (0, rho.shape[0])))
     else:
-        extremes, negatives = _sweeps(rho, new)
+        shares = _sweeps()
+    negatives = [negative for _, share in shares for negative in share]
 
     # the shares' extremes, (rho max, rho min, new max, new min) each
+    extremes = np.array([share for share, _ in shares])
     rho_high, high = np.max(extremes[:, 0::2], axis=0)
     rho_low, low = np.min(extremes[:, 1::2], axis=0)
     peak = max(float(high), -float(low))
@@ -388,21 +386,19 @@ def fp_solve(model: ModelSpec, grid: FpGrid, t_final: float) -> FpSolution:
 
     A march of FORK_MIN_CELL_STEPS cells x steps or more runs on one
     process per usable CPU, as simulate_ensemble's default does, each
-    sweeping an equal contiguous share of the rows; this process merges the
-    shares' extremes, joins their negatives in row order, its own share
-    first, and sums the whole field, so the solution is bit-identical to the
-    serial march's (see the module docstring).  Its rho is then an anonymous
-    shared mapping.  A smaller march runs serially and never loads
-    multiprocessing.  A worker that dies raises ChildProcessError, and no
-    worker outlives the call.
+    sweeping an equal contiguous share of the rows, and its rho is then an
+    anonymous shared mapping; the solution is bit-identical to the serial
+    march's (see the module docstring).  A smaller march runs serially and
+    never loads multiprocessing.  A worker that dies raises
+    ChildProcessError, and no worker outlives the call.
     """
     if not isinstance(model, Eigenstate):
         raise TypeError("fp_solve supports eigenstate models only")
     if not 0 <= t_final < math.inf:
         raise ValueError("t_final must be finite and >= 0")
     steps = int(round(t_final / grid.dt_pde))
-    workers = _worker_count(0, grid.ny, grid.nx * grid.ny * steps, FORK_MIN_CELL_STEPS)
-    empty = _shared_empty if workers > 1 else np.empty
+    workers = worker_count(0, grid.ny, grid.nx * grid.ny * steps, FORK_MIN_CELL_STEPS)
+    empty = shared_empty if workers > 1 else np.empty
     rho0 = fp_initial(model.n, grid, _out=empty((grid.ny, grid.nx)))
     mass0 = float(np.sum(rho0) * grid.hx * grid.hy)
     drift = drift_field(model, grid)
@@ -410,68 +406,24 @@ def fp_solve(model: ModelSpec, grid: FpGrid, t_final: float) -> FpSolution:
     speed_x, speed_y = (max(float(u.max()), -float(u.min())) for u in drift)
     solution = FpSolution(grid=grid, t=0.0, rho=rho0, total_mass=mass0, initial_mass=mass0,
                           speed_x=speed_x, speed_y=speed_y)
-    spare = empty((grid.ny, grid.nx))
-    with _forked_sweeps(grid, (rho0, spare), drift, workers) as sweeps:
-        for _ in range(steps):
-            rho = solution.rho
-            solution = fp_step(solution, drift, _out=spare, _sweeps=sweeps)
-            spare = rho
+    buffers = rho0, empty((grid.ny, grid.nx))
+    with forked(workers, _sweep_share, grid, buffers, drift,
+                share_bounds(grid.ny, workers)) as run:
+        for step in range(steps):
+            # step j sweeps buffers[j % 2] into the other buffer
+            solution = fp_step(solution, drift, _out=buffers[1 - step % 2],
+                               _sweeps=lambda: run(step % 2))
     return solution
 
 
-@contextlib.contextmanager
-def _forked_sweeps(grid: FpGrid, buffers, drift, workers: int):
-    """fp_step's _sweeps for a march in the two shared buffers: a function
-    of (rho, new) that sweeps row share 0 here and share k in forked worker
-    k (sde._forked), and returns the shares' extremes and the negatives in
-    row order.  None for a serial march.
-
-    Each step is one handshake per worker over its pipe: the byte sent is
-    the index of rho's buffer, and the byte back means that the worker's
-    extremes (row k of a shared array), negative count and negatives (at its
-    share's offset in a shared spill array) are written."""
-    if workers == 1:
-        yield None
-        return
-    bounds = _share_bounds(grid.ny, workers)
-    extremes = _shared_empty((workers, 4))
-    counts = _shared_empty(workers, dtype=np.int64)
-    spill = _shared_empty(grid.ny * grid.nx)
-    with _forked(workers, _sweep_share, grid, buffers, drift, bounds, extremes, counts,
-                 spill) as conns:
-
-        def sweeps(rho, new):
-            index = bytes([rho is buffers[1]])
-            try:
-                for conn in conns:
-                    conn.send_bytes(index)
-                negatives = _sweep(grid, rho, drift, new, slice(*bounds[:2]), extremes[0])
-                for conn in conns:
-                    conn.recv_bytes()
-            except (EOFError, ConnectionError):
-                raise ChildProcessError("an fp_solve worker exited mid-march") from None
-            for k in range(1, workers):
-                offset = bounds[k] * grid.nx
-                negatives.append(spill[offset:offset + counts[k]])
-            return extremes, negatives
-
-        yield sweeps
-
-
-def _sweep_share(conn, k, grid, buffers, drift, bounds, extremes, counts, spill):
-    """Worker k of _forked_sweeps: sweeps row share k of the buffer named by
-    each byte it receives into the other one, until its pipe closes."""
-    rows = slice(bounds[k], bounds[k + 1])
-    offset = rows.start * grid.nx
-    while True:
-        try:
-            index = conn.recv_bytes()[0]
-        except EOFError:
-            return
-        negatives = _sweep(grid, buffers[index], drift, buffers[1 - index], rows, extremes[k])
-        counts[k] = sum(negative.size for negative in negatives)
-        np.concatenate(negatives, out=spill[offset:offset + counts[k]])
-        conn.send_bytes(b"\1")
+def _sweep_share(k, index, grid: FpGrid, buffers, drift, bounds):
+    """fp_solve's serve for procs.forked: sweeps row share k of
+    buffers[index] into the other buffer and yields (extremes, negatives),
+    _sweep's extremes array and negatives list."""
+    extremes = np.empty(4)
+    negatives = _sweep(grid, buffers[index], drift, buffers[1 - index],
+                       slice(bounds[k], bounds[k + 1]), extremes)
+    yield extremes, negatives
 
 
 def fp_marginal_x(solution: FpSolution) -> EmpiricalDensity:

@@ -14,11 +14,8 @@ on-axis launches and the points where steps from off the axis reach or pass
 it, in path order: crossing_ids non-decreasing, each path's points in step
 order, so a block of paths is one slice of the pool.
 
-The pieces run on forked processes (simulate_ensemble's `threads` counts
-them), and so do fpe.fp_solve's row shares (_forked): both hold the
-interpreter lock, so threads measured no faster than serial.  On Python 3.12
-and later, os.fork warns (DeprecationWarning) in a process that runs other
-threads, as numpy's BLAS does.
+The pieces run in equal shares on forked processes (procs;
+simulate_ensemble's `threads` counts them).
 
 Reproducibility contract: an Ensemble is a pure function of its
 SimulationConfig.  Trajectory i owns an independent noise stream: SplitMix64
@@ -38,16 +35,14 @@ level: at n >= 2, FMA or not changes complex abs, multiply and square.
 
 from __future__ import annotations
 
-import contextlib
 import math
-import mmap
 import operator
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalBlowup
+from .procs import forked, share_bounds, shared_empty, worker_count
 from .wavefield import ModelSpec, log_derivative_masked
 
 #: complex noise factor; its square is exactly -i (the diffusion coefficient)
@@ -359,19 +354,18 @@ def simulate_ensemble(config: SimulationConfig, threads: int = 0) -> Ensemble:
     """Run every trajectory of the configuration into one Ensemble.
 
     The paths are shared among the worker processes in equal contiguous
-    ranges (_share_bounds, the rule that splits fpe.fp_solve's rows), and a
-    share is integrated in pieces of CHUNK_SIZE paths from its first.
-    `threads` counts worker processes: k > 1 runs on up to k (one per path at
-    most), 1 serially, and 0 (the default) on one per usable CPU once the run
-    has FORK_MIN_PATH_STEPS path-steps, else serially; it is an integer by
-    operator.index, and below 0 is a ValueError.  A platform without fork
-    runs serially.  The calling process integrates the first share, and
-    forked workers one share each, each writing its own columns of the
-    Ensemble's arrays in place (an anonymous shared mapping).  Each piece's
-    crossings come in path order, and the pieces join in path order, so the
-    pool is in path order (crossing_ids non-decreasing, each path's points in
-    step order) and every field is bit-identical for every worker count and
-    CHUNK_SIZE.
+    ranges (procs.share_bounds), and a share is integrated in pieces of
+    CHUNK_SIZE paths from its first.  `threads` counts worker processes: k > 1
+    runs on up to k (one per path at most), 1 serially, and 0 (the default)
+    on one per usable CPU once the run has FORK_MIN_PATH_STEPS path-steps,
+    else serially; it is an integer by operator.index, and below 0 is a
+    ValueError.  The calling process integrates the first share and forked
+    workers one share each (procs.forked), each writing its own columns of
+    the Ensemble's arrays in place (an anonymous shared mapping).  Each
+    piece's crossings come in path order, and the pieces join in path order,
+    so the pool is in path order (crossing_ids non-decreasing, each path's
+    points in step order) and every field is bit-identical for every worker
+    count and CHUNK_SIZE.
 
     Fails with NumericalBlowup if more than MAX_DIVERGED_FRACTION of the paths
     diverge: as soon as one piece's own diverged paths are that many
@@ -383,23 +377,26 @@ def simulate_ensemble(config: SimulationConfig, threads: int = 0) -> Ensemble:
     """
     threads = operator.index(threads)
     n = config.n_trajectories
-    workers = _worker_count(threads, n, n * config.n_steps, FORK_MIN_PATH_STEPS)
-    bounds = _share_bounds(n, workers)
+    workers = worker_count(threads, n, n * config.n_steps, FORK_MIN_PATH_STEPS)
+    bounds = share_bounds(n, workers)
     shares = [[(lo, min(lo + CHUNK_SIZE, b)) for lo in range(a, b, CHUNK_SIZE)]
               for a, b in zip(bounds, bounds[1:])]
-    empty = _shared_empty if workers > 1 else np.empty
+    empty = shared_empty if workers > 1 else np.empty
     times = config.record_times
     x, y = empty((2, times.size, n)) if times.size else (None, None)
     alive = empty(n, dtype=bool)
     alive[:] = True
     final_x, final_y = empty((2, n))
+    failed = empty(1, dtype=bool)
+    failed[0] = False
     ens = Ensemble(config=config, times=times, x=x, y=y, crossing_times=None, crossing_x=None,
                    crossing_ids=None, final_x=final_x, final_y=final_y, alive=alive,
                    near_node_steps=0)
     # converted once: a chunk that converted the whole tuple would make the
     # run's cost grow with the square of the path count
     launches = np.asarray(config.initial_points, dtype=complex)
-    parts = _integrate_pieces(ens, shares, launches)
+    with forked(workers, _integrate_share, ens, shares, launches, failed) as run:
+        parts = run(None)
     ens.near_node_steps = sum(near for _, near in parts)
     for col, name in enumerate(("crossing_times", "crossing_x", "crossing_ids")):
         setattr(ens, name, np.concatenate([pool[col] for pool, _ in parts]))
@@ -409,134 +406,19 @@ def simulate_ensemble(config: SimulationConfig, threads: int = 0) -> Ensemble:
     return ens
 
 
-def _worker_count(threads: int, items: int, work: int, min_work: int) -> int:
-    """The number of processes that share `items` (paths or grid rows):
-    `threads` of them, at most one per item; 0 means one per usable CPU once
-    `work` reaches min_work, and serially below it.  Below 0 is a ValueError,
-    and a platform without fork runs serially."""
-    if threads < 0:
-        raise ValueError(f"threads must be >= 0 (0: one per usable CPU), got {threads}")
-    if not hasattr(os, "fork"):
-        return 1
-    if threads == 0:
-        if work < min_work:
-            return 1
-        threads = _usable_cpus()
-    return min(threads, items)
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _share_bounds(items: int, workers: int) -> list:
-    """The equal contiguous shares of `items` among `workers` processes:
-    share k is [bounds[k], bounds[k + 1]), bounds[k] = k * items // workers."""
-    return [items * k // workers for k in range(workers + 1)]
-
-
-def _shared_empty(shape, dtype=float) -> np.ndarray:
-    """np.empty(shape, dtype) in an anonymous shared mapping, which forked
-    processes write in place."""
-    dtype = np.dtype(dtype)
-    count = math.prod(np.atleast_1d(shape))
-    return np.frombuffer(mmap.mmap(-1, max(1, count * dtype.itemsize)), dtype,
-                         count).reshape(shape)
-
-
-@contextlib.contextmanager
-def _forked(workers: int, target, *args):
-    """This process's ends of pipes to workers - 1 forked processes, worker k
-    (from 1) running target(its end, k, *args).  A worker holds no end of
-    another worker's pipe, so its exit ends its pipe (EOFError here).  On
-    the way out the pipes are closed and every worker is killed and joined."""
-    if workers == 1:
-        yield []
-        return
-    import multiprocessing  # here, so that serial runs and `import cqrt.cli` never load it
-
-    context = multiprocessing.get_context("fork")
-    conns, procs = [], []
-    try:
-        for k in range(1, workers):
-            conn, theirs = context.Pipe()
-            procs.append(context.Process(target=_worker, args=(theirs, [*conns, conn], target,
-                                                                k, args), daemon=True))
-            procs[-1].start()
-            theirs.close()
-            conns.append(conn)
-        yield conns
-    finally:
-        for conn in conns:
-            conn.close()
-        for proc in procs:
-            proc.kill()
-            proc.join()
-
-
-def _worker(conn, inherited, target, k, args):
-    """A forked worker of _forked: it closes the pipe ends it inherited from
-    this process's parent, so that they end when the parent does."""
-    for end in inherited:
-        end.close()
-    target(conn, k, *args)
-
-
-def _run_share(ens: Ensemble, pieces: list, launches: np.ndarray, failed) -> tuple:
-    """(parts, failure): _integrate_chunk's result for each piece in order,
-    until any piece has failed, and the exception of the piece that failed
-    here (None if none did); a failing piece sets the shared flag."""
-    parts = []
-    for piece in pieces:
+def _integrate_share(k, message, ens: Ensemble, shares: list, launches: np.ndarray, failed):
+    """simulate_ensemble's serve for procs.forked: _integrate_chunk's result
+    for each piece of share k in order, until any process's piece has failed
+    (the shared flag, which a failing piece sets before it raises)."""
+    for piece in shares[k]:
         if failed[0]:
-            break
+            return
         try:
-            parts.append(_integrate_chunk(ens, *piece, launches))
-        except Exception as exc:
+            part = _integrate_chunk(ens, *piece, launches)
+        except Exception:
             failed[0] = True
-            return parts, exc
-    return parts, None
-
-
-def _send_share(conn, k, ens, shares, launches, failed):
-    """Worker k of _integrate_pieces: its share's results, one message each
-    once the share has run, then its failure or None."""
-    parts, failure = _run_share(ens, shares[k], launches, failed)
-    for part in parts:
-        conn.send(part)
-    conn.send(failure)
-
-
-def _integrate_pieces(ens: Ensemble, shares: list, launches: np.ndarray) -> list:
-    """_integrate_chunk's result for every piece of the shares, in order.
-    This process integrates the first share and forked worker k share k
-    (_forked); a process stops between its pieces once a piece has failed,
-    and the first failure in path order is raised."""
-    failed = _shared_empty(1, dtype=bool)
-    failed[0] = False
-    with _forked(len(shares), _send_share, ens, shares, launches, failed) as conns:
-        parts, failure = _run_share(ens, shares[0], launches, failed)
-        if failure is not None:
-            raise failure
-        for conn in conns:
-            while (part := _receive(conn)) is not None:
-                parts.append(part)
-    return parts
-
-
-def _receive(conn):
-    """A worker's next message; raises the exception it sent, and
-    ChildProcessError if it exited first."""
-    try:
-        message = conn.recv()
-    except EOFError:
-        raise ChildProcessError("a worker exited before its share was done") from None
-    if isinstance(message, BaseException):
-        raise message
-    return message
+            raise
+        yield part
 
 
 def _check_diverged(diverged: int, n: int):

@@ -4,6 +4,7 @@ anisotropic heat kernel, symmetry preservation, and marginals."""
 import dataclasses
 import math
 import mmap
+import multiprocessing
 import os
 import signal
 from dataclasses import replace
@@ -28,7 +29,7 @@ from cqrt import (
     sample_initial_points,
     turning_point,
 )
-from cqrt import fpe, sde
+from cqrt import fpe, procs
 from cqrt.hermite import hermite_log_abs
 from cqrt.sde import uniforms
 from cqrt.wavefield import log_derivative_masked
@@ -612,7 +613,7 @@ class TestGroundStateOracle:
 def fork_march(monkeypatch, workers):
     """Makes fp_solve march on `workers` processes at any size (1: serially)."""
     monkeypatch.setattr(fpe, "FORK_MIN_CELL_STEPS", 0)
-    monkeypatch.setattr(sde, "_usable_cpus", lambda: workers)
+    monkeypatch.setattr(procs, "usable_cpus", lambda: workers)
 
 
 def record_sweepers(monkeypatch, ny):
@@ -710,6 +711,32 @@ class TestForkedMarch:
         with pytest.raises(InstabilityDetected, match="to nan in one step at t=0$"):
             self.solve_in(monkeypatch, workers, nan)
 
+    def test_worker_exception_reaches_the_caller_as_itself(self, monkeypatch):
+        # only the forked worker's sweeps raise, so the error can reach the
+        # caller only in the worker's reply
+        fork_march(monkeypatch, 2)
+        caller, sweep = os.getpid(), fpe._sweep
+
+        def failing(grid, rho, drift, new, rows, extremes):
+            if os.getpid() != caller:
+                raise RuntimeError("boom")
+            return sweep(grid, rho, drift, new, rows, extremes)
+
+        def hung(signum, frame):
+            raise AssertionError("fp_solve still waits for a failed worker")
+
+        monkeypatch.setattr(fpe, "_sweep", failing)
+        grid = FpGrid(L=5.0, nx=40, ny=40)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(20)
+        try:
+            with pytest.raises(RuntimeError, match="^boom$"):
+                fp_solve(Eigenstate(3), grid, 10 * grid.dt_pde)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert multiprocessing.active_children() == []
+
     @pytest.mark.parametrize("workers", [2, 3])
     def test_killed_worker_raises_promptly(self, monkeypatch, workers):
         # worker 1 is killed in its third sweep; a march that waited for it
@@ -731,7 +758,7 @@ class TestForkedMarch:
         previous = signal.signal(signal.SIGALRM, hung)
         signal.alarm(20)
         try:
-            with pytest.raises(ChildProcessError, match="exited mid-march"):
+            with pytest.raises(ChildProcessError, match="exited before its share was done"):
                 fp_solve(Eigenstate(3), grid, 100 * grid.dt_pde)
         finally:
             signal.alarm(0)

@@ -3,8 +3,9 @@ module-level UPPER_CASE constant and every module-level _private function or
 class is read somewhere in the package, every name of cqrt.__all__ is read by
 a module of the package or named in a README code span, no module reads
 numpy's random module (sde's SplitMix64 streams are the one random source),
-every np.load call passes allow_pickle=False, so no file is unpickled, and
-importing the package and its command line loads no scipy module.
+every np.load call passes allow_pickle=False, so no file is unpickled, only
+procs.py imports multiprocessing or mmap or reads os.fork, and importing the
+package and its command line loads no scipy module.
 
 `__init__.py` is exempt from the import check because its imports are the
 public re-exports, and `from __future__` imports change the compiler, not the
@@ -203,6 +204,40 @@ def test_checker_finds_a_pickling_load():
               "np.load('d.npy', allow_pickle=False)\nnp.load('e.npy', allow_pickle=0)\n"
               "json.load(handle)\n")
     assert pickling_loads(source) == [3, 4, 5, 7]
+
+
+def forking_reads(source: str) -> list:
+    """Lines of source that import multiprocessing or mmap, or read os.fork."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [f"{node.module}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            names = [f"{node.value.id}.{node.attr}"]
+        else:
+            continue
+        if any(name.split(".")[0] in ("multiprocessing", "mmap") or name == "os.fork"
+               for name in names):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "procs.py"],
+                         ids=lambda p: p.name)
+def test_only_procs_forks(path):
+    assert forking_reads(path.read_text()) == []
+
+
+def test_checker_finds_forking():
+    source = ("import os\nimport mmap\nimport multiprocessing.pool\n"
+              "from multiprocessing import Pipe\nfrom os import fork\npid = os.fork()\n"
+              "hasattr(os, 'fork')\nos.getpid()\nfrom .procs import forked\n"
+              "mmap_mode = 'r'\n")
+    assert forking_reads(source) == [2, 3, 4, 5, 6]
+    # the one module that forks is seen forking
+    assert forking_reads((PACKAGE / "procs.py").read_text()) != []
 
 
 def test_package_and_cli_import_no_scipy():

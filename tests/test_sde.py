@@ -1,17 +1,21 @@
 """Integrator contracts: the noise convention, step examples, the componentwise
 form of the step, one-step moments, reproducibility, and divergence accounting."""
 
+import json
 import math
 import mmap
 import multiprocessing
 import os
 import re
 import signal
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from conftest import DIVERGING_LAUNCHES, hermite_real_roots
 
+import cqrt
 from cqrt import (
     NOISE_FACTOR,
     Eigenstate,
@@ -366,6 +370,56 @@ class TestNoiseStreams:
                     x, frac = crossing_interpolation(z_prev.real, z_prev.imag, z.real, z.imag)
                     crossings.append([j * cfg.dt + cfg.dt * frac, x])
             assert view.crossings.tolist() == crossings
+
+
+# run as a script, it prints the numpy dispatch targets enabled and the
+# digests of the integer-exact streams as JSON
+_STREAM_DIGESTS = """
+import hashlib, json
+import numpy as np
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+from cqrt.sde import derive_seeds, standard_normals, uniforms
+
+def digests():
+    seeds = derive_seeds(42, np.arange(4096))
+    streams = {"derive_seeds": seeds,
+               "standard_normals": standard_normals(seeds[:, None], np.arange(64)),
+               "uniforms": uniforms(7, np.arange(100_000))}
+    return {name: hashlib.sha256(a.tobytes()).hexdigest() for name, a in streams.items()}
+
+if __name__ == "__main__":
+    print(json.dumps([[t for t in __cpu_dispatch__ if __cpu_features__[t]], digests()]))
+"""
+
+
+class TestPlatformContract:
+    """The noise and launch streams are integer-exact, so their bits do not
+    follow numpy's SIMD dispatch: rerun with each run of the top dispatch
+    targets switched off (NPY_DISABLE_CPU_FEATURES, numpy's own runtime
+    switch), every stream digest equals this process's."""
+
+    def test_stream_digests_hold_at_every_lower_dispatch_level(self):
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+        enabled = [t for t in __cpu_dispatch__ if __cpu_features__[t]]
+        namespace = {}
+        exec(_STREAM_DIGESTS, namespace)
+        expected = namespace["digests"]()
+        path = os.pathsep.join([os.path.dirname(os.path.dirname(cqrt.__file__)),
+                                os.environ.get("PYTHONPATH", "")])
+        # each level switches off one more target, with every target above it
+        levels = [enabled[k:] for k in range(len(enabled))]
+        runs = [subprocess.Popen([sys.executable, "-c", _STREAM_DIGESTS], text=True,
+                                 stdout=subprocess.PIPE, env=dict(
+                                     os.environ, PYTHONPATH=path,
+                                     NPY_DISABLE_CPU_FEATURES=" ".join(level)))
+                for level in levels]
+        for level, run in zip(levels, runs):
+            out = run.communicate(timeout=60)[0]
+            assert run.returncode == 0, level
+            still_enabled, digests = json.loads(out)
+            assert still_enabled == enabled[:len(enabled) - len(level)]
+            assert digests == expected, level
 
 
 def _shared_zeros(n):
@@ -1068,3 +1122,21 @@ class TestGroundStateMomentOracle:
 
     def test_mean_z_fourth_follows_recursion(self, run):
         self._assert_moment(run, 4, 0.75, 2 * run[0])
+
+    def test_second_moments_follow_the_euler_chain(self, run):
+        # set B's n = 0 points: the step is (x, y) <- M (x, y) + sigma xi
+        # sqrt(dt) with M = [[1, -dt], [dt, 1]] and sigma = (-1, 1)/sqrt(2), so
+        # C = E (x, y)(x, y)^T obeys C <- M C M^T + dt sigma sigma^T exactly,
+        # from the Born launch's diag(1/2, 0); measured within 1.1 SE, and
+        # 56-343 SE off with the drift's sign flipped
+        dt, ens = run
+        m = np.array([[1.0, -dt], [dt, 1.0]])
+        sigma = np.array([-1.0, 1.0]) / math.sqrt(2.0)
+        for row, t in enumerate(self.TIMES):
+            cov = np.diag([0.5, 0.0])
+            for _ in range(round(t / dt)):
+                cov = m @ cov @ m.T + dt * np.outer(sigma, sigma)
+            x, y = ens.x[row], ens.y[row]
+            for (i, j), product in {(0, 0): x * x, (1, 1): y * y, (0, 1): x * y}.items():
+                se = np.std(product, ddof=1) / math.sqrt(self.N)
+                assert abs(np.mean(product) - cov[i, j]) <= 4 * se, (t, i, j)
